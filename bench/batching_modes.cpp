@@ -1,5 +1,6 @@
-// google-benchmark suite gating the continuous-batching scheduler in the
-// fleet serving engine. Two jobs:
+// google-benchmark suite gating batch formation: the continuous-batching
+// scheduler in the fleet serving engine, and the accelerator server's own
+// submit -> dynamic-batch dispatch -> complete cycle. Three jobs:
 //
 //  1. BM_FleetWindowHot is the window-mode serving hot path with the
 //     continuous scheduler compiled in but OFF. `scripts/bench_to_json`
@@ -15,6 +16,11 @@
 //     >= 1.3x the window-mode goodput, with a digest gate pinning the
 //     continuous run's determinism across iterations.
 //
+//  3. BM_AcceleratorServerCycle and BM_ServiceTimeEstimate guard the
+//     inner loop every serving run executes per request and per batch:
+//     one server's queue -> batch -> completion-sink cycle on the event
+//     kernel, and the roofline service-time estimate. No baseline join.
+//
 // The workload constants are frozen: det-base behind synthetic access
 // hops, join-shortest-queue, seed 17. The hot-path benchmark offers 12k
 // req/s to the 4-edge + 2-cloud fleet (0.8x capacity, same operating
@@ -27,7 +33,10 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "edgeai/accelerator.hpp"
 #include "edgeai/fleet.hpp"
+#include "edgeai/model.hpp"
+#include "netsim/simulator.hpp"
 #include "stats/distributions.hpp"
 
 namespace {
@@ -199,6 +208,47 @@ void BM_ContinuousGoodputGate(benchmark::State& state) {
 BENCHMARK(BM_ContinuousGoodputGate)
     ->Arg(bench_requests(100000))
     ->Unit(benchmark::kMillisecond);
+
+// The full queueing cycle of one server: N requests arrive with a fixed
+// spacing and drain through dynamic batching into the completion sink.
+// Args: max batch size.
+void BM_AcceleratorServerCycle(benchmark::State& state) {
+  const auto max_batch = std::uint32_t(state.range(0));
+  constexpr std::uint32_t kRequests = 4096;
+  for (auto _ : state) {
+    netsim::Simulator sim;
+    edgeai::AcceleratorServer server{
+        sim, edgeai::AcceleratorProfile::edge_gpu(),
+        edgeai::ModelZoo::at("det-base"),
+        {.max_batch = max_batch,
+         .batch_window = Duration::from_millis_f(1.0),
+         .queue_capacity = kRequests}};
+    std::uint64_t done = 0;
+    server.set_completion_sink(
+        [&done](std::uint32_t, std::uint64_t, const auto&) { ++done; });
+    for (std::uint32_t i = 0; i < kRequests; ++i) {
+      sim.schedule_after(Duration::micros(std::int64_t(i) * 400),
+                         [&server, i] { (void)server.submit(i); });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(kRequests));
+}
+BENCHMARK(BM_AcceleratorServerCycle)->Arg(1)->Arg(8)->Arg(32);
+
+void BM_ServiceTimeEstimate(benchmark::State& state) {
+  const auto acc = edgeai::AcceleratorProfile::edge_gpu();
+  const auto& model = edgeai::ModelZoo::at("det-base");
+  std::uint32_t batch = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(acc.service_time(model, batch));
+    batch = batch % 32 + 1;
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_ServiceTimeEstimate);
 
 }  // namespace
 

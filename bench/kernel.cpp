@@ -25,10 +25,9 @@ using namespace sixg::literals;
 
 // Schedule N one-shot events with short modular delays, then drain them.
 // The core schedule+fire cycle with a mostly-sorted arrival pattern, at
-// the pending-set sizes the campaign scenarios actually reach (a
-// ServingStudy replication holds thousands of in-flight events; grid
-// sweeps more). This family is the headline metric of
-// BENCH_kernel.json.
+// the pending-set sizes the campaign scenarios actually reach (a fleet
+// replication holds thousands of in-flight events; grid sweeps more).
+// This family is the headline metric of BENCH_kernel.json.
 void BM_ScheduleFire(benchmark::State& state) {
   const auto events = std::size_t(state.range(0));
   for (auto _ : state) {

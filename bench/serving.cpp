@@ -10,12 +10,9 @@
 // with a 2 ms window. The baseline capture ran the closure-based
 // ServingStudy (per-request std::function completion handlers, nested
 // capturing lambdas, retain-everything report, all arrivals prescheduled
-// — the only mode that engine had). The current run measures the slab
-// engine in its serving mode on the same workload: chained arrivals +
-// streaming report, the configuration every million-request study uses.
-// BM_ServingLegacyOrder is the slab engine pinned to the byte-identical
-// legacy event order and retained report (the mode the classic scenarios
-// run), reported without a baseline join for transparency.
+// — the only mode that engine had). The current run measures
+// ServingStudy — a one-server run of the fleet engine, chained arrivals
+// — with the streaming report every million-request study uses.
 //
 // BM_ServingPeakRss reports the peak-RSS cost of a 1M-request run via
 // the `peak_rss_mb` counter (lower is better; bench_to_json emits the
@@ -78,7 +75,7 @@ std::uint64_t peak_rss_bytes() {
 
 // ------------------------------------------------------------ workloads
 
-edgeai::ServingStudy::Config base_config(std::uint32_t requests) {
+edgeai::ServingStudy::Config serving_config(std::uint32_t requests) {
   edgeai::ServingStudy::Config config;
   config.model = edgeai::ModelZoo::at("det-base");
   config.accelerator = edgeai::AcceleratorProfile::edge_gpu();
@@ -88,12 +85,6 @@ edgeai::ServingStudy::Config base_config(std::uint32_t requests) {
   config.arrivals_per_second = 3000.0;
   config.requests = requests;
   config.seed = 17;
-  return config;
-}
-
-edgeai::ServingStudy::Config serving_mode_config(std::uint32_t requests) {
-  auto config = base_config(requests);
-  config.chained_arrivals = true;
   config.retain_samples = false;
   return config;
 }
@@ -111,7 +102,7 @@ edgeai::ServingStudy::DelaySampler synthetic_hop() {
 void BM_ServingLocal(benchmark::State& state) {
   const auto requests = std::uint32_t(state.range(0));
   for (auto _ : state) {
-    const auto config = serving_mode_config(requests);
+    const auto config = serving_config(requests);
     const auto report = edgeai::ServingStudy::run(config);
     benchmark::DoNotOptimize(report.completed);
   }
@@ -126,7 +117,7 @@ BENCHMARK(BM_ServingLocal)->Arg(100000)->Arg(1000000)
 void BM_ServingNetworked(benchmark::State& state) {
   const auto requests = std::uint32_t(state.range(0));
   for (auto _ : state) {
-    auto config = serving_mode_config(requests);
+    auto config = serving_config(requests);
     config.uplink = synthetic_hop();
     config.downlink = synthetic_hop();
     const auto report = edgeai::ServingStudy::run(config);
@@ -138,22 +129,6 @@ void BM_ServingNetworked(benchmark::State& state) {
 BENCHMARK(BM_ServingNetworked)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
-// The byte-identical legacy event order (all arrivals prescheduled,
-// retain-everything report): what the classic scenarios run. No
-// baseline join — reported for transparency next to the serving mode.
-void BM_ServingLegacyOrder(benchmark::State& state) {
-  const auto requests = std::uint32_t(state.range(0));
-  for (auto _ : state) {
-    const auto config = base_config(requests);
-    const auto report = edgeai::ServingStudy::run(config);
-    benchmark::DoNotOptimize(report.completed);
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          std::int64_t(requests));
-}
-BENCHMARK(BM_ServingLegacyOrder)->Arg(100000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
 // Peak memory of serving 1M requests, each engine in its native
 // 1M-request mode. items/s doubles as the throughput of that mode.
 void BM_ServingPeakRss(benchmark::State& state) {
@@ -161,7 +136,7 @@ void BM_ServingPeakRss(benchmark::State& state) {
   std::uint64_t peak = 0;
   for (auto _ : state) {
     reset_peak_rss();
-    auto config = serving_mode_config(requests);
+    auto config = serving_config(requests);
     config.uplink = synthetic_hop();
     config.downlink = synthetic_hop();
     const auto report = edgeai::ServingStudy::run(config);

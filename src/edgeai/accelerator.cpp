@@ -97,15 +97,9 @@ void AcceleratorServer::set_failure_sink(FailureSink sink) {
 
 void AcceleratorServer::lose(const Entry& entry) {
   ++lost_;
-  if (entry.handler >= 0) {
-    // Legacy path: the completion handler simply never fires.
-    handlers_[std::size_t(entry.handler)] = nullptr;
-    free_handlers_.push_back(entry.handler);
-    return;
-  }
   SIXG_ASSERT(static_cast<bool>(failure_sink_),
-              "fail() with slab-path work needs set_failure_sink() first");
-  failure_sink_(std::uint32_t(entry.key), entry.payload);
+              "fail() with queued work needs set_failure_sink() first");
+  failure_sink_(entry.slot, entry.payload);
 }
 
 void AcceleratorServer::fail() {
@@ -156,7 +150,15 @@ void AcceleratorServer::set_service_rate_multiplier(double factor) {
   slowdown_ = factor;
 }
 
-bool AcceleratorServer::admit(Entry entry, std::uint32_t lane) {
+bool AcceleratorServer::submit(std::uint32_t slot, std::uint64_t payload,
+                               std::uint32_t lane) {
+  SIXG_ASSERT(static_cast<bool>(sink_),
+              "submit needs set_completion_sink() first");
+  SIXG_ASSERT(lane < config_.lanes, "lane out of range");
+  if (health_ != ServerHealth::kUp) [[unlikely]] {
+    ++rejected_;
+    return false;
+  }
   const std::size_t cap = config_.queue_capacity;
   if (lane_count_[lane] >= cap) {
     ++dropped_;
@@ -168,54 +170,11 @@ bool AcceleratorServer::admit(Entry entry, std::uint32_t lane) {
   // conditional subtract — no integer division on the per-submit path.
   std::size_t tail = lane_head_[lane] + std::size_t{lane_count_[lane]};
   if (tail >= cap) tail -= cap;
-  ring_[std::size_t{lane} * cap + tail] = entry;
+  ring_[std::size_t{lane} * cap + tail] = Entry{payload, sim_.now(), slot};
   ++lane_count_[lane];
   ++count_;
   if (!busy_) maybe_dispatch();
   return true;
-}
-
-bool AcceleratorServer::submit(std::uint32_t slot, std::uint64_t payload,
-                               std::uint32_t lane) {
-  SIXG_ASSERT(static_cast<bool>(sink_),
-              "slab-path submit needs set_completion_sink() first");
-  SIXG_ASSERT(lane < config_.lanes, "lane out of range");
-  if (health_ != ServerHealth::kUp) [[unlikely]] {
-    ++rejected_;
-    return false;
-  }
-  return admit(Entry{slot, payload, sim_.now(), -1}, lane);
-}
-
-bool AcceleratorServer::submit(std::uint64_t request_id,
-                               CompletionHandler on_done) {
-  if (health_ != ServerHealth::kUp) [[unlikely]] {
-    ++rejected_;
-    return false;
-  }
-  if (lane_count_[0] >= config_.queue_capacity) {
-    ++dropped_;
-    ++lane_dropped_[0];
-    return false;
-  }
-  if (handlers_.capacity() == 0) {
-    // Legacy-path storage materialises on first use: slab-path servers
-    // never pay for it. Bounded by queued + in-flight handlers.
-    const std::size_t bound = config_.queue_capacity +
-                              std::size_t{2} * config_.max_batch;
-    handlers_.reserve(bound);
-    free_handlers_.reserve(bound);
-  }
-  std::int32_t handler;
-  if (!free_handlers_.empty()) {
-    handler = free_handlers_.back();
-    free_handlers_.pop_back();
-    handlers_[std::size_t(handler)] = std::move(on_done);
-  } else {
-    handler = std::int32_t(handlers_.size());
-    handlers_.push_back(std::move(on_done));
-  }
-  return admit(Entry{request_id, 0, sim_.now(), handler}, 0);
 }
 
 void AcceleratorServer::maybe_dispatch() {
@@ -313,19 +272,10 @@ void AcceleratorServer::finish_batch(TimePoint started, std::uint32_t offset,
     ++completed_;
     if (tracing && (completed_ & obs::kTraceRequestMask) == 0) {
       obs::probe_span(obs::TraceName::kQueue, entry.submitted.ns(),
-                      (started - entry.submitted).ns(), entry.key);
+                      (started - entry.submitted).ns(), entry.slot);
     }
-    const Completion completion{entry.key, entry.submitted, started, done, n};
-    if (entry.handler >= 0) {
-      // Move the handler out before invoking: the callback may submit
-      // again and recycle the slot.
-      CompletionHandler handler = std::move(handlers_[std::size_t(
-          entry.handler)]);
-      free_handlers_.push_back(entry.handler);
-      if (handler) handler(completion);
-    } else {
-      sink_(std::uint32_t(entry.key), entry.payload, completion);
-    }
+    sink_(entry.slot, entry.payload,
+          Completion{entry.slot, entry.submitted, started, done, n});
   }
   // Requests that queued behind this batch are served next, FIFO.
   if (!busy_) maybe_dispatch();

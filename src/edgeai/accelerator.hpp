@@ -2,13 +2,11 @@
 /// event-driven accelerator server: a bounded request queue drained with
 /// dynamic batching (batch window + max batch size) on the netsim kernel.
 ///
-/// The server has two submission paths. The slab path —
-/// set_completion_sink() + submit(slot) — carries a caller-side index
-/// through a preallocated ring queue and reports completions through ONE
-/// per-server callback, so steady-state serving performs zero heap
-/// allocations per request. The legacy path — submit(id, handler) — keeps
-/// the per-request std::function completion handler for callers that
-/// genuinely need per-request closures (tests, ad-hoc harnesses).
+/// The server has one submission path: submit(slot) carries a caller-side
+/// index through a preallocated ring queue and set_completion_sink()
+/// reports completions through ONE per-server callback, so steady-state
+/// serving performs zero heap allocations per request. A caller that
+/// wants per-request closures keeps them in its own table, keyed by slot.
 #pragma once
 
 #include <array>
@@ -135,20 +133,17 @@ class AcceleratorServer {
     [[nodiscard]] Duration service() const { return done - started; }
     [[nodiscard]] Duration total() const { return done - submitted; }
   };
-  using CompletionHandler = std::function<void(const Completion&)>;
-  /// Slab-path completion callback, one per server: fires once per
-  /// request in FIFO order as its batch completes. `slot` and `payload`
-  /// echo the submit(slot, payload) call; Completion::request_id is the
-  /// slot.
+  /// Completion callback, one per server: fires once per request in
+  /// FIFO order as its batch completes. `slot` and `payload` echo the
+  /// submit(slot, payload) call; Completion::request_id is the slot.
   using CompletionSink =
       std::function<void(std::uint32_t slot, std::uint64_t payload,
                          const Completion& completion)>;
   /// Crash-loss callback, one per server: fail() invokes it once per
-  /// slab-path request that was queued or mid-batch when the server went
-  /// down (FIFO order: the in-flight batch first, then the queue). The
-  /// owner reclaims the slot — and, when failure-aware dispatch is on,
-  /// decides whether to retry elsewhere. Legacy-path requests lost to a
-  /// crash simply never complete (their handlers are discarded).
+  /// request that was queued or mid-batch when the server went down (FIFO
+  /// order: the in-flight batch first, then the queue). The owner
+  /// reclaims the slot — and, when failure-aware dispatch is on, decides
+  /// whether to retry elsewhere.
   using FailureSink =
       std::function<void(std::uint32_t slot, std::uint64_t payload)>;
 
@@ -158,18 +153,18 @@ class AcceleratorServer {
   AcceleratorServer(const AcceleratorServer&) = delete;
   AcceleratorServer& operator=(const AcceleratorServer&) = delete;
 
-  /// Install the per-server completion callback for the slab path. Must
-  /// be set (once, before the first submit(slot)) and never per request.
+  /// Install the per-server completion callback. Must be set (once,
+  /// before the first submit) and never per request.
   void set_completion_sink(CompletionSink sink);
 
   /// Install the crash-loss callback. Optional: without one, fail() on a
-  /// server with slab-path work is a programming error (the owner could
-  /// never reclaim the slots).
+  /// server with queued or in-flight work is a programming error (the
+  /// owner could never reclaim the slots).
   void set_failure_sink(FailureSink sink);
 
   // -- fault model ----------------------------------------------------------
   /// Crash: everything queued and the batch in flight are LOST. Each lost
-  /// slab-path request is reported through the failure sink; the pending
+  /// request is reported through the failure sink; the pending
   /// batch-completion event is disarmed by a crash-epoch check (its
   /// results never surface). The server rejects submissions until
   /// recover(). No-op counters keep advancing deterministically.
@@ -193,18 +188,13 @@ class AcceleratorServer {
     return slowdown_;
   }
 
-  /// Slab path: enqueue caller-side record `slot` at sim.now(), carrying
-  /// an opaque `payload` word back to the completion sink. Returns false
-  /// (and counts a drop) when the lane's queue is at capacity; the sink
-  /// then never fires for this slot. Allocation-free. `lane` picks the
+  /// Enqueue caller-side record `slot` at sim.now(), carrying an opaque
+  /// `payload` word back to the completion sink. Returns false (and
+  /// counts a drop) when the lane's queue is at capacity; the sink then
+  /// never fires for this slot. Allocation-free. `lane` picks the
   /// priority lane (< batching().lanes; 0 = highest priority).
   bool submit(std::uint32_t slot, std::uint64_t payload = 0,
               std::uint32_t lane = 0);
-
-  /// Legacy path: enqueue a request with its own completion handler.
-  /// Returns false (and counts a drop) when the queue is at capacity;
-  /// `on_done` then never fires.
-  bool submit(std::uint64_t request_id, CompletionHandler on_done);
 
   // -- introspection --------------------------------------------------------
   [[nodiscard]] const AcceleratorProfile& accelerator() const { return acc_; }
@@ -230,7 +220,7 @@ class AcceleratorServer {
     return lane_dropped_[lane];
   }
   [[nodiscard]] std::uint64_t batches_launched() const { return batches_; }
-  /// Requests lost to fail() (queued + mid-batch), both paths.
+  /// Requests lost to fail() (queued + mid-batch).
   [[nodiscard]] std::uint64_t lost_to_crashes() const { return lost_; }
   /// Submissions rejected because the server was draining or down.
   [[nodiscard]] std::uint64_t rejected_unhealthy() const { return rejected_; }
@@ -242,20 +232,17 @@ class AcceleratorServer {
 
  private:
   /// One queued request. Trivially copyable on purpose: ring and scratch
-  /// moves are plain stores, and the per-request handler (legacy path
-  /// only) lives in a side slab addressed by index.
+  /// moves are plain stores.
   struct Entry {
-    std::uint64_t key = 0;      ///< request id (legacy) or slot (slab)
-    std::uint64_t payload = 0;  ///< opaque caller word (slab path)
+    std::uint64_t payload = 0;  ///< opaque caller word
     TimePoint submitted;
-    std::int32_t handler = -1;  ///< handlers_ index; -1 = sink path
+    std::uint32_t slot = 0;
   };
 
-  [[nodiscard]] bool admit(Entry entry, std::uint32_t lane);
   /// Re-evaluate the batching rules; only meaningful when idle.
   void maybe_dispatch();
   void launch_batch();
-  /// Staged completion: invoke per-request callbacks FIFO, then drain.
+  /// Staged completion: report each request to the sink FIFO, then drain.
   /// `epoch` is the crash epoch the batch launched under; a mismatch
   /// means the server failed mid-service and the results are void.
   void finish_batch(TimePoint started, std::uint32_t offset, std::uint32_t n,
@@ -282,10 +269,6 @@ class AcceleratorServer {
   /// already free then) cannot overwrite the batch still being reported.
   std::vector<Entry> scratch_;
   std::uint32_t scratch_parity_ = 0;
-
-  /// Legacy-path completion handlers, recycled through a free list.
-  std::vector<CompletionHandler> handlers_;
-  std::vector<std::int32_t> free_handlers_;
 
   CompletionSink sink_;
   FailureSink failure_sink_;

@@ -18,6 +18,27 @@
 
 namespace sixg::edgeai {
 
+double ArrivalShape::rate_multiplier(Duration since_start) const {
+  double m = 1.0;
+  if (diurnal_amplitude > 0.0 && !diurnal_period.is_zero()) {
+    // Triangle wave on the phase in [0, 1): -1 at phase 0 (trough), +1
+    // at 0.5 (peak). Integer modulo keeps the phase exact over long
+    // runs; the wave itself is two FP ops, no libm.
+    const double phase = double(since_start.ns() % diurnal_period.ns()) /
+                         double(diurnal_period.ns());
+    const double tri =
+        1.0 - 4.0 * (phase < 0.5 ? 0.5 - phase : phase - 0.5);
+    m = 1.0 + diurnal_amplitude * tri;
+  }
+  if (flash_multiplier != 1.0 && !flash_every.is_zero() &&
+      !flash_duration.is_zero()) {
+    if (since_start.ns() % flash_every.ns() < flash_duration.ns()) {
+      m *= flash_multiplier;
+    }
+  }
+  return m;
+}
+
 const char* to_string(DispatchPolicy policy) {
   switch (policy) {
     case DispatchPolicy::kRoundRobin:
@@ -31,6 +52,9 @@ const char* to_string(DispatchPolicy policy) {
 }
 
 namespace {
+
+/// FleetStudy's RNG streams (ServingStudy brings its own salts).
+constexpr detail::StreamSalts kFleetSalts{0xf1ee, 0xf0b1, 0xfd01, 0xf95e};
 
 /// Remote requests ride the accelerator queue's payload word with their
 /// origin shard packed above the uplink nanoseconds: (origin + 1) in the
@@ -61,20 +85,16 @@ constexpr std::uint64_t kHedgeTag = 0xff;
 constexpr std::uint32_t kNoServer = std::numeric_limits<std::uint32_t>::max();
 
 /// One fleet engine: the mutable state of one serving timeline — the
-/// request slab, the server pool and the dispatch machinery. Same event
-/// discipline as ServingEngine in serving.cpp — index-carrying inline
-/// captures, zero per-request allocations — with the server index riding
-/// along. The two engines are deliberately separate (ServingEngine is
-/// pinned to the legacy byte-identity contract; this one adds dispatch,
-/// per-server accounting and an SLO counter), but they mirror each other
-/// hop for hop: a lifecycle fix in one almost certainly belongs in the
-/// other.
+/// request slab, the server pool and the dispatch machinery. Events are
+/// index-carrying inline captures (slot, server index and hop-local
+/// durations), so a request costs zero heap allocations. This is the
+/// only serving engine: ServingStudy runs it with one server.
 ///
-/// The engine borrows its Simulator, so the same code serves both the
-/// serial FleetStudy (one engine, one owned timeline) and the sharded
-/// fleet (one engine per shard of a netsim::ShardedSimulator). In the
-/// sharded case the `sharded`/`peers` wiring is set and remote requests
-/// travel through the cross-shard mailboxes; an engine NEVER writes
+/// The engine borrows its Simulator, so the same code serves the serial
+/// studies (one engine, one owned timeline) and the sharded fleet (one
+/// engine per shard of a netsim::ShardedSimulator). In the sharded case
+/// the `sharded`/`peers` wiring is set and remote requests travel
+/// through the cross-shard mailboxes; an engine NEVER writes
 /// another shard's state directly — results and drop notices are posted
 /// back to the owning timeline.
 struct FleetEngine {
@@ -102,12 +122,14 @@ struct FleetEngine {
   Rng downlink_rng;
   stats::ShiftedExponential interarrival;
 
-  // Batch-sampling lane (see ServingEngine in serving.cpp for the
-  // determinism argument: dedicated streams, bit-identical values, only
-  // a harmless trailing overdraw). The leg blocks engage only when EVERY
-  // networked server's leg draws identically — all networked servers
-  // share the uplink (resp. downlink) stream, so one differing or opaque
-  // leg forces the whole stream back to scalar per-request draws.
+  // Batch-sampling lane: each dedicated stream is pre-drawn a block at a
+  // time through the vectorized samplers. Values and draw order are
+  // bit-identical to per-request draws; pre-drawing merely advances a
+  // stream early, which no other consumer shares (the trailing overdraw
+  // at run end lands in a discarded stream). The leg blocks engage only
+  // when EVERY networked server's leg draws identically — all networked
+  // servers share the uplink (resp. downlink) stream, so one differing or
+  // opaque leg forces the whole stream back to scalar per-request draws.
   static constexpr std::size_t kBlock = 256;
   topo::PathBatchScratch scratch;
   std::vector<double> arrival_sec;
@@ -141,6 +163,9 @@ struct FleetEngine {
   std::uint32_t inflight = 0;
 
   FleetStudy::Report& report;
+  /// Retained per-request e2e samples (ServingStudy); null = streaming
+  /// only.
+  std::vector<double>* e2e_samples = nullptr;
   EnergyBreakdown energy_sum;
   TimePoint makespan;
   std::uint32_t round_robin_cursor = 0;
@@ -213,13 +238,15 @@ struct FleetEngine {
   }
 
   FleetEngine(const FleetStudy::Config& cfg, netsim::Simulator& timeline,
-              FleetStudy::Report& rep)
+              FleetStudy::Report& rep, const detail::StreamSalts& salts)
       : config(cfg),
         sim(timeline),
         energy(cfg.energy),
-        arrival_rng(derive_seed(cfg.seed, 0xf1ee)),
-        uplink_rng(derive_seed(cfg.seed, 0xf0b1)),
-        downlink_rng(derive_seed(cfg.seed, 0xfd01)),
+        // Independent derived streams: arrivals, uplink and downlink
+        // draws cannot shift each other (determinism contract rule 2).
+        arrival_rng(derive_seed(cfg.seed, salts.arrival)),
+        uplink_rng(derive_seed(cfg.seed, salts.uplink)),
+        downlink_rng(derive_seed(cfg.seed, salts.downlink)),
         interarrival(0.0, 1.0 / cfg.arrivals_per_second),
         report(rep),
         remote_route_rng(derive_seed(cfg.seed, kRemoteRouteSalt)),
@@ -282,9 +309,9 @@ struct FleetEngine {
     }
     const double sec = arrival_sec[arrival_next++];
     // Arrival shaping scales the draw by the instantaneous rate
-    // multiplier at the generating event's time (fleet arrivals are
-    // chained, so that time is always available). The unshaped draw
-    // passes through untouched — bit-identical to the legacy stream.
+    // multiplier at the generating event's time (arrivals are chained,
+    // so that time is always available). The unshaped draw passes
+    // through untouched — the same expression, the same bits.
     if (shaped) [[unlikely]] {
       return Duration::from_seconds_f(
           sec / config.shape.rate_multiplier(sim.now() - TimePoint{}));
@@ -551,8 +578,9 @@ static_assert(sizeof(RemoteDropEvent) <= netsim::InplaceAction::kInlineBytes);
 
 void FleetEngine::on_arrival() {
   if (++spawned < config.requests) {
-    // Chain the next arrival first (same tie discipline as the
-    // single-server engine).
+    // Chain the next arrival first: at an exact time tie this keeps the
+    // arrival ahead of this request's serving events. Only one arrival
+    // is ever pending, so the kernel queue stays O(in-flight).
     const Duration delta = next_interarrival();
     sim.schedule_at(sim.now() + delta, FleetArrivalEvent{this});
   }
@@ -824,6 +852,7 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
   report.e2e_ms.add(e2e_ms);
   report.e2e_q.add(e2e_ms);
   report.e2e_hist->add(e2e_ms);
+  if (e2e_samples) e2e_samples->push_back(e2e_ms);
   report.network_ms.add(net.ms());
   report.queue_ms.add(queue_wait.ms());
   report.service_ms.add(service.ms());
@@ -1280,9 +1309,12 @@ void check_config(const FleetStudy::Config& config) {
 }
 
 void init_streaming_report(FleetStudy::Report& report,
-                           const FleetStudy::Config& config) {
-  report.e2e_q = stats::ReservoirQuantile{config.quantile_cap,
-                                          derive_seed(config.seed, 0xf95e)};
+                           const FleetStudy::Config& config,
+                           std::uint64_t reservoir_salt) {
+  // The quantile reservoir draws from its own seed-derived stream (and
+  // only once past the cap), so it can never shift the serving draws.
+  report.e2e_q = stats::ReservoirQuantile{
+      config.quantile_cap, derive_seed(config.seed, reservoir_salt)};
   report.e2e_hist.emplace(0.0, config.hist_hi_ms, config.hist_bins);
   report.classes.resize(config.classes.size());
   for (std::size_t c = 0; c < config.classes.size(); ++c) {
@@ -1304,13 +1336,15 @@ void publish_fleet_distribution(const FleetStudy::Report& report,
 
 }  // namespace
 
-FleetStudy::Report FleetStudy::run(const Config& config) {
+void detail::run_serial(const FleetStudy::Config& config,
+                        const StreamSalts& salts, FleetStudy::Report& report,
+                        std::vector<double>* e2e_samples_ms) {
   check_config(config);
-  Report report;
-  init_streaming_report(report, config);
+  init_streaming_report(report, config, salts.reservoir);
 
   netsim::Simulator sim(config.seed);
-  FleetEngine engine{config, sim, report};
+  FleetEngine engine{config, sim, report, salts};
+  engine.e2e_samples = e2e_samples_ms;
   setup_engine(engine, config);
   sim.run();
 
@@ -1327,6 +1361,11 @@ FleetStudy::Report FleetStudy::run(const Config& config) {
     report.throughput_per_s = double(report.completed) / makespan_sec;
     report.goodput_per_s = double(report.within_slo) / makespan_sec;
   }
+}
+
+FleetStudy::Report FleetStudy::run(const Config& config) {
+  Report report;
+  detail::run_serial(config, kFleetSalts, report, nullptr);
   return report;
 }
 
@@ -1358,9 +1397,10 @@ ShardedFleetStudy::Report ShardedFleetStudy::run(const Config& config) {
   engines.reserve(config.shards);
   for (std::uint32_t k = 0; k < config.shards; ++k) {
     shard_configs[k].seed = netsim::shard_seed(config.shard.seed, k);
-    init_streaming_report(shard_reports[k], shard_configs[k]);
+    init_streaming_report(shard_reports[k], shard_configs[k],
+                          kFleetSalts.reservoir);
     engines.push_back(std::make_unique<FleetEngine>(
-        shard_configs[k], kernel.shard(k), shard_reports[k]));
+        shard_configs[k], kernel.shard(k), shard_reports[k], kFleetSalts));
     peers[k] = engines.back().get();
   }
   for (std::uint32_t k = 0; k < config.shards; ++k) {

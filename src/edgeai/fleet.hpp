@@ -5,7 +5,8 @@
 /// Letaief et al. and Merluzzi et al., built directly on the request
 /// slab: the engine streams its report (histogram + capped reservoir)
 /// and chains arrivals, so a multi-million-request city run is O(slab +
-/// bins) memory and allocation-free per request.
+/// bins) memory and allocation-free per request. It is the one serving
+/// engine: ServingStudy (serving.hpp) is a one-server run of it.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,8 @@
 #include "edgeai/accelerator.hpp"
 #include "edgeai/energy.hpp"
 #include "edgeai/model.hpp"
+#include "edgeai/net_leg.hpp"
 #include "edgeai/offload.hpp"
-#include "edgeai/serving.hpp"
 #include "faults/fault_plan.hpp"
 #include "stats/histogram.hpp"
 #include "stats/reservoir.hpp"
@@ -72,17 +73,53 @@ struct ResilienceConfig {
   }
 };
 
+/// Trace-style modulation of the Poisson arrival process: a diurnal
+/// curve plus periodic flash-crowd bursts, layered on chained-arrival
+/// generation by scaling each interarrival draw with the instantaneous
+/// rate multiplier. Inactive by default (multiplier identically 1), in
+/// which case the draw passes through untouched and the run stays
+/// byte-identical to a build without the feature.
+///
+/// The diurnal curve is a piecewise-linear triangle wave — trough (1 -
+/// amplitude) at phase 0, peak (1 + amplitude) at half period — on
+/// purpose: it needs no libm, so the modulated trajectory is exactly
+/// reproducible everywhere the unmodulated one is. Flash crowds multiply
+/// the rate by `flash_multiplier` for `flash_duration` at the start of
+/// every `flash_every` interval.
+struct ArrivalShape {
+  double diurnal_amplitude = 0.0;  ///< [0, 1); 0 disables the curve
+  Duration diurnal_period;         ///< one simulated "day"
+  double flash_multiplier = 1.0;   ///< >= 1; 1 disables the bursts
+  Duration flash_every;            ///< burst cadence
+  Duration flash_duration;         ///< burst length, < flash_every
+
+  [[nodiscard]] bool active() const {
+    return (diurnal_amplitude > 0.0 && !diurnal_period.is_zero()) ||
+           (flash_multiplier != 1.0 && !flash_every.is_zero() &&
+            !flash_duration.is_zero());
+  }
+
+  /// Instantaneous arrival-rate multiplier at `since_start` into the run.
+  [[nodiscard]] double rate_multiplier(Duration since_start) const;
+};
+
 /// Runs one fleet-serving workload on one simulator timeline.
 class FleetStudy {
  public:
-  using DelaySampler = ServingStudy::DelaySampler;
+  /// Opaque callables still convert into a NetLeg (the scalar-only kFn
+  /// kind), so lambda-based configs compile unchanged.
+  using DelaySampler = NetLeg::Fn;
 
   /// One server of the fleet. Network legs are per server (the hop to
   /// an edge site differs from the WAN detour to a cloud region); both
-  /// set or both null (on-device tier), as in ServingStudy. When every
-  /// networked server's legs draw identically (NetLeg::same_draws_as —
-  /// the common "N identical edge GPUs behind one path" fleet), the
-  /// engine serves them all from one pre-drawn vectorized block.
+  /// set (offloaded: latency adds the hops, energy bills the radio) or
+  /// both null (on-device tier). Structured legs (NetLeg::wired /
+  /// radio_then_path / path_then_radio) ride the vectorized batch
+  /// sampling lane; opaque callables sample scalar, bit-identically.
+  /// When every networked server's legs draw identically
+  /// (NetLeg::same_draws_as — the common "N identical edge GPUs behind
+  /// one path" fleet), the engine serves them all from one pre-drawn
+  /// vectorized block.
   struct ServerSpec {
     std::string name;  ///< row label; defaults to "tier-N" when empty
     AcceleratorProfile accelerator = AcceleratorProfile::edge_gpu();
@@ -133,9 +170,10 @@ class FleetStudy {
     /// kTierAffine spills to the next tier at this per-server load.
     std::uint32_t tier_spill_depth = 16;
     std::uint64_t seed = 1;
-    /// Streaming-report shape (see ServingStudy::Config).
+    /// Streaming end-to-end histogram shape, [0, hist_hi_ms) in ms.
     double hist_hi_ms = 250.0;
     std::size_t hist_bins = 500;
+    /// Reservoir cap for e2e quantiles: exact below, sampled above.
     std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
 
     /// Seed-derived fault schedule (docs/ARCHITECTURE.md "Fault model").
@@ -152,8 +190,8 @@ class FleetStudy {
     /// the run is byte-identical to a build without the feature.
     std::vector<SloClassSpec> classes;
     /// Trace-style arrival modulation (diurnal curve + flash crowds);
-    /// inactive by default. Fleet arrivals are always chained, so the
-    /// shape applies directly (no extra flag).
+    /// inactive by default. Arrivals are always chained, so the shape
+    /// applies directly (no extra flag).
     ArrivalShape shape;
   };
 
@@ -172,18 +210,21 @@ class FleetStudy {
   };
 
   struct Report {
-    stats::Summary e2e_ms;
+    stats::Summary e2e_ms;  ///< device-to-device, delivered requests
+    /// End-to-end quantiles: exact order statistics up to the configured
+    /// cap, reservoir-sampled beyond it (own RNG stream, seed-derived).
     stats::ReservoirQuantile e2e_q;
-    stats::Summary network_ms;
-    stats::Summary queue_ms;
-    stats::Summary service_ms;
-    stats::Summary batch_size;
+    stats::Summary network_ms;  ///< uplink + downlink + airtime share
+    stats::Summary queue_ms;    ///< accelerator queue wait
+    stats::Summary service_ms;  ///< batch execution share
+    stats::Summary batch_size;  ///< batch each delivered request rode in
+    /// Streaming end-to-end distribution (ms); engaged by run().
     std::optional<stats::Histogram> e2e_hist;
 
     std::uint64_t completed = 0;
-    std::uint64_t dropped = 0;
+    std::uint64_t dropped = 0;  ///< bounded-queue rejections
     std::uint64_t batches = 0;
-    double throughput_per_s = 0.0;
+    double throughput_per_s = 0.0;  ///< completed / makespan
     EnergyBreakdown mean_energy;  ///< per completed request
 
     // -- availability / goodput (fault model) -------------------------------
@@ -314,6 +355,27 @@ class ShardedFleetStudy {
   /// same report at any worker count.
   [[nodiscard]] static Report run(const Config& config);
 };
+
+namespace detail {
+
+/// Seed salts of the serial engine's independent RNG streams. FleetStudy
+/// and ServingStudy run the same engine; each keeps its own streams.
+struct StreamSalts {
+  std::uint64_t arrival;
+  std::uint64_t uplink;
+  std::uint64_t downlink;
+  std::uint64_t reservoir;  ///< e2e quantile reservoir
+};
+
+/// One serial engine run on its own timeline: the body of FleetStudy::run
+/// and ServingStudy::run. Fills the default-constructed `report`; a
+/// non-null `e2e_samples_ms` also receives every delivered request's
+/// end-to-end latency, in completion order.
+void run_serial(const FleetStudy::Config& config, const StreamSalts& salts,
+                FleetStudy::Report& report,
+                std::vector<double>* e2e_samples_ms);
+
+}  // namespace detail
 
 /// Order-sensitive digest of every field of a fleet report (bit patterns
 /// of the floats, exact counters, server rows). Two reports digest equal

@@ -3,11 +3,15 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "edgeai/request_slab.hpp"
-#include "netsim/simulator.hpp"
-#include "stats/distributions.hpp"
 
 namespace sixg::edgeai {
+
+namespace {
+
+/// ServingStudy's RNG streams: arrivals, uplink, downlink, reservoir.
+constexpr detail::StreamSalts kServingSalts{0xa221, 0x0b11, 0xd011, 0x9e5e};
+
+}  // namespace
 
 double ServingStudy::Report::within(Duration budget) const {
   if (!e2e_samples_ms.empty()) {
@@ -35,338 +39,30 @@ void ServingStudy::Report::finalize() {
   std::sort(sorted_e2e_ms_.begin(), sorted_e2e_ms_.end());
 }
 
-double ArrivalShape::rate_multiplier(Duration since_start) const {
-  double m = 1.0;
-  if (diurnal_amplitude > 0.0 && !diurnal_period.is_zero()) {
-    // Triangle wave on the phase in [0, 1): -1 at phase 0 (trough), +1
-    // at 0.5 (peak). Integer modulo keeps the phase exact over long
-    // runs; the wave itself is two FP ops, no libm.
-    const double phase = double(since_start.ns() % diurnal_period.ns()) /
-                         double(diurnal_period.ns());
-    const double tri =
-        1.0 - 4.0 * (phase < 0.5 ? 0.5 - phase : phase - 0.5);
-    m = 1.0 + diurnal_amplitude * tri;
-  }
-  if (flash_multiplier != 1.0 && !flash_every.is_zero() &&
-      !flash_duration.is_zero()) {
-    if (since_start.ns() % flash_every.ns() < flash_duration.ns()) {
-      m *= flash_multiplier;
-    }
-  }
-  return m;
-}
-
-namespace {
-
-/// One ServingStudy run's mutable state. Events carry {engine, slot}
-/// (plus hop-local durations) in their inline capture; everything that
-/// must survive from arrival to record lives in the slab.
-struct ServingEngine {
-  const ServingStudy::Config& config;
-  netsim::Simulator sim;
-  AcceleratorServer server;
-  InferenceEnergyModel energy;
-  bool networked;
-  Duration up_airtime;
-  Duration down_airtime;
-
-  // Independent derived streams: arrivals, uplink and downlink draws
-  // cannot shift each other (determinism contract rule 2).
-  Rng arrival_rng;
-  Rng uplink_rng;
-  Rng downlink_rng;
-  stats::ShiftedExponential interarrival;
-
-  // Batch-sampling lane: each dedicated stream is pre-drawn a block at a
-  // time through the vectorized samplers. Values and draw order are
-  // bit-identical to per-request draws; pre-drawing merely advances a
-  // stream early, which no other consumer shares (the trailing overdraw
-  // at run end lands in a discarded stream). Blocks and scratch are
-  // sized once — zero allocations per request in steady state.
-  static constexpr std::size_t kBlock = 256;
-  topo::PathBatchScratch scratch;
-  std::vector<double> arrival_sec;
-  std::vector<Duration> uplink_block;
-  std::vector<Duration> downlink_block;
-  std::size_t arrival_next = 0;
-  std::size_t uplink_next = 0;
-  std::size_t downlink_next = 0;
-  bool batch_uplink = false;
-  bool batch_downlink = false;
-  /// Arrival shaping engaged (Config::shape.active()), cached off the
-  /// per-draw path.
-  bool shaped = false;
-
-  RequestSlab slab;
-  ServingStudy::Report& report;
-  EnergyBreakdown energy_sum;
-  TimePoint makespan;
-
-  /// Per-request energy terms that depend only on the batch size,
-  /// computed once per batch size instead of once per request. The
-  /// tabulated values come from the exact expressions
-  /// InferenceEnergyModel::offloaded evaluates, in the same order, so
-  /// the accumulated breakdown is bit-identical to per-call evaluation.
-  std::vector<double> server_compute_j_by_batch;  ///< [1..max_batch]
-  double uplink_j = 0.0;
-  double downlink_j = 0.0;
-  double idle_watts = 0.0;
-  Duration tx_rx_airtime;  ///< tx + rx share subtracted from the wait
-
-  ServingEngine(const ServingStudy::Config& cfg, ServingStudy::Report& rep)
-      : config(cfg),
-        sim(cfg.seed),
-        server(sim, cfg.accelerator, cfg.model, cfg.batching),
-        energy(cfg.energy),
-        networked(static_cast<bool>(cfg.uplink)),
-        up_airtime(networked ? energy.uplink_airtime(cfg.model) : Duration{}),
-        down_airtime(networked ? energy.downlink_airtime(cfg.model)
-                               : Duration{}),
-        arrival_rng(derive_seed(cfg.seed, 0xa221)),
-        uplink_rng(derive_seed(cfg.seed, 0x0b11)),
-        downlink_rng(derive_seed(cfg.seed, 0xd011)),
-        interarrival(0.0, 1.0 / cfg.arrivals_per_second),
-        report(rep) {
-    slab.resize(cfg.requests);
-    server_compute_j_by_batch.resize(std::size_t{1} + cfg.batching.max_batch);
-    for (std::uint32_t b = 1; b <= cfg.batching.max_batch; ++b) {
-      server_compute_j_by_batch[b] =
-          cfg.accelerator.batch_joules(cfg.model, b) / double(b);
-    }
-    if (networked) {
-      const Duration tx = energy.uplink_airtime(cfg.model);
-      const Duration rx = energy.downlink_airtime(cfg.model);
-      uplink_j = cfg.energy.radio.tx_watts * tx.sec();
-      downlink_j = cfg.energy.radio.rx_watts * rx.sec();
-      idle_watts = cfg.energy.radio.idle_watts;
-      tx_rx_airtime = tx + rx;
-    }
-    arrival_sec.resize(kBlock);
-    arrival_next = kBlock;  // empty: first draw refills
-    batch_uplink = networked && cfg.uplink.batchable();
-    batch_downlink = networked && cfg.downlink.batchable();
-    shaped = cfg.shape.active();
-    if (batch_uplink) {
-      uplink_block.resize(kBlock);
-      uplink_next = kBlock;
-    }
-    if (batch_downlink) {
-      downlink_block.resize(kBlock);
-      downlink_next = kBlock;
-    }
-  }
-
-  [[nodiscard]] Duration next_interarrival() {
-    if (arrival_next == arrival_sec.size()) {
-      interarrival.sample_into(arrival_sec, arrival_rng);
-      arrival_next = 0;
-    }
-    const double sec = arrival_sec[arrival_next++];
-    // Trace-style shaping: each chained draw is thinned/compressed by
-    // the instantaneous rate multiplier at its generating event. The
-    // inactive default leaves the draw untouched (same expression, same
-    // bits).
-    if (shaped) [[unlikely]] {
-      return Duration::from_seconds_f(
-          sec / config.shape.rate_multiplier(sim.now() - TimePoint{}));
-    }
-    return Duration::from_seconds_f(sec);
-  }
-
-  [[nodiscard]] Duration next_uplink() {
-    if (!batch_uplink) return config.uplink(uplink_rng);
-    if (uplink_next == uplink_block.size()) {
-      config.uplink.sample_into(uplink_block, uplink_rng, scratch);
-      uplink_next = 0;
-    }
-    return uplink_block[uplink_next++];
-  }
-
-  [[nodiscard]] Duration next_downlink() {
-    if (!batch_downlink) return config.downlink(downlink_rng);
-    if (downlink_next == downlink_block.size()) {
-      config.downlink.sample_into(downlink_block, downlink_rng, scratch);
-      downlink_next = 0;
-    }
-    return downlink_block[downlink_next++];
-  }
-
-  void on_arrival(std::uint32_t slot);
-  void on_submit(std::uint32_t slot, Duration up);
-  void on_complete(std::uint32_t slot, std::uint64_t up_ns,
-                   const AcceleratorServer::Completion& completion);
-  void on_record(std::uint32_t slot, std::uint32_t batch, Duration net,
-                 Duration queue_wait, Duration service);
-};
-
-/// Index-carrying events: small trivially-movable functors that fit the
-/// kernel's 48-byte inline action storage by construction.
-struct ArrivalEvent {
-  ServingEngine* engine;
-  std::uint32_t slot;
-  void operator()() const { engine->on_arrival(slot); }
-};
-static_assert(sizeof(ArrivalEvent) <= netsim::InplaceAction::kInlineBytes);
-
-struct SubmitEvent {
-  ServingEngine* engine;
-  std::uint32_t slot;
-  Duration up;
-  void operator()() const { engine->on_submit(slot, up); }
-};
-static_assert(sizeof(SubmitEvent) <= netsim::InplaceAction::kInlineBytes);
-
-struct RecordEvent {
-  ServingEngine* engine;
-  std::uint32_t slot;
-  std::uint32_t batch;
-  Duration net;
-  Duration queue_wait;
-  Duration service;
-  void operator()() const {
-    engine->on_record(slot, batch, net, queue_wait, service);
-  }
-};
-static_assert(sizeof(RecordEvent) <= netsim::InplaceAction::kInlineBytes);
-
-void ServingEngine::on_arrival(std::uint32_t slot) {
-  if (config.chained_arrivals && slot + 1 < config.requests) {
-    // Chain the next arrival first: at an exact time tie this keeps the
-    // arrival ahead of this request's serving events, the prescheduled
-    // relative order.
-    const Duration delta = next_interarrival();
-    sim.schedule_at(sim.now() + delta, ArrivalEvent{this, slot + 1});
-  }
-  SIXG_ASSERT(slab.state[slot] == RequestSlab::State::kScheduled,
-              "arrival fired twice for one slot");
-  slab.state[slot] = RequestSlab::State::kUplink;
-  slab.device_start[slot] = sim.now();
-  const Duration up = networked ? next_uplink() + up_airtime : Duration{};
-  if (up.is_zero() && config.chained_arrivals) {
-    // On-device serving in the chained (million-request) mode: the
-    // submit would fire at this very tick, so enqueue inline. This can
-    // reorder same-tick events relative to the prescheduled mode — the
-    // caveat chained_arrivals already documents — and saves a kernel
-    // round trip per request.
-    on_submit(slot, up);
-    return;
-  }
-  sim.schedule_after(up, SubmitEvent{this, slot, up});
-}
-
-void ServingEngine::on_submit(std::uint32_t slot, Duration up) {
-  if (server.submit(slot, std::uint64_t(up.ns()))) {
-    slab.state[slot] = RequestSlab::State::kQueued;
-  } else {
-    slab.state[slot] = RequestSlab::State::kDropped;  // counted by the server
-  }
-}
-
-void ServingEngine::on_complete(
-    std::uint32_t slot, std::uint64_t up_ns,
-    const AcceleratorServer::Completion& completion) {
-  SIXG_ASSERT(slab.state[slot] == RequestSlab::State::kQueued,
-              "completion for a slot that is not queued");
-  slab.state[slot] = RequestSlab::State::kDownlink;
-  const Duration down =
-      networked ? next_downlink() + down_airtime : Duration{};
-  const Duration net = Duration::nanos(std::int64_t(up_ns)) + down;
-  if (down.is_zero()) {
-    // A zero-length downlink would fire at this very tick, and the
-    // record step is pure accounting (no RNG, no scheduling, no server
-    // state) — it commutes with every other same-tick event, so running
-    // it inline is byte-identical and saves the kernel round trip.
-    on_record(slot, completion.batch_size, net, completion.queue_wait(),
-              completion.service());
-    return;
-  }
-  sim.schedule_after(
-      down, RecordEvent{this, slot, completion.batch_size, net,
-                        completion.queue_wait(), completion.service()});
-}
-
-void ServingEngine::on_record(std::uint32_t slot, std::uint32_t batch,
-                              Duration net, Duration queue_wait,
-                              Duration service) {
-  const Duration e2e = sim.now() - slab.device_start[slot];
-  report.e2e_ms.add(e2e.ms());
-  report.e2e_q.add(e2e.ms());
-  if (config.retain_samples) report.e2e_samples_ms.push_back(e2e.ms());
-  report.e2e_hist->add(e2e.ms());
-  report.network_ms.add(net.ms());
-  report.queue_ms.add(queue_wait.ms());
-  report.service_ms.add(service.ms());
-  report.batch_size.add(double(batch));
-  // The tabulated form of InferenceEnergyModel::offloaded / the local
-  // batch-amortised compute: identical expressions, evaluated once per
-  // batch size at engine construction.
-  if (networked) {
-    energy_sum.uplink_j += uplink_j;
-    energy_sum.downlink_j += downlink_j;
-    energy_sum.wait_j +=
-        idle_watts * std::max(0.0, (e2e - tx_rx_airtime).sec());
-    energy_sum.server_compute_j += server_compute_j_by_batch[batch];
-  } else {
-    energy_sum.device_compute_j += server_compute_j_by_batch[batch];
-  }
-  if (sim.now() > makespan) makespan = sim.now();
-  slab.state[slot] = RequestSlab::State::kDone;
-}
-
-}  // namespace
-
 ServingStudy::Report ServingStudy::run(const Config& config) {
-  SIXG_ASSERT(config.arrivals_per_second > 0.0, "arrival rate must be positive");
-  SIXG_ASSERT(config.requests >= 1, "need at least one request");
-  SIXG_ASSERT(static_cast<bool>(config.uplink) ==
-                  static_cast<bool>(config.downlink),
-              "uplink and downlink samplers must be set together: latency "
-              "and energy accounting both key on the pair");
-  SIXG_ASSERT(!config.shape.active() || config.chained_arrivals,
-              "arrival shaping needs chained_arrivals: the rate multiplier "
-              "is evaluated at the generating event's sim time");
+  FleetStudy::Config fleet;
+  fleet.model = config.model;
+  fleet.arrivals_per_second = config.arrivals_per_second;
+  fleet.requests = config.requests;
+  fleet.energy = config.energy;
+  fleet.seed = config.seed;
+  fleet.hist_hi_ms = config.hist_hi_ms;
+  fleet.hist_bins = config.hist_bins;
+  fleet.quantile_cap = config.quantile_cap;
+  FleetStudy::ServerSpec& server = fleet.servers.emplace_back();
+  server.accelerator = config.accelerator;
+  server.batching = config.batching;
+  server.tier = config.uplink ? ExecutionTier::kEdge : ExecutionTier::kDevice;
+  server.uplink = config.uplink;
+  server.downlink = config.downlink;
 
   Report report;
-  // The quantile reservoir draws from its own seed-derived stream (and
-  // only once past the cap), so it can never shift the serving draws.
-  report.e2e_q = stats::ReservoirQuantile{config.quantile_cap,
-                                          derive_seed(config.seed, 0x9e5e)};
-  report.e2e_hist.emplace(0.0, config.hist_hi_ms, config.hist_bins);
-  if (config.retain_samples) report.e2e_samples_ms.reserve(config.requests);
-
-  ServingEngine engine{config, report};
-  engine.server.set_completion_sink(
-      [&engine](std::uint32_t slot, std::uint64_t payload,
-                const AcceleratorServer::Completion& completion) {
-        engine.on_complete(slot, payload, completion);
-      });
-
-  if (config.chained_arrivals) {
-    engine.sim.schedule_at(TimePoint{} + engine.next_interarrival(),
-                           ArrivalEvent{&engine, 0});
-  } else {
-    // Legacy order: preschedule every arrival so arrival events take the
-    // lowest kernel sequence numbers (ties resolve exactly as before the
-    // slab refactor).
-    Duration at;
-    for (std::uint32_t i = 0; i < config.requests; ++i) {
-      at += engine.next_interarrival();
-      engine.sim.schedule_at(TimePoint{} + at, ArrivalEvent{&engine, i});
-    }
+  std::vector<double>* samples = nullptr;
+  if (config.retain_samples) {
+    report.e2e_samples_ms.reserve(config.requests);
+    samples = &report.e2e_samples_ms;
   }
-
-  engine.sim.run();
-
-  report.completed = engine.server.completed();
-  report.dropped = engine.server.dropped();
-  report.batches = engine.server.batches_launched();
-  if (report.completed > 0) {
-    engine.energy_sum /= double(report.completed);
-    report.mean_energy = engine.energy_sum;
-  }
-  const double makespan_sec = (engine.makespan - TimePoint{}).sec();
-  if (makespan_sec > 0.0)
-    report.throughput_per_s = double(report.completed) / makespan_sec;
+  detail::run_serial(fleet, kServingSalts, report, samples);
   // Samples are final here: take the sorted snapshot within() probes.
   report.finalize();
   return report;

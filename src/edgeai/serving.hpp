@@ -4,68 +4,24 @@
 /// reports the latency decomposition, batching behaviour and per-request
 /// energy. One ServingStudy run = one Simulator timeline = one seed.
 ///
-/// The request lifecycle runs on a preallocated RequestSlab with
-/// index-carrying kernel events (see docs/ARCHITECTURE.md "Serving hot
-/// path"): steady-state serving performs zero heap allocations per
-/// request, and the RNG draw order is contractually the legacy order
-/// (arrival, uplink and downlink streams are independent; uplink draws
-/// happen in arrival order, downlink draws in completion order).
+/// A run is a one-server run of the fleet engine (fleet.hpp, see
+/// docs/ARCHITECTURE.md "Serving hot path") on the study's own RNG
+/// streams: arrival, uplink and downlink streams are independent; uplink
+/// draws happen in arrival order, downlink draws in completion order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
-#include "edgeai/accelerator.hpp"
-#include "edgeai/energy.hpp"
-#include "edgeai/model.hpp"
-#include "edgeai/net_leg.hpp"
-#include "stats/histogram.hpp"
-#include "stats/reservoir.hpp"
-#include "stats/summary.hpp"
+#include "edgeai/fleet.hpp"
 
 namespace sixg::edgeai {
-
-/// Trace-style modulation of the Poisson arrival process: a diurnal
-/// curve plus periodic flash-crowd bursts, layered on chained-arrival
-/// generation by scaling each interarrival draw with the instantaneous
-/// rate multiplier. Inactive by default (multiplier identically 1), in
-/// which case the draw passes through untouched and the run stays
-/// byte-identical to a build without the feature.
-///
-/// The diurnal curve is a piecewise-linear triangle wave — trough (1 -
-/// amplitude) at phase 0, peak (1 + amplitude) at half period — on
-/// purpose: it needs no libm, so the modulated trajectory is exactly
-/// reproducible everywhere the unmodulated one is. Flash crowds multiply
-/// the rate by `flash_multiplier` for `flash_duration` at the start of
-/// every `flash_every` interval.
-struct ArrivalShape {
-  double diurnal_amplitude = 0.0;  ///< [0, 1); 0 disables the curve
-  Duration diurnal_period;         ///< one simulated "day"
-  double flash_multiplier = 1.0;   ///< >= 1; 1 disables the bursts
-  Duration flash_every;            ///< burst cadence
-  Duration flash_duration;         ///< burst length, < flash_every
-
-  [[nodiscard]] bool active() const {
-    return (diurnal_amplitude > 0.0 && !diurnal_period.is_zero()) ||
-           (flash_multiplier != 1.0 && !flash_every.is_zero() &&
-            !flash_duration.is_zero());
-  }
-
-  /// Instantaneous arrival-rate multiplier at `since_start` into the run.
-  [[nodiscard]] double rate_multiplier(Duration since_start) const;
-};
 
 /// Runs one inference-serving workload on one simulator timeline.
 class ServingStudy {
  public:
-  /// Legacy alias: opaque callables still convert into a NetLeg (the
-  /// scalar-only kFn kind), so existing lambda-based configs compile
-  /// unchanged.
-  using DelaySampler = NetLeg::Fn;
+  using DelaySampler = FleetStudy::DelaySampler;
 
   struct Config {
     ModelProfile model = ModelZoo::at("det-base");
@@ -76,12 +32,8 @@ class ServingStudy {
     double arrivals_per_second = 400.0;  ///< Poisson open-loop offered load
     std::uint32_t requests = 2000;       ///< arrivals to generate
     /// One-way network traversals (radio + wired path); a null leg means
-    /// the hop does not exist (on-device serving). Both set (offloaded
-    /// serving: latency adds the hops, energy bills the radio) or both
-    /// null — run() asserts the pairing, since latency and energy
-    /// accounting both key on it. Structured legs (NetLeg::wired /
-    /// radio_then_path / path_then_radio) ride the vectorized batch
-    /// sampling lane; opaque callables sample scalar, bit-identically.
+    /// the hop does not exist (on-device serving). Both set or both null,
+    /// as for a fleet server (FleetStudy::ServerSpec).
     NetLeg uplink;    ///< request path towards the server
     NetLeg downlink;  ///< response path back to the device
     std::uint64_t seed = 1;
@@ -91,20 +43,6 @@ class ServingStudy {
     /// million-request runs: the report then streams into the histogram
     /// and the capped reservoir, O(bins + cap) memory.
     bool retain_samples = true;
-    /// Generate each arrival from the previous arrival's event instead
-    /// of prescheduling all of them: O(1) pending arrivals instead of
-    /// O(requests), the million-request mode. Off by default because the
-    /// kernel seq numbering differs from the legacy prescheduled order —
-    /// the RNG streams and event *times* are identical, so results only
-    /// diverge if an arrival lands on the exact same nanosecond as an
-    /// in-flight serving event (never observed; asserted equal across
-    /// seeds in tests).
-    bool chained_arrivals = false;
-    /// Trace-style arrival modulation (diurnal + flash crowds). Requires
-    /// chained_arrivals when active: the rate multiplier is evaluated at
-    /// the generating event's sim time, which prescheduling does not
-    /// have. Inactive by default — the arrival stream is then untouched.
-    ArrivalShape shape;
     /// Streaming end-to-end histogram shape, [0, hist_hi_ms) in ms.
     double hist_hi_ms = 250.0;
     std::size_t hist_bins = 500;
@@ -112,25 +50,8 @@ class ServingStudy {
     std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
   };
 
-  struct Report {
-    stats::Summary e2e_ms;      ///< device-to-device, completed requests
-    /// End-to-end quantiles: exact order statistics up to the configured
-    /// cap, reservoir-sampled beyond it (own RNG stream, seed-derived).
-    stats::ReservoirQuantile e2e_q;
-    stats::Summary network_ms;  ///< uplink + downlink + airtime share
-    stats::Summary queue_ms;    ///< accelerator queue wait
-    stats::Summary service_ms;  ///< batch execution share
-    stats::Summary batch_size;  ///< batch each completed request rode in
-
-    /// Streaming end-to-end distribution (ms); engaged by run().
-    std::optional<stats::Histogram> e2e_hist;
-
-    std::uint64_t completed = 0;
-    std::uint64_t dropped = 0;   ///< bounded-queue rejections
-    std::uint64_t batches = 0;
-    double throughput_per_s = 0.0;  ///< completed / makespan
-    EnergyBreakdown mean_energy;    ///< per completed request
-
+  /// The fleet report of the one-server run, plus the retained samples.
+  struct Report : FleetStudy::Report {
     /// Raw per-request end-to-end samples (ms), in completion order —
     /// feeds empirical samplers (e.g. the AR frame loop). Empty when the
     /// run streamed (Config::retain_samples == false).

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "obs/probe.hpp"
 
 namespace sixg::faults {
 
@@ -18,6 +19,7 @@ void FaultInjector::arm(netsim::Simulator& sim, const FaultPlan& plan,
 
 void FaultInjector::fire(std::uint32_t index) {
   ++fired_;
+  SIXG_OBS_COUNT(obs::Metric::kFaultEvents, 1);
   const FaultEvent& ev = plan_->events[index];
   switch (ev.kind) {
     case FaultKind::kServerCrash:

@@ -196,6 +196,52 @@ TEST_F(ObsTest, ShardedFleetDigestUnchangedByFullObservability) {
   }
 }
 
+// ------------------------------------------------------- fault counter
+
+/// The `fault.events` counter of the one scenario recorded since the
+/// last configure() (absent = never counted).
+double fault_events_counter(obs::Runtime& rt) {
+  const JsonValue root = JsonParser{rt.metrics_json(false)}.parse();
+  const auto& counters = root.object()
+                             .at("scenarios")
+                             .array()
+                             .at(0)
+                             .object()
+                             .at("counters")
+                             .object();
+  const auto it = counters.find("fault.events");
+  return it == counters.end() ? 0.0 : it->second.number();
+}
+
+TEST_F(ObsTest, FaultEventsCounterMatchesReport) {
+  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
+  auto& rt = obs::Runtime::instance();
+  obs::Config metrics;
+  metrics.metrics = true;
+
+  auto serial = pod_config(11);
+  serial.faults.server_crash_rate_per_s = 2.0;
+  serial.faults.server_mttr = Duration::millis(50);
+  rt.configure(metrics);
+  rt.begin_scenario("faulted-fleet");
+  const auto report = edgeai::FleetStudy::run(serial);
+  rt.end_scenario();
+  EXPECT_GT(report.fault_events, 0u);
+  EXPECT_EQ(fault_events_counter(rt), double(report.fault_events));
+
+  for (const unsigned workers : {1u, 4u}) {
+    auto city = city_config(11, workers);
+    city.shard.faults = serial.faults;
+    rt.configure(metrics);
+    rt.begin_scenario("faulted-city");
+    const auto sharded = edgeai::ShardedFleetStudy::run(city);
+    rt.end_scenario();
+    EXPECT_GT(sharded.fault_events, 0u) << "workers " << workers;
+    EXPECT_EQ(fault_events_counter(rt), double(sharded.fault_events))
+        << "workers " << workers;
+  }
+}
+
 // ------------------------------------------- worker-count invariant JSON
 
 TEST_F(ObsTest, MetricsJsonIsWorkerCountInvariant) {

@@ -1,14 +1,17 @@
-// Slab/legacy equivalence: the slab-backed ServingStudy must reproduce
+// Slab/legacy equivalence: ServingStudy — a one-server run of the fleet
+// engine, with chained arrivals and recycled slab slots — must reproduce
 // the pre-refactor closure-based engine bit for bit. The reference below
-// is a faithful retained copy of the legacy run() — nested capturing
-// lambdas, a per-request std::function completion handler through the
-// AcceleratorServer's legacy submit path — driven by the same seed
-// derivation salts. Any drift in RNG draw order, event ordering or
+// is a faithful retained copy of the legacy run(): every arrival
+// prescheduled, nested capturing lambdas, and a per-request
+// std::function completion closure, kept in a table this test owns and
+// reached through the server's completion sink. It is driven by the same
+// seed derivation salts. Any drift in RNG draw order, event ordering or
 // floating-point accumulation shows up as a hard EXPECT on raw doubles.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "edgeai/serving.hpp"
@@ -32,13 +35,18 @@ struct ReferenceReport {
   std::vector<double> e2e_samples_ms;
 };
 
-/// The legacy ServingStudy::run, verbatim modulo the report type: three
-/// heap-allocated closures per request and a type-erased per-request
-/// completion handler.
+/// The legacy ServingStudy::run, verbatim modulo the report type and the
+/// completion plumbing: three heap-allocated closures per request and a
+/// type-erased per-request completion closure, indexed by request id.
 ReferenceReport reference_run(const ServingStudy::Config& config) {
   netsim::Simulator sim{config.seed};
   AcceleratorServer server{sim, config.accelerator, config.model,
                            config.batching};
+  std::vector<std::function<void(const AcceleratorServer::Completion&)>>
+      on_done(config.requests);
+  server.set_completion_sink(
+      [&on_done](std::uint32_t id, std::uint64_t,
+                 const AcceleratorServer::Completion& c) { on_done[id](c); });
   const InferenceEnergyModel energy{config.energy};
   const bool networked = static_cast<bool>(config.uplink);
   const Duration up_airtime =
@@ -61,40 +69,40 @@ ReferenceReport reference_run(const ServingStudy::Config& config) {
   Duration at;
   for (std::uint32_t i = 0; i < config.requests; ++i) {
     at += Duration::from_seconds_f(interarrival.sample(arrival_rng));
-    sim.schedule_at(TimePoint{} + at, [&, id = std::uint64_t(i)] {
+    sim.schedule_at(TimePoint{} + at, [&, id = i] {
       const TimePoint device_start = sim.now();
       const Duration up =
           networked ? config.uplink(uplink_rng) + up_airtime : Duration{};
       sim.schedule_after(up, [&, id, device_start, up] {
-        const bool accepted = server.submit(
-            id, [&, device_start, up](const AcceleratorServer::Completion& c) {
-              const Duration down =
-                  config.downlink ? config.downlink(downlink_rng) + down_airtime
-                                  : Duration{};
-              sim.schedule_after(down, [&, device_start, up, down, c] {
-                const Duration e2e = sim.now() - device_start;
-                report.e2e_ms.add(e2e.ms());
-                report.e2e_samples_ms.push_back(e2e.ms());
-                report.network_ms.add((up + down).ms());
-                report.queue_ms.add(c.queue_wait().ms());
-                report.service_ms.add(c.service().ms());
-                report.batch_size.add(double(c.batch_size));
-                if (networked) {
-                  energy_sum += energy.offloaded(config.model,
-                                                 config.accelerator, e2e,
-                                                 c.batch_size);
-                } else {
-                  EnergyBreakdown local;
-                  local.device_compute_j =
-                      config.accelerator.batch_joules(config.model,
-                                                      c.batch_size) /
-                      double(c.batch_size);
-                  energy_sum += local;
-                }
-                if (sim.now() > makespan) makespan = sim.now();
-              });
-            });
-        (void)accepted;
+        on_done[id] = [&, device_start,
+                       up](const AcceleratorServer::Completion& c) {
+          const Duration down =
+              config.downlink ? config.downlink(downlink_rng) + down_airtime
+                              : Duration{};
+          sim.schedule_after(down, [&, device_start, up, down, c] {
+            const Duration e2e = sim.now() - device_start;
+            report.e2e_ms.add(e2e.ms());
+            report.e2e_samples_ms.push_back(e2e.ms());
+            report.network_ms.add((up + down).ms());
+            report.queue_ms.add(c.queue_wait().ms());
+            report.service_ms.add(c.service().ms());
+            report.batch_size.add(double(c.batch_size));
+            if (networked) {
+              energy_sum += energy.offloaded(config.model,
+                                             config.accelerator, e2e,
+                                             c.batch_size);
+            } else {
+              EnergyBreakdown local;
+              local.device_compute_j =
+                  config.accelerator.batch_joules(config.model,
+                                                  c.batch_size) /
+                  double(c.batch_size);
+              energy_sum += local;
+            }
+            if (sim.now() > makespan) makespan = sim.now();
+          });
+        };
+        (void)server.submit(id);
       });
     });
   }
@@ -185,29 +193,6 @@ TEST(ServingSlabEquivalence, BitEqualToLegacyReference) {
         EXPECT_GT(slab.dropped, 0u);  // the config must exercise drops
         expect_bit_equal(slab, ref);
       }
-    }
-  }
-}
-
-TEST(ServingSlabEquivalence, ChainedArrivalsMatchPrescheduled) {
-  // Chained generation renumbers kernel sequence ids; with no exact
-  // nanosecond tie between an arrival and an in-flight serving event the
-  // trajectories are identical. These seeds (and every seed tried so
-  // far) have no such tie — the test pins that the modes agree on real
-  // workloads, not that ties are impossible.
-  for (const std::uint64_t seed : kSeeds) {
-    for (const bool networked : {false, true}) {
-      auto config = make_config(seed, networked,
-                                Duration::from_micros_f(50.0));
-      const auto prescheduled = ServingStudy::run(config);
-      config.chained_arrivals = true;
-      const auto chained = ServingStudy::run(config);
-      SCOPED_TRACE(testing::Message()
-                   << "seed=" << seed << " networked=" << networked);
-      EXPECT_EQ(chained.e2e_samples_ms, prescheduled.e2e_samples_ms);
-      EXPECT_EQ(chained.dropped, prescheduled.dropped);
-      EXPECT_EQ(chained.batches, prescheduled.batches);
-      EXPECT_EQ(chained.mean_energy.wait_j, prescheduled.mean_energy.wait_j);
     }
   }
 }
