@@ -78,10 +78,10 @@ void BM_FleetZeroFault(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetZeroFault)->Arg(200000)->Unit(benchmark::kMillisecond);
 
-// Hardened but idle: resilience armed (deadline timers on every request,
-// slab columns engaged) with a deadline that never expires and no
-// faults. The marginal cost of *carrying* the machinery per request,
-// separate from the zero-fault gate above.
+// Armed but idle: resilience configured (a deadline timer armed and
+// cancelled on every request, a retry budget) with a deadline that never
+// expires and no faults. The marginal cost of *carrying* the machinery
+// per request, separate from the zero-fault gate above.
 void BM_FleetArmedIdle(benchmark::State& state) {
   const auto requests = std::uint32_t(state.range(0));
   for (auto _ : state) {

@@ -189,21 +189,21 @@ struct FleetEngine {
   Rng remote_down_rng;
   std::uint64_t remote_sent = 0;
 
-  // -- fault / resilience state (cold unless configured) ------------------
-  /// True when a fault schedule or a resilience policy is active: the
-  /// slab's resilience columns are engaged and every lifecycle edge goes
-  /// through the copy-counting paths. False = the exact legacy paths.
-  bool hardened = false;
-  bool resilience_on = false;
+  // -- faults and resilience ----------------------------------------------
+  // Gated by the config through the events they schedule: a fault plan
+  // only when faults are configured, a deadline or hedge timer only when
+  // its delay is non-zero, a retry only while budget remains. With none
+  // configured every request runs the lifecycle's one-copy case.
   faults::FaultPlan fault_plan;
   faults::FaultInjector injector;
   /// Radio outage window: uplinks launched before this instant defer to
   /// it (the device cannot transmit). TimePoint{} = no outage.
   TimePoint radio_down_until;
-  /// Per-slot cancellable timers, sized lazily with the slab; empty
-  /// unless the corresponding knob is on. Completion cancels its
-  /// deadline in O(1); recycled slots are additionally guarded by the
-  /// slab epoch the timer captured.
+  /// Per-slot cancellable timers, grown with the slab in acquire_slot().
+  /// Cancelling a handle that was never armed, already fired or was
+  /// already cancelled is a no-op, so release_slot cancels both for
+  /// every slot; recycled slots are additionally guarded by the slab
+  /// epoch the timer captured.
   std::vector<netsim::Simulator::TimerHandle> deadline_timers;
   std::vector<netsim::Simulator::TimerHandle> hedge_timers;
 
@@ -353,15 +353,35 @@ struct FleetEngine {
       free_slots.pop_back();
       return slot;
     }
+    deadline_timers.emplace_back();
+    hedge_timers.emplace_back();
     return slab.grow();
   }
 
+  /// Cancel the slot's timers, bump its epoch and recycle it. The epoch
+  /// bump invalidates every timer event still carrying this slot: a stale
+  /// firing sees the mismatch and no-ops.
   void release_slot(std::uint32_t slot) {
-    slab.state[slot] = RequestSlab::State::kScheduled;
+    deadline_timers[slot].cancel();
+    hedge_timers[slot].cancel();
+    RequestSlab::Record& r = slab[slot];
+    ++r.epoch;
+    r.state = RequestSlab::State::kScheduled;
     free_slots.push_back(slot);
     if (sampler && --inflight == 0 && spawned == config.requests) {
       sampler->stop();
     }
+  }
+
+  /// Drop one live copy's hold on `slot`; the last one recycles it.
+  void drop_copy(std::uint32_t slot) {
+    if (--slab[slot].pending == 0) release_slot(slot);
+  }
+
+  /// Has the request settled (a copy delivered or the deadline expired)?
+  [[nodiscard]] bool settled(std::uint32_t slot) const {
+    return slab[slot].flags &
+           (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
   }
 
   [[nodiscard]] std::uint64_t load_of(const ServerState& s) const {
@@ -372,15 +392,12 @@ struct FleetEngine {
   /// With every server up this selects exactly what the health-blind
   /// scan did (strict-less keeps the lowest index on ties), which is
   /// what preserves zero-fault byte-identity. kNoServer if none accepts.
-  /// Health can only change in hardened runs (faults and drains are
-  /// armed iff hardening is on), so the non-hardened scan skips the
-  /// per-server accepting() dereference outright.
   [[nodiscard]] std::uint32_t pick_min_load(std::uint32_t const* begin,
                                             std::uint32_t const* end) const {
     std::uint32_t best = kNoServer;
     std::uint64_t best_load = std::numeric_limits<std::uint64_t>::max();
     for (const std::uint32_t* it = begin; it != end; ++it) {
-      if (hardened && !servers[*it].server->accepting()) [[unlikely]] continue;
+      if (!servers[*it].server->accepting()) [[unlikely]] continue;
       const std::uint64_t load = load_of(servers[*it]);
       if (load < best_load) {
         best = *it;
@@ -399,8 +416,7 @@ struct FleetEngine {
           const std::uint32_t pick = round_robin_cursor;
           round_robin_cursor =
               (round_robin_cursor + 1) % std::uint32_t(servers.size());
-          if (!hardened || servers[pick].server->accepting()) [[likely]]
-            return pick;
+          if (servers[pick].server->accepting()) [[likely]] return pick;
         }
         return kNoServer;
       }
@@ -425,7 +441,7 @@ struct FleetEngine {
     std::uint32_t best = kNoServer;
     std::uint64_t best_load = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t k = 0; k < servers.size(); ++k) {
-      if (hardened && !servers[k].server->accepting()) [[unlikely]] continue;
+      if (!servers[k].server->accepting()) [[unlikely]] continue;
       const std::uint64_t load = load_of(servers[k]);
       if (load < best_load) {
         best = k;
@@ -436,6 +452,9 @@ struct FleetEngine {
   }
 
   void on_arrival();
+  /// Dispatch one copy of `slot` to a healthy server and launch its
+  /// uplink. `hedge` tags the copy for first-completion-wins accounting.
+  void launch_copy(std::uint32_t slot, bool hedge);
   void on_submit(std::uint32_t slot, std::uint32_t server, Duration up,
                  std::uint8_t hedge);
   void on_complete(std::uint32_t server, std::uint32_t slot,
@@ -444,21 +463,21 @@ struct FleetEngine {
   void on_record(std::uint32_t slot, std::uint32_t server, std::uint32_t batch,
                  Duration net, Duration queue_wait, Duration service,
                  std::uint8_t hedge);
-
-  // Hardened-mode handlers (faults and/or resilience configured).
-  // [[gnu::cold]] keeps them out of the hot event loop's text: the
-  // zero-fault path never calls them, and the ≤2% overhead gate
-  // (bench/faults.cpp) is sensitive to I-cache pressure in this TU.
-  [[gnu::cold]] void arrival_hardened();
-  /// Dispatch one copy of `slot` to a healthy server and launch its
-  /// uplink. `hedge` tags the copy for first-completion-wins accounting.
-  [[gnu::cold]] void launch_copy(std::uint32_t slot, bool hedge);
+  /// Score the request's first result to reach its device (local or
+  /// remote): report rows, class row, energy, makespan. Then settle the
+  /// slot: mark it delivered, cancel its timers and drop the copy.
+  void deliver(std::uint32_t slot, std::uint32_t batch, Duration net,
+               Duration queue_wait, Duration service, bool networked,
+               double compute_j);
   /// One live copy of `slot` resolved without a delivered result (queue
   /// drop, crash loss, unhealthy rejection, no dispatchable server,
   /// remote drop notice): retry while budget remains, else settle.
-  [[gnu::cold]] void copy_died(std::uint32_t slot);
-  /// Cancel the slot's timers, bump its epoch and recycle it.
-  [[gnu::cold]] void release_hardened(std::uint32_t slot);
+  void copy_died(std::uint32_t slot);
+
+  // Handlers that only timers and faults reach. [[gnu::cold]] keeps them
+  // out of the hot event loop's text: a run without deadlines, hedges,
+  // retries or faults never calls them, and the ≤2% overhead gate
+  // (bench/faults.cpp) is sensitive to I-cache pressure in this TU.
   [[gnu::cold]] void on_timeout(std::uint32_t slot, std::uint32_t epoch);
   [[gnu::cold]] void on_hedge(std::uint32_t slot, std::uint32_t epoch);
   [[gnu::cold]] void on_retry(std::uint32_t slot, std::uint32_t epoch);
@@ -584,106 +603,55 @@ void FleetEngine::on_arrival() {
     const Duration delta = next_interarrival();
     sim.schedule_at(sim.now() + delta, FleetArrivalEvent{this});
   }
-  if (hardened) [[unlikely]] {
-    arrival_hardened();
-    return;
-  }
+  const ResilienceConfig& res = config.resilience;
+  // Admission control: the tighter of the fleet and class shed bounds
+  // (zero = no bound) turns the arrival away before it holds a slot or
+  // draws any network stream.
   std::uint32_t cls = 0;
+  std::uint32_t shed_bound = res.shed_queue_depth;
   if (classes_on) [[unlikely]] {
     cls = draw_class();
-    FleetStudy::Report::ClassStats& cs = report.classes[cls];
-    ++cs.offered;
-    // Per-class admission control: turn the arrival away before it
-    // holds a slot or draws any network stream.
-    const std::uint32_t bound = class_shed[cls];
-    if (bound > 0 && total_load() >= bound) {
-      ++cs.shed;
-      ++cs.failed;
-      ++report.shed;
-      ++report.failed;
-      SIXG_OBS_COUNT(obs::Metric::kFleetShed, 1);
-      // The shed arrival never held a slot, so it cannot trigger the
-      // last-release sampler stop — do it here when it was the last.
-      if (sampler && inflight == 0 && spawned == config.requests) {
-        sampler->stop();
-      }
-      return;
-    }
-  }
-  const std::uint32_t slot = acquire_slot();
-  SIXG_ASSERT(slab.state[slot] == RequestSlab::State::kScheduled,
-              "acquired slot is not idle");
-  slab.state[slot] = RequestSlab::State::kUplink;
-  slab.device_start[slot] = sim.now();
-  if (classes_on) [[unlikely]] slab.cls[slot] = std::uint8_t(cls);
-  SIXG_OBS_COUNT(obs::Metric::kFleetArrivals, 1);
-  if (sampler) ++inflight;
-  // The remote coin is tossed only when a remote pod exists, so a
-  // 1-shard (or fully partitioned) run never consumes the stream.
-  if (remote_fraction > 0.0 && shard_count > 1 &&
-      remote_route_rng.chance(remote_fraction)) {
-    dispatch_remote(slot);
-    return;
-  }
-  const std::uint32_t k = dispatch();
-  ServerState& target = servers[k];
-  ++target.dispatched;
-  const Duration up =
-      target.networked ? next_uplink(target) + up_airtime : Duration{};
-  if (up.is_zero()) {
-    on_submit(slot, k, up, 0);
-    return;
-  }
-  sim.schedule_after(up, FleetSubmitEvent{this, slot, k, up, 0});
-}
-
-void FleetEngine::arrival_hardened() {
-  const ResilienceConfig& res = config.resilience;
-  std::uint32_t cls = 0;
-  if (classes_on) {
-    cls = draw_class();
     ++report.classes[cls].offered;
+    const std::uint32_t class_bound = class_shed[cls];
+    if (class_bound > 0 && (shed_bound == 0 || class_bound < shed_bound))
+      shed_bound = class_bound;
   }
-  const std::uint32_t class_bound = classes_on ? class_shed[cls] : 0;
-  if (res.shed_queue_depth > 0 || class_bound > 0) {
-    const std::uint64_t total = total_load();
-    if ((res.shed_queue_depth > 0 && total >= res.shed_queue_depth) ||
-        (class_bound > 0 && total >= class_bound)) {
-      ++report.shed;
-      ++report.failed;
-      if (classes_on) {
-        ++report.classes[cls].shed;
-        ++report.classes[cls].failed;
-      }
-      SIXG_OBS_COUNT(obs::Metric::kFleetShed, 1);
-      // The shed arrival never held a slot, so it cannot trigger the
-      // last-release sampler stop — do it here when it was the last.
-      if (sampler && inflight == 0 && spawned == config.requests) {
-        sampler->stop();
-      }
-      return;
+  if (shed_bound > 0 && total_load() >= shed_bound) [[unlikely]] {
+    ++report.shed;
+    ++report.failed;
+    if (classes_on) {
+      ++report.classes[cls].shed;
+      ++report.classes[cls].failed;
     }
+    SIXG_OBS_COUNT(obs::Metric::kFleetShed, 1);
+    // The shed arrival never held a slot, so it cannot trigger the
+    // last-release sampler stop — do it here when it was the last.
+    if (sampler && inflight == 0 && spawned == config.requests) {
+      sampler->stop();
+    }
+    return;
   }
   const std::uint32_t slot = acquire_slot();
-  SIXG_ASSERT(slab.state[slot] == RequestSlab::State::kScheduled,
+  RequestSlab::Record& r = slab[slot];
+  SIXG_ASSERT(r.state == RequestSlab::State::kScheduled && r.pending == 0,
               "acquired slot is not idle");
-  slab.state[slot] = RequestSlab::State::kUplink;
-  slab.device_start[slot] = sim.now();
-  if (classes_on) slab.cls[slot] = std::uint8_t(cls);
-  slab.attempt[slot] = 0;
-  slab.pending[slot] = 1;
-  slab.flags[slot] = 0;
+  r.device_start = sim.now();
+  r.state = RequestSlab::State::kUplink;
+  r.attempt = 0;
+  r.pending = 1;
+  r.flags = 0;
+  r.cls = std::uint8_t(cls);
   SIXG_OBS_COUNT(obs::Metric::kFleetArrivals, 1);
   if (sampler) ++inflight;
   // Class deadlines resolve at setup (zero spec inherits res.deadline),
   // so the table lookup already IS the effective deadline.
-  const Duration deadline =
-      classes_on ? class_deadline[cls] : res.deadline;
-  if (!deadline.is_zero()) {
-    if (deadline_timers.size() <= slot) deadline_timers.resize(slot + 1);
+  const Duration deadline = classes_on ? class_deadline[cls] : res.deadline;
+  if (!deadline.is_zero()) [[unlikely]] {
     deadline_timers[slot] = sim.schedule_once(
-        deadline, FleetTimeoutEvent{this, slot, slab.epoch[slot]});
+        deadline, FleetTimeoutEvent{this, slot, r.epoch});
   }
+  // The remote coin is tossed only when a remote pod exists, so a
+  // 1-shard (or fully partitioned) run never consumes the stream.
   if (remote_fraction > 0.0 && shard_count > 1 &&
       remote_route_rng.chance(remote_fraction)) {
     // Remote requests are never hedged (a duplicate would double the
@@ -692,10 +660,9 @@ void FleetEngine::arrival_hardened() {
     dispatch_remote(slot);
     return;
   }
-  if (!res.hedge_delay.is_zero()) {
-    if (hedge_timers.size() <= slot) hedge_timers.resize(slot + 1);
+  if (!res.hedge_delay.is_zero()) [[unlikely]] {
     hedge_timers[slot] = sim.schedule_once(
-        res.hedge_delay, FleetHedgeEvent{this, slot, slab.epoch[slot]});
+        res.hedge_delay, FleetHedgeEvent{this, slot, r.epoch});
   }
   launch_copy(slot, /*hedge=*/false);
 }
@@ -710,8 +677,8 @@ void FleetEngine::launch_copy(std::uint32_t slot, bool hedge) {
   ++target.dispatched;
   Duration up =
       target.networked ? next_uplink(target) + up_airtime : Duration{};
-  if (target.networked && !up.is_zero()) up = up + radio_defer();
-  slab.state[slot] = RequestSlab::State::kUplink;
+  if (!up.is_zero()) up = up + radio_defer();
+  slab[slot].state = RequestSlab::State::kUplink;
   const std::uint8_t tag = hedge ? 1 : 0;
   if (up.is_zero()) {
     on_submit(slot, k, up, tag);
@@ -725,25 +692,21 @@ void FleetEngine::on_submit(std::uint32_t slot, std::uint32_t server,
   const std::uint64_t payload =
       hedge ? (kHedgeTag << kOriginShift) | std::uint64_t(up.ns())
             : std::uint64_t(up.ns());
-  const std::uint32_t lane =
-      classes_on ? class_lane[slab.cls[slot]] : 0;
+  RequestSlab::Record& r = slab[slot];
+  const std::uint32_t lane = classes_on ? class_lane[r.cls] : 0;
   if (servers[server].server->submit(slot, payload, lane)) {
-    if (!hardened || slab.state[slot] == RequestSlab::State::kUplink)
-      slab.state[slot] = RequestSlab::State::kQueued;
+    // A hedge copy can reach its server after the request settled
+    // (delivered or timed out): the slot is then past kUplink and keeps
+    // its state.
+    if (r.state == RequestSlab::State::kUplink)
+      r.state = RequestSlab::State::kQueued;
     return;
   }
   // An accepting server only refuses on a full lane ring — attribute the
   // drop event to the class (health rejections are counted per server).
   if (classes_on && servers[server].server->accepting()) [[unlikely]]
-    ++report.classes[slab.cls[slot]].dropped_queue_full;
-  if (hardened) [[unlikely]] {
-    copy_died(slot);
-    return;
-  }
-  slab.state[slot] = RequestSlab::State::kDropped;
-  ++report.failed;
-  if (classes_on) [[unlikely]] ++report.classes[slab.cls[slot]].failed;
-  release_slot(slot);
+    ++report.classes[r.cls].dropped_queue_full;
+  copy_died(slot);
 }
 
 void FleetEngine::dispatch_remote(std::uint32_t slot) {
@@ -753,12 +716,12 @@ void FleetEngine::dispatch_remote(std::uint32_t slot) {
   const std::uint32_t pick =
       std::uint32_t(remote_route_rng.uniform_int(shard_count - 1));
   const std::uint32_t dst = pick >= self ? pick + 1 : pick;
-  Duration up = (*remote_uplink)(remote_route_rng) + up_airtime;
-  if (hardened) [[unlikely]] up = up + radio_defer();
+  const Duration up =
+      (*remote_uplink)(remote_route_rng) + up_airtime + radio_defer();
   SIXG_ASSERT((std::uint64_t(up.ns()) >> kOriginShift) == 0,
               "remote uplink latency overflows the payload word");
   const std::uint8_t lane =
-      classes_on ? std::uint8_t(class_lane[slab.cls[slot]]) : 0;
+      classes_on ? std::uint8_t(class_lane[slab[slot].cls]) : 0;
   sharded->post(self, dst, sim.now() + up,
                 RemoteSubmitEvent{peers[dst], self, slot, up.ns(), lane});
 }
@@ -812,11 +775,13 @@ void FleetEngine::on_complete(std::uint32_t server, std::uint32_t slot,
   const std::uint8_t hedge = origin_tag == kHedgeTag ? 1 : 0;
   // Under hedging/timeout a copy may complete after the request settled
   // (winner already in downlink or recorded, or the deadline expired):
-  // the slot is then past kQueued and must not be stomped back.
-  SIXG_ASSERT(hardened || slab.state[slot] == RequestSlab::State::kQueued,
-              "fleet completion for a slot that is not queued");
-  if (!hardened || slab.state[slot] == RequestSlab::State::kQueued)
-    slab.state[slot] = RequestSlab::State::kDownlink;
+  // the slot is then past kQueued and must not be stomped back. It still
+  // holds the copy's reference until the record resolves.
+  RequestSlab::Record& r = slab[slot];
+  SIXG_ASSERT(r.pending > 0 && r.state != RequestSlab::State::kScheduled,
+              "fleet completion for a slot with no live copy");
+  if (r.state == RequestSlab::State::kQueued)
+    r.state = RequestSlab::State::kDownlink;
   const Duration down =
       from.networked ? next_downlink(from) + down_airtime : Duration{};
   const Duration net =
@@ -836,18 +801,40 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
                             std::uint32_t batch, Duration net,
                             Duration queue_wait, Duration service,
                             std::uint8_t hedge) {
-  if (hardened) [[unlikely]] {
-    const std::uint8_t settled =
-        slab.flags[slot] & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
-    if (settled) {
-      // The race is over (the other copy delivered, or the deadline
-      // expired): this result is discarded — lazy cancellation of the
-      // hedge loser. Its slot reference resolves here.
-      if (--slab.pending[slot] == 0) release_hardened(slot);
-      return;
-    }
+  if (settled(slot)) [[unlikely]] {
+    // The race is over (the other copy delivered, or the deadline
+    // expired): this result is discarded — lazy cancellation of the
+    // hedge loser. Its slot reference resolves here.
+    drop_copy(slot);
+    return;
   }
-  const Duration e2e = sim.now() - slab.device_start[slot];
+  ServerState& from = servers[server];
+  from.queue_ms.add(queue_wait.ms());
+  if (hedge) ++report.hedge_wins;
+  deliver(slot, batch, net, queue_wait, service, from.networked,
+          from.compute_j_by_batch[batch]);
+}
+
+void FleetEngine::on_remote_record(std::uint32_t slot, std::uint32_t batch,
+                                   std::int64_t net_ns, std::int64_t queue_ns,
+                                   std::int64_t service_ns, double compute_j) {
+  if (settled(slot)) [[unlikely]] {
+    drop_copy(slot);
+    return;
+  }
+  SIXG_ASSERT(slab[slot].state == RequestSlab::State::kUplink,
+              "remote record for a slot that is not in flight");
+  // A remote request is always networked: radio energy on this device,
+  // compute amortised on the serving pod's accelerator.
+  deliver(slot, batch, Duration::nanos(net_ns), Duration::nanos(queue_ns),
+          Duration::nanos(service_ns), /*networked=*/true, compute_j);
+}
+
+void FleetEngine::deliver(std::uint32_t slot, std::uint32_t batch,
+                          Duration net, Duration queue_wait, Duration service,
+                          bool networked, double compute_j) {
+  RequestSlab::Record& r = slab[slot];
+  const Duration e2e = sim.now() - r.device_start;
   const double e2e_ms = e2e.ms();
   report.e2e_ms.add(e2e_ms);
   report.e2e_q.add(e2e_ms);
@@ -858,14 +845,14 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
   report.service_ms.add(service.ms());
   report.batch_size.add(double(batch));
   SIXG_OBS_COUNT(obs::Metric::kFleetCompleted, 1);
-  const Duration slo = classes_on ? class_slo[slab.cls[slot]] : config.slo;
+  const Duration slo = classes_on ? class_slo[r.cls] : config.slo;
   if (e2e <= slo) {
     ++report.within_slo;
   } else {
     SIXG_OBS_COUNT(obs::Metric::kFleetSloMisses, 1);
   }
   if (classes_on) [[unlikely]] {
-    FleetStudy::Report::ClassStats& cs = report.classes[slab.cls[slot]];
+    FleetStudy::Report::ClassStats& cs = report.classes[r.cls];
     ++cs.delivered;
     cs.e2e_ms.add(e2e_ms);
     if (e2e <= slo) ++cs.within_slo;
@@ -874,120 +861,52 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
   // report's own completion ordinal.
   if (obs::kProbesCompiled && obs::trace_on() &&
       (report.e2e_ms.count() & obs::kTraceRequestMask) == 0) {
-    obs::probe_span(obs::TraceName::kRequest, slab.device_start[slot].ns(),
-                    e2e.ns(), batch);
+    obs::probe_span(obs::TraceName::kRequest, r.device_start.ns(), e2e.ns(),
+                    batch);
   }
-  ServerState& from = servers[server];
-  from.queue_ms.add(queue_wait.ms());
-  if (from.networked) {
+  if (networked) {
     energy_sum.uplink_j += uplink_j;
     energy_sum.downlink_j += downlink_j;
     energy_sum.wait_j += config.energy.radio.idle_watts *
                          std::max(0.0, (e2e - tx_rx_airtime).sec());
-    energy_sum.server_compute_j += from.compute_j_by_batch[batch];
+    energy_sum.server_compute_j += compute_j;
   } else {
-    energy_sum.device_compute_j += from.compute_j_by_batch[batch];
+    energy_sum.device_compute_j += compute_j;
   }
   if (sim.now() > makespan) makespan = sim.now();
-  slab.state[slot] = RequestSlab::State::kDone;
-  if (!hardened) {
+  r.state = RequestSlab::State::kDone;
+  r.flags |= RequestSlab::kDelivered;
+  // Delivery cancels the deadline and hedge timers in O(1), so no stale
+  // timeout event survives a delivered request (tests/test_faults.cpp
+  // pins this): release_slot does it, or here while a twin still races.
+  if (--r.pending == 0) {
     release_slot(slot);
     return;
   }
-  slab.flags[slot] |= RequestSlab::kDelivered;
-  if (hedge) ++report.hedge_wins;
-  // Completion cancels the deadline in O(1) — no stale timeout event
-  // survives a delivered request (tests/test_faults.cpp pins this).
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
-  if (--slab.pending[slot] == 0) release_hardened(slot);
-}
-
-void FleetEngine::on_remote_record(std::uint32_t slot, std::uint32_t batch,
-                                   std::int64_t net_ns, std::int64_t queue_ns,
-                                   std::int64_t service_ns, double compute_j) {
-  if (hardened) [[unlikely]] {
-    const std::uint8_t settled =
-        slab.flags[slot] & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
-    if (settled) {
-      if (--slab.pending[slot] == 0) release_hardened(slot);
-      return;
-    }
-  }
-  SIXG_ASSERT(hardened || slab.state[slot] == RequestSlab::State::kUplink,
-              "remote record for a slot that is not in flight");
-  const Duration queue_wait = Duration::nanos(queue_ns);
-  const Duration e2e = sim.now() - slab.device_start[slot];
-  const double e2e_ms = e2e.ms();
-  report.e2e_ms.add(e2e_ms);
-  report.e2e_q.add(e2e_ms);
-  report.e2e_hist->add(e2e_ms);
-  report.network_ms.add(Duration::nanos(net_ns).ms());
-  report.queue_ms.add(queue_wait.ms());
-  report.service_ms.add(Duration::nanos(service_ns).ms());
-  report.batch_size.add(double(batch));
-  SIXG_OBS_COUNT(obs::Metric::kFleetCompleted, 1);
-  const Duration slo = classes_on ? class_slo[slab.cls[slot]] : config.slo;
-  if (e2e <= slo) {
-    ++report.within_slo;
-  } else {
-    SIXG_OBS_COUNT(obs::Metric::kFleetSloMisses, 1);
-  }
-  if (classes_on) [[unlikely]] {
-    FleetStudy::Report::ClassStats& cs = report.classes[slab.cls[slot]];
-    ++cs.delivered;
-    cs.e2e_ms.add(e2e_ms);
-    if (e2e <= slo) ++cs.within_slo;
-  }
-  if (obs::kProbesCompiled && obs::trace_on() &&
-      (report.e2e_ms.count() & obs::kTraceRequestMask) == 0) {
-    obs::probe_span(obs::TraceName::kRequest, slab.device_start[slot].ns(),
-                    e2e.ns(), batch);
-  }
-  // A remote request is always networked: radio energy on this device,
-  // compute amortised on the serving pod's accelerator.
-  energy_sum.uplink_j += uplink_j;
-  energy_sum.downlink_j += downlink_j;
-  energy_sum.wait_j += config.energy.radio.idle_watts *
-                       std::max(0.0, (e2e - tx_rx_airtime).sec());
-  energy_sum.server_compute_j += compute_j;
-  if (sim.now() > makespan) makespan = sim.now();
-  slab.state[slot] = RequestSlab::State::kDone;
-  if (!hardened) {
-    release_slot(slot);
-    return;
-  }
-  slab.flags[slot] |= RequestSlab::kDelivered;
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
-  if (--slab.pending[slot] == 0) release_hardened(slot);
+  deadline_timers[slot].cancel();
+  hedge_timers[slot].cancel();
 }
 
 void FleetEngine::on_remote_drop(std::uint32_t slot) {
+  const RequestSlab::Record& r = slab[slot];
+  SIXG_ASSERT(r.state == RequestSlab::State::kUplink ||
+                  r.state == RequestSlab::State::kTimedOut,
+              "remote drop notice for a slot that is not in flight");
   // The mailbox notice does not carry the serving pod's drop reason;
   // charge the class's queue-full counter (the overwhelmingly common
   // cause — a crashed pod's rejections ride the same notice).
-  if (classes_on) ++report.classes[slab.cls[slot]].dropped_queue_full;
-  if (hardened) [[unlikely]] {
-    // The serving pod dropped or lost this copy; the failure crossed
-    // the shard boundary through the mailbox and resolves HERE, on the
-    // owning timeline — retry locally while budget remains.
-    copy_died(slot);
-    return;
-  }
-  SIXG_ASSERT(slab.state[slot] == RequestSlab::State::kUplink,
-              "remote drop notice for a slot that is not in flight");
-  slab.state[slot] = RequestSlab::State::kDropped;
-  ++report.failed;
-  if (classes_on) ++report.classes[slab.cls[slot]].failed;
-  release_slot(slot);
+  if (classes_on) ++report.classes[r.cls].dropped_queue_full;
+  // The serving pod dropped or lost this copy; the failure crossed the
+  // shard boundary through the mailbox and resolves HERE, on the owning
+  // timeline — retry locally while budget remains, else settle.
+  copy_died(slot);
 }
 
 void FleetEngine::copy_died(std::uint32_t slot) {
-  const std::uint8_t settled =
-      slab.flags[slot] & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
-  if (!settled && resilience_on &&
-      slab.attempt[slot] < config.resilience.max_retries) {
-    ++slab.attempt[slot];
+  RequestSlab::Record& r = slab[slot];
+  SIXG_ASSERT(r.pending > 0, "a copy died on a slot with no live copy");
+  if (!settled(slot) && r.attempt < config.resilience.max_retries) {
+    ++r.attempt;
     ++report.retries;
     SIXG_OBS_COUNT(obs::Metric::kFleetRetries, 1);
     const Duration backoff = config.resilience.retry_backoff;
@@ -1000,72 +919,55 @@ void FleetEngine::copy_died(std::uint32_t slot) {
       // Deterministic exponential backoff, no jitter: attempt k waits
       // backoff * 2^(k-1) (shift capped so a huge budget cannot
       // overflow the tick arithmetic).
-      const unsigned shift =
-          std::min<unsigned>(slab.attempt[slot] - 1u, 20u);
-      sim.schedule_after(
-          Duration::nanos(backoff.ns() << shift),
-          FleetRetryEvent{this, slot, slab.epoch[slot]});
+      const unsigned shift = std::min<unsigned>(r.attempt - 1u, 20u);
+      sim.schedule_after(Duration::nanos(backoff.ns() << shift),
+                         FleetRetryEvent{this, slot, r.epoch});
     }
     // pending unchanged: the retry inherits the dead copy's slot hold.
     return;
   }
-  if (--slab.pending[slot] > 0) return;
-  if (settled) {
-    release_hardened(slot);
-    return;
+  if (--r.pending > 0) return;
+  if (!settled(slot)) {
+    // Last copy gone and nothing delivered: the request failed.
+    r.state = RequestSlab::State::kDropped;
+    ++report.failed;
+    if (classes_on) ++report.classes[r.cls].failed;
   }
-  // Last copy gone and nothing delivered: the request failed.
-  slab.state[slot] = RequestSlab::State::kDropped;
-  ++report.failed;
-  if (classes_on) ++report.classes[slab.cls[slot]].failed;
-  release_hardened(slot);
-}
-
-void FleetEngine::release_hardened(std::uint32_t slot) {
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
-  // The epoch bump invalidates every timer event still carrying this
-  // slot: a stale firing sees the mismatch and no-ops.
-  ++slab.epoch[slot];
   release_slot(slot);
 }
 
 void FleetEngine::on_timeout(std::uint32_t slot, std::uint32_t epoch) {
-  if (slab.epoch[slot] != epoch) return;  // recycled slot — stale timer
-  std::uint8_t& flags = slab.flags[slot];
-  if (flags & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag)) return;
-  flags |= RequestSlab::kTimedOutFlag;
-  slab.state[slot] = RequestSlab::State::kTimedOut;
+  // A stale timer of a recycled slot, or a request already settled.
+  if (slab[slot].epoch != epoch || settled(slot)) return;
+  RequestSlab::Record& r = slab[slot];
+  r.flags |= RequestSlab::kTimedOutFlag;
+  r.state = RequestSlab::State::kTimedOut;
   ++report.timed_out;
   ++report.failed;
   if (classes_on) {
-    FleetStudy::Report::ClassStats& cs = report.classes[slab.cls[slot]];
+    FleetStudy::Report::ClassStats& cs = report.classes[r.cls];
     ++cs.timed_out;
     ++cs.failed;
   }
   SIXG_OBS_COUNT(obs::Metric::kFleetTimeouts, 1);
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
+  hedge_timers[slot].cancel();
   // Copies still in flight drain through the discard paths and release
   // the slot when the last one resolves; pending stays untouched here.
 }
 
 void FleetEngine::on_hedge(std::uint32_t slot, std::uint32_t epoch) {
-  if (slab.epoch[slot] != epoch) return;
-  if (slab.flags[slot] &
-      (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag))
-    return;
+  if (slab[slot].epoch != epoch || settled(slot)) return;
   ++report.hedges;
   SIXG_OBS_COUNT(obs::Metric::kFleetHedges, 1);
-  ++slab.pending[slot];
+  ++slab[slot].pending;
   launch_copy(slot, /*hedge=*/true);
 }
 
 void FleetEngine::on_retry(std::uint32_t slot, std::uint32_t epoch) {
-  if (slab.epoch[slot] != epoch) return;
-  if (slab.flags[slot] &
-      (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag)) {
+  if (slab[slot].epoch != epoch) return;
+  if (settled(slot)) {
     // Settled while we backed off: this resurrected copy dies unborn.
-    if (--slab.pending[slot] == 0) release_hardened(slot);
+    drop_copy(slot);
     return;
   }
   launch_copy(slot, /*hedge=*/false);
@@ -1110,6 +1012,11 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
                    const AcceleratorServer::Completion& completion) {
           owner->on_complete(k, slot, payload, completion);
         });
+    // Only a crash, i.e. a fault-plan event, ever calls the failure sink.
+    state.server->set_failure_sink(
+        [owner](std::uint32_t slot, std::uint64_t payload) {
+          owner->on_lost(slot, payload);
+        });
     state.compute_j_by_batch.resize(std::size_t{1} + spec.batching.max_batch);
     for (std::uint32_t b = 1; b <= spec.batching.max_batch; ++b) {
       state.compute_j_by_batch[b] =
@@ -1128,15 +1035,13 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
 
   engine.init_batch_lane();
 
-  // SLO classes: resolve the spec list into flat per-class tables and
-  // engage the slab's class column. Config-gated — with no classes the
-  // class stream is never drawn and none of this executes.
-  bool class_deadlines = false;
+  // SLO classes: resolve the spec list into flat per-class tables.
+  // Config-gated — with no classes the class stream is never drawn and
+  // none of this executes.
   if (!config.classes.empty()) {
     SIXG_ASSERT(config.classes.size() <= 256,
                 "the per-slot class index is one byte");
     engine.classes_on = true;
-    engine.slab.enable_classes();
     double total_share = 0.0;
     for (const FleetStudy::SloClassSpec& c : config.classes) {
       SIXG_ASSERT(c.share > 0.0, "class share must be positive");
@@ -1155,18 +1060,15 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
           c.deadline.is_zero() ? config.resilience.deadline : c.deadline);
       engine.class_lane.push_back(c.lane);
       engine.class_shed.push_back(c.shed_queue_depth);
-      if (!engine.class_deadline.back().is_zero()) class_deadlines = true;
     }
     // Pin the top of the cumulative table: FP rounding must never leave
     // a u just under 1.0 without a class.
     engine.class_cum.back() = 1.0;
   }
 
-  // Fault schedule + failure-aware dispatch. Everything below is
-  // config-gated: with no faults and no resilience policy, no slab
-  // column is engaged, no sink installed, no event armed and no RNG
-  // drawn — the run stays byte-identical to a build without the
-  // feature.
+  // Fault schedule. Config-gated: with no faults no plan is generated,
+  // no event armed and no RNG drawn — the run stays byte-identical to a
+  // build without the feature.
   // The fleet's documented FaultConfig defaults (fleet.hpp) apply BEFORE
   // the activity check, so a rate-only config — servers and horizon left
   // zero — is active, not silently cold.
@@ -1177,20 +1079,6 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
     // drain tail.
     fc.horizon = Duration::from_seconds_f(
         1.25 * double(config.requests) / config.arrivals_per_second);
-  }
-  // A per-class deadline arms the hardened request path too: expiry and
-  // settled-copy accounting need the slab's resilience columns.
-  if (fc.any() || config.resilience.any() || class_deadlines) {
-    engine.hardened = true;
-    engine.resilience_on = config.resilience.any();
-    engine.slab.enable_hardening();
-    FleetEngine* owner = &engine;
-    for (FleetEngine::ServerState& s : engine.servers) {
-      s.server->set_failure_sink(
-          [owner](std::uint32_t slot, std::uint64_t payload) {
-            owner->on_lost(slot, payload);
-          });
-    }
   }
   if (fc.any()) {
     engine.fault_plan = faults::FaultPlan::generate(fc, config.seed);

@@ -143,8 +143,9 @@ class FleetStudy {
     /// Per-class latency SLO; zero inherits Config::slo.
     Duration slo;
     /// Per-class end-to-end deadline, terminal on expiry. A non-zero
-    /// value arms the hardened request path even when
-    /// ResilienceConfig::deadline is zero; zero inherits that default.
+    /// value arms a deadline timer on each request of the class even
+    /// when ResilienceConfig::deadline is zero; zero inherits that
+    /// default.
     Duration deadline;
     /// Accelerator priority lane this class submits to (0 = highest
     /// priority). Must be < every ServerSpec's batching.lanes.
@@ -239,8 +240,12 @@ class FleetStudy {
     std::uint64_t shed = 0;
     /// Submissions lost to server crashes (sum of per-server `lost`).
     std::uint64_t lost_to_crashes = 0;
-    /// Terminal non-completions: sheds, timeouts, and copies whose
-    /// retry budget ran dry (equals `dropped` when resilience is off).
+    /// Terminal non-completions: sheds, timeouts, and requests whose
+    /// last live copy failed (queue drop, crash loss, unhealthy
+    /// rejection, remote drop notice) with no retry budget left. Equals
+    /// `dropped` only when every drop is a request's only copy and
+    /// nothing else fails: no sheds, deadlines, retries, hedges or
+    /// faults.
     std::uint64_t failed = 0;
     /// Fault-plan entries the injector fired during the run.
     std::uint64_t fault_events = 0;

@@ -303,7 +303,7 @@ FleetStudy::Config fleet_config(std::size_t edges, std::uint64_t seed) {
 
 /// Every request settles exactly once: delivered (one e2e sample) or
 /// failed (shed, timed out, or out of retry budget) — never both, never
-/// neither. The single most load-bearing invariant of the hardened
+/// neither. The single most load-bearing invariant of the request
 /// lifecycle; a stale timer or a double-settled hedge twin breaks it.
 void expect_settled_exactly_once(const FleetStudy::Report& report,
                                  std::uint64_t offered) {
@@ -397,6 +397,33 @@ TEST(FleetFaults, RecycledSlotsNeverSeeStaleTimersUnderChurn) {
   EXPECT_EQ(edgeai::fleet_report_digest(a), edgeai::fleet_report_digest(b));
 }
 
+/// A class with no deadline next to one with a deadline: only some slots
+/// ever arm a deadline timer, yet releasing a slot cancels its timers
+/// whatever its class. The per-slot timer columns must cover every slot,
+/// not just the ones that armed.
+TEST(FleetFaults, ClassWithoutDeadlineBesideOneWithADeadlineSettlesOnce) {
+  auto config = fleet_config(3, 43);
+  config.arrivals_per_second = 9000.0;
+  for (auto& spec : config.servers) {
+    spec.batching.queue_capacity = 48;
+    spec.batching.lanes = 2;
+  }
+  FleetStudy::SloClassSpec interactive;
+  interactive.name = "interactive";
+  interactive.share = 0.3;
+  interactive.deadline = Duration::millis(12);
+  FleetStudy::SloClassSpec batch;
+  batch.name = "batch";
+  batch.share = 0.7;
+  batch.lane = 1;
+  config.classes = {interactive, batch};
+  const auto report = FleetStudy::run(config);
+  expect_settled_exactly_once(report, config.requests);
+  for (const auto& cs : report.classes) {
+    EXPECT_EQ(cs.delivered + cs.failed, cs.offered) << cs.name;
+  }
+}
+
 TEST(FleetFaults, StragglerWindowsDegradeTheTailDeterministically) {
   auto config = fleet_config(3, 37);
   config.faults.straggler_rate_per_s = 0.4;
@@ -433,7 +460,7 @@ TEST(ShardedFleetFaults, OneFaultedShardDigestsIdenticalToSerial) {
 }
 
 TEST(ShardedFleetFaults, FaultedCityDigestsIdenticalAcrossWorkerCounts) {
-  const auto make = [](unsigned workers) {
+  const auto make = [](unsigned workers, Duration hedge_delay) {
     edgeai::ShardedFleetStudy::Config config;
     config.shard = fleet_config(3, 41);
     config.shard.requests = 8000;
@@ -442,6 +469,7 @@ TEST(ShardedFleetFaults, FaultedCityDigestsIdenticalAcrossWorkerCounts) {
     config.shard.resilience.max_retries = 2;
     config.shard.resilience.retry_backoff = Duration::micros(250);
     config.shard.resilience.deadline = Duration::from_millis_f(15.0);
+    config.shard.resilience.hedge_delay = hedge_delay;
     config.shards = 4;
     config.workers = workers;
     config.window = Duration::from_millis_f(1.5);
@@ -450,24 +478,36 @@ TEST(ShardedFleetFaults, FaultedCityDigestsIdenticalAcrossWorkerCounts) {
     config.remote_downlink = synthetic_hop(1.5e-3, 0.4e-3);
     return config;
   };
-  const auto reference = edgeai::ShardedFleetStudy::run(make(1));
-  // Faults and remote traffic both actually flow: crashes fire in every
-  // pod (per-pod plans from rebased seeds) and crashed remote copies
-  // fail over through the mailboxes.
-  EXPECT_GT(reference.fault_events, 0u);
-  EXPECT_GT(reference.remote_requests, 0u);
-  EXPECT_GT(reference.retries, 0u);
-  const std::uint64_t want = edgeai::fleet_report_digest(reference);
-  // Pinned value: the only digest that covers remote results and remote
+  // Pinned values: the only digests that cover remote results and remote
   // drop notices with faults and resilience on, so a change to either
   // remote handler shows here even when it moves every worker count
-  // alike.
-  EXPECT_EQ(want, 0xb3778181d4472414ULL);
-  for (const unsigned workers : {2u, 8u}) {
-    EXPECT_EQ(edgeai::fleet_report_digest(
-                  edgeai::ShardedFleetStudy::run(make(workers))),
-              want)
-        << "workers " << workers;
+  // alike. Hedging arms a timer that remote requests never get, so the
+  // second city also checks that the per-slot hedge timers cover every
+  // slot.
+  struct City {
+    Duration hedge_delay;
+    std::uint64_t digest;
+  };
+  for (const City city : {City{Duration{}, 0xb3778181d4472414ULL},
+                          City{Duration::millis(10), 0x1dd23416938b3688ULL}}) {
+    SCOPED_TRACE(city.hedge_delay.ns());
+    const auto reference =
+        edgeai::ShardedFleetStudy::run(make(1, city.hedge_delay));
+    // Faults and remote traffic both actually flow: crashes fire in
+    // every pod (per-pod plans from rebased seeds) and crashed remote
+    // copies fail over through the mailboxes.
+    EXPECT_GT(reference.fault_events, 0u);
+    EXPECT_GT(reference.remote_requests, 0u);
+    EXPECT_GT(reference.retries, 0u);
+    expect_settled_exactly_once(reference, 4 * 8000);
+    const std::uint64_t want = edgeai::fleet_report_digest(reference);
+    EXPECT_EQ(want, city.digest);
+    for (const unsigned workers : {2u, 8u}) {
+      EXPECT_EQ(edgeai::fleet_report_digest(edgeai::ShardedFleetStudy::run(
+                    make(workers, city.hedge_delay))),
+                want)
+          << "workers " << workers;
+    }
   }
 }
 

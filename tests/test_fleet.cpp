@@ -307,7 +307,7 @@ TEST(FleetStudy, ContinuousClassesInvariantAcrossThreadsAndWorkers) {
 }
 
 TEST(FleetStudy, ClassDeadlineFiresAcrossContinuousReformation) {
-  // A per-class deadline arms the hardened path even with
+  // A per-class deadline arms a deadline timer even with
   // ResilienceConfig::deadline zero, and the deadline timers interact
   // with continuous batch re-formation: an overloaded continuous server
   // keeps launching batches while queued requests expire mid-wait.
