@@ -95,7 +95,7 @@ void BM_RuleLookupLinear(benchmark::State& state) {
   core5g::RuleTable table{core5g::RuleTable::Mode::kLinearScan};
   const auto rules = std::uint32_t(state.range(0));
   for (std::uint32_t i = 0; i < rules; ++i)
-    (void)table.add_rule(core5g::PdrRule{i, 1000 + i, i / 4, int(i), 0});
+    (void)table.add_rule(core5g::PdrRule{i, 1000 + i, i / 4, int(i)});
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(1000 + rules - 1));
   }
@@ -106,7 +106,7 @@ void BM_RuleLookupContextAware(benchmark::State& state) {
   core5g::RuleTable table{core5g::RuleTable::Mode::kContextAware};
   const auto rules = std::uint32_t(state.range(0));
   for (std::uint32_t i = 0; i < rules; ++i)
-    (void)table.add_rule(core5g::PdrRule{i, 1000 + i, i / 4, int(i), 0});
+    (void)table.add_rule(core5g::PdrRule{i, 1000 + i, i / 4, int(i)});
   table.prioritise_flow(1000 + rules - 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(1000 + rules - 1));

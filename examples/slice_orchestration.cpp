@@ -70,8 +70,13 @@ int main() {
               slicing::HypervisorPlacer::comparison(outcomes).str().c_str());
 
   // 3. Reactive vs predictive reconfiguration over a diurnal day.
+  const slicing::ReconfigStudy::Params params;
+  std::vector<slicing::ReconfigStudy::Outcome> reconfigs;
+  for (const auto policy : {slicing::ReconfigPolicy::kReactive,
+                            slicing::ReconfigPolicy::kPredictive}) {
+    reconfigs.push_back(slicing::ReconfigStudy::run(policy, params));
+  }
   std::printf("Reconfiguration policy over 24 h with load surges:\n%s",
-              slicing::ReconfigStudy::comparison(
-                  slicing::ReconfigStudy::Params{}).str().c_str());
+              slicing::ReconfigStudy::comparison(reconfigs).str().c_str());
   return 0;
 }

@@ -590,15 +590,15 @@ ScenarioResult ablation_cpf(const RunContext& ctx) {
   {
     oran::QosXApp::WorkloadParams params;
     params.seed = ctx.seed_for(0x90a5);
-    r.add_table(oran::QosXApp::comparison(params),
-                strf("Context-aware PDR/QER handling (%u rules, %u active "
-                     "flows, %u flows/UE):",
-                     params.total_rules, params.active_flows,
-                     params.flows_per_ue));
     const auto linear =
         oran::QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, params);
     const auto context = oran::QosXApp::evaluate(
         core5g::RuleTable::Mode::kContextAware, params);
+    r.add_table(oran::QosXApp::comparison(linear, context),
+                strf("Context-aware PDR/QER handling (%u rules, %u active "
+                     "flows, %u flows/UE):",
+                     params.total_rules, params.active_flows,
+                     params.flows_per_ue));
     r.add_anchor("lookup latency reduction",
                  linear.lookup_ns.mean() / context.lookup_ns.mean(),
                  "reduced lookup latency [32]");
@@ -661,13 +661,13 @@ ScenarioResult ablation_slicing(const RunContext& ctx) {
 
   slicing::ReconfigStudy::Params params;
   params.seed = ctx.seed_for(0x51ce);
-  r.add_table(slicing::ReconfigStudy::comparison(params),
-              "Reconfiguration policy over a 24 h diurnal day with random "
-              "surges:");
   const auto reactive =
       slicing::ReconfigStudy::run(slicing::ReconfigPolicy::kReactive, params);
   const auto predictive = slicing::ReconfigStudy::run(
       slicing::ReconfigPolicy::kPredictive, params);
+  r.add_table(slicing::ReconfigStudy::comparison({reactive, predictive}),
+              "Reconfiguration policy over a 24 h diurnal day with random "
+              "surges:");
   r.add_anchor("violation steps reactive", double(reactive.violations),
                "reactive operation (Sec. V-C)");
   r.add_anchor("violation steps predictive", double(predictive.violations),
@@ -734,14 +734,14 @@ ScenarioResult upf_autoscale(const RunContext& ctx) {
   ScenarioResult r;
   core5g::UpfAutoscaleStudy::Params params;
   params.seed = ctx.seed_for(0x5ca1e);
-  r.add_table(core5g::UpfAutoscaleStudy::comparison(params));
-
   const auto statics =
       core5g::UpfAutoscaleStudy::run(core5g::ScalingPolicy::kStatic, params);
   const auto reactive =
       core5g::UpfAutoscaleStudy::run(core5g::ScalingPolicy::kReactive, params);
   const auto predictive = core5g::UpfAutoscaleStudy::run(
       core5g::ScalingPolicy::kPredictive, params);
+  r.add_table(
+      core5g::UpfAutoscaleStudy::comparison({statics, reactive, predictive}));
 
   r.add_anchor("static pool violations", double(statics.violation_steps),
                "sized-for-mean pools breach at peak");
@@ -777,7 +777,7 @@ ScenarioResult smartnic_upf(const RunContext& ctx) {
   for (const auto& row : datapaths) {
     core5g::Upf upf{
         core5g::Upf::Config{.name = row.name, .datapath = row.datapath}};
-    (void)upf.rules().add_rule(core5g::PdrRule{1, 42, 1, 0, 0});
+    (void)upf.rules().add_rule(core5g::PdrRule{1, 42, 1, 0});
     Rng rng{ctx.seed_for(99)};
     stats::Summary lat_us;
     stats::QuantileSample q;
@@ -809,7 +809,7 @@ ScenarioResult smartnic_upf(const RunContext& ctx) {
     core5g::RuleTable table{core5g::RuleTable::Mode::kLinearScan};
     for (std::size_t i = 0; i < rules; ++i)
       (void)table.add_rule(
-          core5g::PdrRule{std::uint32_t(i), 1000 + i, 0, int(i), 0});
+          core5g::PdrRule{std::uint32_t(i), 1000 + i, 0, int(i)});
     const auto outcome = table.lookup(1000 + rules - 1);
     r.add_note(strf("  %5zu rules -> %7.2f us", rules, outcome.latency.us()));
   }

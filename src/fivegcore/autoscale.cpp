@@ -111,14 +111,12 @@ UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
   return out;
 }
 
-TextTable UpfAutoscaleStudy::comparison(const Params& params) {
+TextTable UpfAutoscaleStudy::comparison(
+    const std::vector<Outcome>& outcomes) {
   TextTable t{{"Policy", "SLA violation steps", "Instance-hours",
                "Scale actions", "Mean util"}};
   t.set_align(0, TextTable::Align::kLeft);
-  for (const auto policy :
-       {ScalingPolicy::kStatic, ScalingPolicy::kReactive,
-        ScalingPolicy::kPredictive}) {
-    const Outcome o = run(policy, params);
+  for (const Outcome& o : outcomes) {
     t.add_row({to_string(o.policy),
                TextTable::integer(std::int64_t(o.violation_steps)),
                TextTable::num(o.instance_hours, 1),

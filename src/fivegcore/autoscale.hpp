@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -52,7 +53,9 @@ class UpfAutoscaleStudy {
   [[nodiscard]] static Outcome run(ScalingPolicy policy,
                                    const Params& params);
 
-  [[nodiscard]] static TextTable comparison(const Params& params);
+  /// One row per outcome, in the given order.
+  [[nodiscard]] static TextTable comparison(
+      const std::vector<Outcome>& outcomes);
 };
 
 }  // namespace sixg::core5g

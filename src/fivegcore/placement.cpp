@@ -70,9 +70,9 @@ PlacementResult UpfPlacementStudy::evaluate(
                       .datapath = config_.datapath}};
   // Session table with the studied flow in the worst scan position.
   for (std::uint32_t i = 0; i < 32; ++i)
-    (void)upf.rules().add_rule(PdrRule{i, 1000 + i, i / 4, int(i), 0});
+    (void)upf.rules().add_rule(PdrRule{i, 1000 + i, i / 4, int(i)});
   const std::uint64_t flow = 7777;
-  (void)upf.rules().add_rule(PdrRule{99, flow, 99, 40, 0});
+  (void)upf.rules().add_rule(PdrRule{99, flow, 99, 40});
 
   // The detour is sampled config_.samples times: compile it once and
   // draw from the flattened parameters instead of re-resolving links.

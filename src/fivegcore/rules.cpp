@@ -54,12 +54,6 @@ LookupOutcome RuleTable::lookup(std::uint64_t flow_key) {
     if (hot_position(flow_key).has_value()) {
       // Hot cache hit: flat cost regardless of table size or position.
       touch_hot(flow_key);
-      for (PdrRule& r : rules_) {
-        if (r.flow_key == flow_key) {
-          ++r.hits;
-          break;
-        }
-      }
       out.matched = true;
       out.scanned = 1;
       out.latency = costs_.hot_hit;
@@ -70,7 +64,6 @@ LookupOutcome RuleTable::lookup(std::uint64_t flow_key) {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     ++out.scanned;
     if (rules_[i].flow_key == flow_key) {
-      ++rules_[i].hits;
       out.matched = true;
       break;
     }
@@ -91,18 +84,15 @@ std::optional<Duration> RuleTable::update_rule(std::uint32_t id,
                                [id](const PdrRule& r) { return r.id == id; });
   if (it == rules_.end()) return std::nullopt;
 
-  if (mode_ == Mode::kContextAware && hot_position(it->flow_key)) {
-    // Prioritised flow: QER change applies in the hot cache, no reorg.
-    it->precedence = new_precedence;
-    return costs_.hot_update;
-  }
-
+  // Re-insert so rules_ stays sorted by (precedence, id) in both modes.
   PdrRule moved = *it;
   moved.precedence = new_precedence;
   rules_.erase(it);
-  (void)add_rule(moved);
-  return costs_.update_base +
-         costs_.per_rule_update * std::int64_t(rules_.size());
+  const Duration reorg = add_rule(moved);
+  // Prioritised flow: the QER change is charged as a hot-cache update.
+  if (mode_ == Mode::kContextAware && hot_position(moved.flow_key))
+    return costs_.hot_update;
+  return reorg;
 }
 
 void RuleTable::prioritise_flow(std::uint64_t flow_key) {

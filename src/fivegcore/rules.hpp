@@ -17,7 +17,6 @@ struct PdrRule {
   std::uint64_t flow_key = 0;   ///< match key (UE flow 5-tuple hash)
   std::uint32_t ue_id = 0;      ///< owning UE (multiple flows per UE)
   int precedence = 0;           ///< lower value = earlier match
-  std::uint64_t hits = 0;       ///< matched packets (drives prioritisation)
 };
 
 /// Outcome of one datapath lookup.
@@ -63,12 +62,13 @@ class RuleTable {
   /// Remove by rule id; returns cost, or nullopt if absent.
   std::optional<Duration> remove_rule(std::uint32_t id);
 
-  /// Look up the rule for `flow_key` and account the hit.
+  /// Look up the rule for `flow_key`; context-aware mode promotes a
+  /// matched flow into the hot cache.
   [[nodiscard]] LookupOutcome lookup(std::uint64_t flow_key);
 
   /// Modify the QER of an existing rule (e.g. re-prioritise a flow).
-  /// In linear mode this costs a table reorganisation; in context-aware
-  /// mode a hot-cache entry update is O(1).
+  /// Costs a table reorganisation, except for a prioritised flow in
+  /// context-aware mode, whose hot-cache entry update is O(1).
   [[nodiscard]] std::optional<Duration> update_rule(std::uint32_t id,
                                                     int new_precedence);
 

@@ -48,7 +48,7 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
   for (std::uint32_t i = 0; i < inactive; ++i) {
     (void)table.add_rule(core5g::PdrRule{i, 0x100000ULL + i,
                                          /*ue_id=*/i / 8,
-                                         /*precedence=*/int(i), 0});
+                                         /*precedence=*/int(i)});
   }
   std::vector<std::uint64_t> active_keys;
   for (std::uint32_t i = 0; i < params.active_flows; ++i) {
@@ -57,7 +57,7 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
     (void)table.add_rule(core5g::PdrRule{inactive + i, key,
                                          /*ue_id=*/100000 + i /
                                              params.flows_per_ue,
-                                         int(inactive + i), 0});
+                                         int(inactive + i)});
   }
 
   // The xApp's steady state: all active flows prioritised.
@@ -83,12 +83,8 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
   return out;
 }
 
-TextTable QosXApp::comparison(const WorkloadParams& params) {
-  const Evaluation linear =
-      evaluate(core5g::RuleTable::Mode::kLinearScan, params);
-  const Evaluation context =
-      evaluate(core5g::RuleTable::Mode::kContextAware, params);
-
+TextTable QosXApp::comparison(const Evaluation& linear,
+                              const Evaluation& context) {
   TextTable t{{"Table mode", "Mean lookup (us)", "Max lookup (us)",
                "Mean update (us)", "Prioritised UEs"}};
   t.set_align(0, TextTable::Align::kLeft);

@@ -126,13 +126,11 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
   return out;
 }
 
-TextTable ReconfigStudy::comparison(const Params& params) {
+TextTable ReconfigStudy::comparison(const std::vector<Outcome>& outcomes) {
   TextTable t{{"Policy", "Violation steps", "Reconfigs", "Mean util",
                "Peak util", "Overprovision"}};
   t.set_align(0, TextTable::Align::kLeft);
-  for (const auto policy :
-       {ReconfigPolicy::kReactive, ReconfigPolicy::kPredictive}) {
-    const Outcome o = run(policy, params);
+  for (const Outcome& o : outcomes) {
     t.add_row({to_string(o.policy),
                TextTable::integer(std::int64_t(o.violations)),
                TextTable::integer(std::int64_t(o.reconfigurations)),

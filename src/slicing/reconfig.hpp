@@ -54,7 +54,9 @@ class ReconfigStudy {
   [[nodiscard]] static Outcome run(ReconfigPolicy policy,
                                    const Params& params);
 
-  [[nodiscard]] static TextTable comparison(const Params& params);
+  /// One row per outcome, in the given order.
+  [[nodiscard]] static TextTable comparison(
+      const std::vector<Outcome>& outcomes);
 };
 
 }  // namespace sixg::slicing

@@ -52,8 +52,13 @@ TEST(UpfAutoscale, Deterministic) {
 }
 
 TEST(UpfAutoscale, ComparisonTableHasThreeRows) {
-  const auto table =
-      UpfAutoscaleStudy::comparison(UpfAutoscaleStudy::Params{});
+  const UpfAutoscaleStudy::Params params;
+  std::vector<UpfAutoscaleStudy::Outcome> outcomes;
+  for (const auto policy : {ScalingPolicy::kStatic, ScalingPolicy::kReactive,
+                            ScalingPolicy::kPredictive}) {
+    outcomes.push_back(UpfAutoscaleStudy::run(policy, params));
+  }
+  const auto table = UpfAutoscaleStudy::comparison(outcomes);
   EXPECT_EQ(table.row_count(), 3u);
 }
 

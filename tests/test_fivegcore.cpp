@@ -15,8 +15,8 @@ namespace {
 
 TEST(RuleTable, LookupFindsInstalledRule) {
   RuleTable table{RuleTable::Mode::kLinearScan};
-  (void)table.add_rule(PdrRule{1, 100, 1, 0, 0});
-  (void)table.add_rule(PdrRule{2, 200, 1, 1, 0});
+  (void)table.add_rule(PdrRule{1, 100, 1, 0});
+  (void)table.add_rule(PdrRule{2, 200, 1, 1});
   const auto outcome = table.lookup(200);
   EXPECT_TRUE(outcome.matched);
   EXPECT_EQ(outcome.scanned, 2u);
@@ -25,7 +25,7 @@ TEST(RuleTable, LookupFindsInstalledRule) {
 TEST(RuleTable, LookupMissScansWholeTable) {
   RuleTable table{RuleTable::Mode::kLinearScan};
   for (std::uint32_t i = 0; i < 10; ++i)
-    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i)});
   const auto outcome = table.lookup(9999);
   EXPECT_FALSE(outcome.matched);
   EXPECT_EQ(outcome.scanned, 10u);
@@ -33,8 +33,8 @@ TEST(RuleTable, LookupMissScansWholeTable) {
 
 TEST(RuleTable, PrecedenceOrdersMatching) {
   RuleTable table{RuleTable::Mode::kLinearScan};
-  (void)table.add_rule(PdrRule{1, 100, 1, /*precedence=*/5, 0});
-  (void)table.add_rule(PdrRule{2, 200, 1, /*precedence=*/1, 0});
+  (void)table.add_rule(PdrRule{1, 100, 1, /*precedence=*/5});
+  (void)table.add_rule(PdrRule{2, 200, 1, /*precedence=*/1});
   // Rule 2 has better precedence: scanned first.
   const auto outcome = table.lookup(200);
   EXPECT_EQ(outcome.scanned, 1u);
@@ -43,7 +43,7 @@ TEST(RuleTable, PrecedenceOrdersMatching) {
 TEST(RuleTable, LinearLookupCostGrowsWithPosition) {
   RuleTable table{RuleTable::Mode::kLinearScan};
   for (std::uint32_t i = 0; i < 1000; ++i)
-    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i)});
   const auto front = table.lookup(100);
   const auto back = table.lookup(100 + 999);
   EXPECT_GT(back.latency.ns(), 5 * front.latency.ns());
@@ -52,14 +52,14 @@ TEST(RuleTable, LinearLookupCostGrowsWithPosition) {
 TEST(RuleTable, ContextAwareHitIsFlat) {
   RuleTable table{RuleTable::Mode::kContextAware, 16};
   for (std::uint32_t i = 0; i < 1000; ++i)
-    (void)table.add_rule(PdrRule{i, 100 + i, i / 3, int(i), 0});
+    (void)table.add_rule(PdrRule{i, 100 + i, i / 3, int(i)});
   table.prioritise_flow(100 + 999);
   const auto hot = table.lookup(100 + 999);
   EXPECT_TRUE(hot.matched);
   EXPECT_EQ(hot.scanned, 1u);
   // Flat cost: independent of the rule's position in a 1000-entry table.
   RuleTable small{RuleTable::Mode::kContextAware, 16};
-  (void)small.add_rule(PdrRule{1, 42, 1, 0, 0});
+  (void)small.add_rule(PdrRule{1, 42, 1, 0});
   small.prioritise_flow(42);
   EXPECT_EQ(hot.latency.ns(), small.lookup(42).latency.ns());
 }
@@ -67,7 +67,7 @@ TEST(RuleTable, ContextAwareHitIsFlat) {
 TEST(RuleTable, ContextAwareMissPromotesFlow) {
   RuleTable table{RuleTable::Mode::kContextAware, 4};
   for (std::uint32_t i = 0; i < 100; ++i)
-    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i)});
   const auto first = table.lookup(150);   // miss: full scan + promote
   const auto second = table.lookup(150);  // hot hit
   EXPECT_GT(first.latency.ns(), second.latency.ns());
@@ -77,7 +77,7 @@ TEST(RuleTable, ContextAwareMissPromotesFlow) {
 TEST(RuleTable, HotCacheEvictsLru) {
   RuleTable table{RuleTable::Mode::kContextAware, 2};
   for (std::uint32_t i = 0; i < 3; ++i)
-    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i)});
   table.prioritise_flow(100);
   table.prioritise_flow(101);
   table.prioritise_flow(102);  // evicts 100
@@ -91,8 +91,8 @@ TEST(RuleTable, MultipleFlowsPerUePrioritised) {
   RuleTable table{RuleTable::Mode::kContextAware, 8};
   // UE 7 has three concurrent flows (video, haptics, control).
   for (std::uint32_t i = 0; i < 3; ++i)
-    (void)table.add_rule(PdrRule{i, 500 + i, /*ue=*/7, int(i), 0});
-  (void)table.add_rule(PdrRule{10, 900, /*ue=*/8, 10, 0});
+    (void)table.add_rule(PdrRule{i, 500 + i, /*ue=*/7, int(i)});
+  (void)table.add_rule(PdrRule{10, 900, /*ue=*/8, 10});
   for (std::uint32_t i = 0; i < 3; ++i) table.prioritise_flow(500 + i);
   table.prioritise_flow(900);
   EXPECT_EQ(table.prioritised_ue_count(), 2u);
@@ -102,8 +102,8 @@ TEST(RuleTable, UpdateRuleCheaperWhenPrioritised) {
   RuleTable linear{RuleTable::Mode::kLinearScan};
   RuleTable ctx{RuleTable::Mode::kContextAware, 8};
   for (std::uint32_t i = 0; i < 500; ++i) {
-    (void)linear.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
-    (void)ctx.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    (void)linear.add_rule(PdrRule{i, 100 + i, 1, int(i)});
+    (void)ctx.add_rule(PdrRule{i, 100 + i, 1, int(i)});
   }
   ctx.prioritise_flow(100 + 250);
   const auto linear_cost = linear.update_rule(250, 9999);
@@ -112,9 +112,24 @@ TEST(RuleTable, UpdateRuleCheaperWhenPrioritised) {
   EXPECT_GT(linear_cost->ns(), 3 * ctx_cost->ns());
 }
 
+TEST(RuleTable, UpdateOfPrioritisedRuleKeepsPrecedenceOrder) {
+  RuleTable table{RuleTable::Mode::kContextAware, 4};
+  (void)table.add_rule(PdrRule{1, 100, 1, /*precedence=*/1});
+  (void)table.add_rule(PdrRule{2, 200, 1, /*precedence=*/5});
+  table.prioritise_flow(100);
+  const auto cost = table.update_rule(1, 10);
+  ASSERT_TRUE(cost.has_value());
+  EXPECT_EQ(cost->ns(), RuleTable::CostModel{}.hot_update.ns());
+  // Rule 1 now sorts after rule 2, so a scan for flow 200 stops first.
+  EXPECT_EQ(table.lookup(200).scanned, 1u);
+  // A later insert lands between them: order is 2 (5), 3 (7), 1 (10).
+  (void)table.add_rule(PdrRule{3, 300, 1, /*precedence=*/7});
+  EXPECT_EQ(table.lookup(300).scanned, 2u);
+}
+
 TEST(RuleTable, RemoveRule) {
   RuleTable table{RuleTable::Mode::kLinearScan};
-  (void)table.add_rule(PdrRule{1, 100, 1, 0, 0});
+  (void)table.add_rule(PdrRule{1, 100, 1, 0});
   EXPECT_TRUE(table.remove_rule(1).has_value());
   EXPECT_FALSE(table.remove_rule(1).has_value());
   EXPECT_FALSE(table.lookup(100).matched);
@@ -123,11 +138,11 @@ TEST(RuleTable, RemoveRule) {
 
 TEST(RuleTable, HitsAccounting) {
   RuleTable table{RuleTable::Mode::kLinearScan};
-  (void)table.add_rule(PdrRule{1, 100, 1, 0, 0});
+  (void)table.add_rule(PdrRule{1, 100, 1, 0});
   (void)table.lookup(100);
   (void)table.lookup(100);
   (void)table.lookup(200);  // miss
-  // Hits are internal, but lookups must stay consistent.
+  // Repeated hits and a miss leave the rule matchable.
   EXPECT_TRUE(table.lookup(100).matched);
 }
 
@@ -145,7 +160,7 @@ TEST(Upf, SmartNicFactorsMatchJainEtAl) {
 
 TEST(Upf, PacketLatencySampling) {
   Upf upf{Upf::Config{}};
-  (void)upf.rules().add_rule(PdrRule{1, 42, 1, 0, 0});
+  (void)upf.rules().add_rule(PdrRule{1, 42, 1, 0});
   Rng rng{4};
   stats::Summary s;
   for (int i = 0; i < 50000; ++i)
@@ -159,8 +174,8 @@ TEST(Upf, PacketLatencySampling) {
 TEST(Upf, LoadRaisesLatency) {
   Upf idle{Upf::Config{.offered_load = 0.05}};
   Upf busy{Upf::Config{.offered_load = 0.95}};
-  (void)idle.rules().add_rule(PdrRule{1, 42, 1, 0, 0});
-  (void)busy.rules().add_rule(PdrRule{1, 42, 1, 0, 0});
+  (void)idle.rules().add_rule(PdrRule{1, 42, 1, 0});
+  (void)busy.rules().add_rule(PdrRule{1, 42, 1, 0});
   Rng rng_a{5};
   Rng rng_b{5};
   stats::Summary a;
