@@ -1,21 +1,35 @@
-// Regenerates the paper's entire analysis as one markdown document:
-// requirements matrix, drive-test grids, gap analysis, Table I trace and
-// the Section V recommendation what-ifs.
+// Regenerates the paper's analysis as one markdown document: requirements
+// matrix, drive-test grids, gap analysis, Table I trace and the Section V
+// ablations. Each section is a registered scenario rendered at the default
+// seed, so its numbers match `sixg_run --run <name>` exactly.
 //
 // Usage: full_report [output.md]   (stdout when no file is given)
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "common/log.hpp"
-#include "core/report.hpp"
+#include "core/registry.hpp"
+#include "core/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  sixg::core::StudyReport::Options options;
-  options.whatif.samples = 2000;
-  const sixg::core::StudyReport report{options};
-  const std::string markdown = report.render();
+  using namespace sixg;
+  core::ScenarioRegistry registry;
+  core::register_paper_scenarios(registry);
+
+  std::string markdown =
+      "# 6G Infrastructures for Edge AI — regenerated study\n";
+  for (const char* name :
+       {"requirements", "fig2", "fig3", "gap-analysis", "table1",
+        "ablation-peering", "ablation-upf", "ablation-cpf"}) {
+    const core::Scenario& scenario = *registry.find(name);
+    markdown += "\n## " + scenario.artefact + " (`sixg_run --run " +
+                scenario.name + "`)\n\n```\n" +
+                core::render(scenario, scenario.run(core::RunContext{})) +
+                "```\n";
+  }
 
   if (argc > 1) {
     std::ofstream file{argv[1]};

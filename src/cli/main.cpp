@@ -309,8 +309,8 @@ int main(int argc, char** argv) {
     }
     std::fputs("]\n", stdout);
   } else {
-    // Blank line between scenarios only, so single-scenario output is
-    // byte-identical to the standalone bench shim's.
+    // Blank line between scenarios only, so a single scenario prints
+    // exactly render()'s text.
     bool first = true;
     for (const Scenario* s : selected) {
       if (!first) std::fputs("\n", stdout);

@@ -42,8 +42,8 @@ struct RunContext {
 
 /// Structured output of one scenario run: titled tables, paper-vs-measured
 /// anchor lines and free-form notes, kept in emission order so the render
-/// reads like the original bench narrative. The CLI and the bench shims
-/// render this; tests compare it for determinism.
+/// reads like the original bench narrative. The CLI renders this; tests
+/// compare it for determinism.
 class ScenarioResult {
  public:
   struct Note {
@@ -116,15 +116,15 @@ class ScenarioRegistry {
 
   [[nodiscard]] std::size_t size() const { return scenarios_.size(); }
 
-  /// The process-wide registry the CLI and bench shims use.
+  /// The process-wide registry the CLI uses.
   static ScenarioRegistry& global();
 
  private:
   std::deque<Scenario> scenarios_;  // deque: add() never invalidates find()
 };
 
-/// Render a scenario result the way the bench binaries always printed:
-/// banner, notes, tables, then the paper-vs-measured anchor lines.
+/// Render a scenario result as report text: banner, notes, tables, then
+/// the paper-vs-measured anchor lines.
 [[nodiscard]] std::string render(const Scenario& scenario,
                                  const ScenarioResult& result);
 

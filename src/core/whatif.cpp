@@ -1,26 +1,11 @@
 #include "core/whatif.hpp"
 
-#include "fivegcore/session.hpp"
 #include "measurement/ping.hpp"
-#include "oran/handover.hpp"
-#include "oran/qos_xapp.hpp"
 #include "radio/link_model.hpp"
 #include "stats/summary.hpp"
-#include "topo/traceroute.hpp"
+#include "topo/europe.hpp"
 
 namespace sixg::core {
-
-const char* to_string(Recommendation r) {
-  switch (r) {
-    case Recommendation::kLocalPeering:
-      return "local peering (V-A)";
-    case Recommendation::kUpfIntegration:
-      return "UPF integration (V-B)";
-    case Recommendation::kCpfEnhancement:
-      return "CPF enhancement (V-C)";
-  }
-  return "?";
-}
 
 std::vector<WhatIfResult> WhatIfEngine::local_peering() const {
   // Baseline: the measured world. Fixed: local breakout + local IX peering.
@@ -52,137 +37,23 @@ std::vector<WhatIfResult> WhatIfEngine::local_peering() const {
   const topo::Path p_after = path_of(after);
 
   std::vector<WhatIfResult> out;
-  out.push_back({Recommendation::kLocalPeering, "UE->probe network hops",
-                 double(p_before.hop_count()), double(p_after.hop_count()),
-                 "hops"});
-  out.push_back({Recommendation::kLocalPeering, "routed distance",
-                 p_before.distance_km, p_after.distance_km, "km"});
-  out.push_back({Recommendation::kLocalPeering, "mean RTL (5G access)",
-                 rtt_before.mean(), rtt_after.mean(), "ms"});
+  out.push_back({"UE->probe network hops", double(p_before.hop_count()),
+                 double(p_after.hop_count()), "hops"});
+  out.push_back({"routed distance", p_before.distance_km, p_after.distance_km,
+                 "km"});
+  out.push_back({"mean RTL (5G access)", rtt_before.mean(), rtt_after.mean(),
+                 "ms"});
 
   // Reference regime: a wired host on the locally peered fabric reaches
   // the probe in the 1-11 ms band Horvath [3] reports for this area.
   const meas::PingMeasurement wired_after{after.net, after.wired_host,
                                           after.university_probe};
   Rng rng{config_.seed + 1};
-  out.push_back({Recommendation::kLocalPeering,
-                 "RTL: mobile status quo vs wired on peered fabric",
+  out.push_back({"RTL: mobile status quo vs wired on peered fabric",
                  rtt_before.mean(),
                  wired_after.run(config_.samples, rng).summary_ms.mean(),
                  "ms"});
   return out;
-}
-
-std::vector<WhatIfResult> WhatIfEngine::upf_integration() const {
-  topo::EuropeOptions options;
-  options.local_breakout = true;
-  const topo::EuropeTopology europe = topo::build_europe(options);
-  core5g::UpfPlacementStudy::Config config;
-  config.samples = config_.samples;
-  config.seed = config_.seed;
-  config.conditions = config_.conditions;
-  const core5g::UpfPlacementStudy study{europe, config};
-
-  const auto baseline = study.evaluate(core5g::UpfPlacement::kNone,
-                                       radio::AccessProfile::fiveg_nsa());
-  const auto edge_nsa = study.evaluate(core5g::UpfPlacement::kEdge,
-                                       radio::AccessProfile::fiveg_nsa());
-  const auto edge_sa = study.evaluate(core5g::UpfPlacement::kEdge,
-                                      radio::AccessProfile::fiveg_sa_urllc());
-  const auto edge_6g = study.evaluate(core5g::UpfPlacement::kEdge,
-                                      radio::AccessProfile::sixg());
-
-  std::vector<WhatIfResult> out;
-  out.push_back({Recommendation::kUpfIntegration,
-                 "user-plane RTT, edge UPF (same 5G access)",
-                 baseline.mean_rtt_ms, edge_nsa.mean_rtt_ms, "ms"});
-  out.push_back({Recommendation::kUpfIntegration,
-                 "user-plane RTT, edge UPF + 5G-SA URLLC access",
-                 baseline.mean_rtt_ms, edge_sa.mean_rtt_ms, "ms"});
-  out.push_back({Recommendation::kUpfIntegration,
-                 "user-plane RTT, edge UPF + 6G access",
-                 baseline.mean_rtt_ms, edge_6g.mean_rtt_ms, "ms"});
-
-  // SmartNIC datapath (Jain et al. [32]): throughput and pipeline latency.
-  core5g::Upf host{core5g::Upf::Config{.name = "host"}};
-  core5g::Upf nic{core5g::Upf::Config{
-      .name = "nic", .datapath = core5g::UpfDatapath::kSmartNic}};
-  out.push_back({Recommendation::kUpfIntegration,
-                 "UPF pipeline latency (host vs SmartNIC)",
-                 host.mean_pipeline_latency().us(),
-                 nic.mean_pipeline_latency().us(), "us"});
-  out.push_back({Recommendation::kUpfIntegration,
-                 "UPF throughput (SmartNIC vs host)",
-                 nic.max_throughput_mpps(), host.max_throughput_mpps(),
-                 "Mpps"});
-  return out;
-}
-
-std::vector<WhatIfResult> WhatIfEngine::cpf_enhancement() const {
-  std::vector<WhatIfResult> out;
-
-  // Session setup: conventional 5G ladder vs converged edge control [38].
-  {
-    const core5g::SessionSetupModel model{core5g::ControlPlaneSites{}};
-    Rng rng{config_.seed};
-    stats::Summary conventional;
-    stats::Summary converged;
-    for (std::uint32_t i = 0; i < config_.samples; ++i) {
-      conventional.add(model.conventional(rng).total.ms());
-      converged.add(model.converged_edge(rng).total.ms());
-    }
-    out.push_back({Recommendation::kCpfEnhancement,
-                   "PDU session setup latency", conventional.mean(),
-                   converged.mean(), "ms"});
-  }
-
-  // QoS rule handling: linear scan vs the context-aware xApp model [32].
-  {
-    oran::QosXApp::WorkloadParams params;
-    params.lookups = 40000;
-    const auto linear =
-        oran::QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, params);
-    const auto ctx = oran::QosXApp::evaluate(
-        core5g::RuleTable::Mode::kContextAware, params);
-    out.push_back({Recommendation::kCpfEnhancement,
-                   "PDR/QER lookup latency", linear.lookup_ns.mean() / 1000.0,
-                   ctx.lookup_ns.mean() / 1000.0, "us"});
-    out.push_back({Recommendation::kCpfEnhancement,
-                   "PDR/QER update latency", linear.update_ns.mean() / 1000.0,
-                   ctx.update_ns.mean() / 1000.0, "us"});
-  }
-
-  // Mobility: core-anchored handover vs hybrid RIC-based control.
-  {
-    const oran::HandoverModel model;
-    Rng rng{config_.seed + 2};
-    const auto core_anchored = model.storm(
-        oran::HandoverArchitecture::kCoreAnchored, 400.0, 2000, rng);
-    const auto hybrid =
-        model.storm(oran::HandoverArchitecture::kHybrid, 400.0, 2000, rng);
-    out.push_back({Recommendation::kCpfEnhancement,
-                   "handover interruption @400/s", core_anchored.mean(),
-                   hybrid.mean(), "ms"});
-  }
-  return out;
-}
-
-TextTable WhatIfEngine::report() const {
-  TextTable t{{"Recommendation", "Metric", "Before", "After", "Unit",
-               "Factor"}};
-  t.set_align(0, TextTable::Align::kLeft);
-  t.set_align(1, TextTable::Align::kLeft);
-  const auto emit = [&](const std::vector<WhatIfResult>& rows) {
-    for (const WhatIfResult& r : rows) {
-      t.add_row({to_string(r.recommendation), r.metric,
-                 TextTable::num(r.before, 2), TextTable::num(r.after, 2),
-                 r.unit, TextTable::num(r.improvement_factor(), 2) + "x"});
-    }
-  };
-  emit(local_peering());
-  emit(upf_integration());
-  emit(cpf_enhancement());
-  return t;
 }
 
 }  // namespace sixg::core

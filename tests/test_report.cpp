@@ -1,46 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "core/report.hpp"
 #include "topo/backbone.hpp"
 
 namespace sixg {
 namespace {
-
-core::StudyReport::Options fast_options() {
-  core::StudyReport::Options options;
-  options.whatif.samples = 300;
-  return options;
-}
-
-TEST(StudyReport, RendersAllSections) {
-  core::StudyReport report{fast_options()};
-  const std::string md = report.render();
-  EXPECT_NE(md.find("## Application requirements"), std::string::npos);
-  EXPECT_NE(md.find("## Drive-test campaign"), std::string::npos);
-  EXPECT_NE(md.find("## Local service request"), std::string::npos);
-  EXPECT_NE(md.find("## Recommendations"), std::string::npos);
-  // The Table I hostnames must appear in the rendered trace.
-  EXPECT_NE(md.find("datapacket.com"), std::string::npos);
-  EXPECT_NE(md.find("zetservers.peering.cz"), std::string::npos);
-}
-
-TEST(StudyReport, SectionTogglesWork) {
-  auto options = fast_options();
-  options.include_campaign = false;
-  options.include_recommendations = false;
-  const std::string md = core::StudyReport{options}.render();
-  EXPECT_EQ(md.find("## Drive-test campaign"), std::string::npos);
-  EXPECT_EQ(md.find("## Recommendations"), std::string::npos);
-  EXPECT_NE(md.find("## Application requirements"), std::string::npos);
-}
-
-TEST(StudyReport, DeterministicOutput) {
-  auto options = fast_options();
-  options.include_recommendations = false;  // keep the test quick
-  const std::string a = core::StudyReport{options}.render();
-  const std::string b = core::StudyReport{options}.render();
-  EXPECT_EQ(a, b);
-}
 
 // ------------------------------------------------------ failure injection
 
