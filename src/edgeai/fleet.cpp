@@ -56,6 +56,11 @@ namespace {
 /// FleetStudy's RNG streams (ServingStudy brings its own salts).
 constexpr detail::StreamSalts kFleetSalts{0xf1ee, 0xf0b1, 0xfd01, 0xf95e};
 
+/// Streaming end-to-end histogram shape: kE2eHistBins bins over
+/// [0, kE2eHistHiMs) ms.
+constexpr double kE2eHistHiMs = 250.0;
+constexpr std::size_t kE2eHistBins = 500;
+
 /// Remote requests ride the accelerator queue's payload word with their
 /// origin shard packed above the uplink nanoseconds: (origin + 1) in the
 /// top byte, up_ns below. Local submissions store plain up_ns, whose top
@@ -1206,9 +1211,10 @@ void init_streaming_report(FleetStudy::Report& report,
                            std::uint64_t reservoir_salt) {
   // The quantile reservoir draws from its own seed-derived stream (and
   // only once past the cap), so it can never shift the serving draws.
-  report.e2e_q = stats::ReservoirQuantile{
-      config.quantile_cap, derive_seed(config.seed, reservoir_salt)};
-  report.e2e_hist.emplace(0.0, config.hist_hi_ms, config.hist_bins);
+  report.e2e_q =
+      stats::ReservoirQuantile{stats::ReservoirQuantile::kDefaultCap,
+                               derive_seed(config.seed, reservoir_salt)};
+  report.e2e_hist.emplace(0.0, kE2eHistHiMs, kE2eHistBins);
   report.classes.resize(config.classes.size());
   for (std::size_t c = 0; c < config.classes.size(); ++c) {
     report.classes[c].name = config.classes[c].name;

@@ -171,11 +171,6 @@ class FleetStudy {
     /// kTierAffine spills to the next tier at this per-server load.
     std::uint32_t tier_spill_depth = 16;
     std::uint64_t seed = 1;
-    /// Streaming end-to-end histogram shape, [0, hist_hi_ms) in ms.
-    double hist_hi_ms = 250.0;
-    std::size_t hist_bins = 500;
-    /// Reservoir cap for e2e quantiles: exact below, sampled above.
-    std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
 
     /// Seed-derived fault schedule (docs/ARCHITECTURE.md "Fault model").
     /// Defaults to no faults. `servers` defaults to the fleet size and
@@ -212,14 +207,16 @@ class FleetStudy {
 
   struct Report {
     stats::Summary e2e_ms;  ///< device-to-device, delivered requests
-    /// End-to-end quantiles: exact order statistics up to the configured
-    /// cap, reservoir-sampled beyond it (own RNG stream, seed-derived).
+    /// End-to-end quantiles: exact order statistics up to
+    /// ReservoirQuantile::kDefaultCap, reservoir-sampled beyond it (own
+    /// RNG stream, seed-derived).
     stats::ReservoirQuantile e2e_q;
     stats::Summary network_ms;  ///< uplink + downlink + airtime share
     stats::Summary queue_ms;    ///< accelerator queue wait
     stats::Summary service_ms;  ///< batch execution share
     stats::Summary batch_size;  ///< batch each delivered request rode in
-    /// Streaming end-to-end distribution (ms); engaged by run().
+    /// Streaming end-to-end distribution: 500 bins over [0, 250) ms;
+    /// engaged by run().
     std::optional<stats::Histogram> e2e_hist;
 
     std::uint64_t completed = 0;

@@ -25,7 +25,7 @@ double ServingStudy::Report::within(Duration budget) const {
   // Streamed report: answer from the histogram CDF (interpolated inside
   // the containing bin — approximate at sub-bin granularity). Budgets at
   // or beyond the histogram range clamp to the range end: overflow
-  // samples sit somewhere above `hist_hi_ms`, so this is the sharpest
+  // samples sit somewhere above the range end, so this is the sharpest
   // LOWER bound available, never a fabricated 100 %.
   if (e2e_hist && e2e_hist->count() > 0) {
     const double hi = e2e_hist->bin_hi(e2e_hist->bin_count() - 1);
@@ -46,9 +46,6 @@ ServingStudy::Report ServingStudy::run(const Config& config) {
   fleet.requests = config.requests;
   fleet.energy = config.energy;
   fleet.seed = config.seed;
-  fleet.hist_hi_ms = config.hist_hi_ms;
-  fleet.hist_bins = config.hist_bins;
-  fleet.quantile_cap = config.quantile_cap;
   FleetStudy::ServerSpec& server = fleet.servers.emplace_back();
   server.accelerator = config.accelerator;
   server.batching = config.batching;

@@ -43,11 +43,6 @@ class ServingStudy {
     /// million-request runs: the report then streams into the histogram
     /// and the capped reservoir, O(bins + cap) memory.
     bool retain_samples = true;
-    /// Streaming end-to-end histogram shape, [0, hist_hi_ms) in ms.
-    double hist_hi_ms = 250.0;
-    std::size_t hist_bins = 500;
-    /// Reservoir cap for e2e quantiles: exact below, sampled above.
-    std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
   };
 
   /// The fleet report of the one-server run, plus the retained samples.
@@ -61,7 +56,7 @@ class ServingStudy {
     /// samples this is exact: one binary search over the finalize()d
     /// sorted snapshot. Streamed reports answer from the histogram CDF
     /// (linear interpolation inside the containing bin; budgets beyond
-    /// `hist_hi_ms` clamp to the range end — a lower bound, since
+    /// the 250 ms histogram range clamp to its end — a lower bound, since
     /// overflow samples are only known to exceed the range). Pure
     /// read: safe to call concurrently.
     [[nodiscard]] double within(Duration budget) const;

@@ -5,11 +5,19 @@
 
 namespace sixg::obs {
 
+namespace {
+/// Retained (t, value) points per series; past it the point list is
+/// decimated by powers of two (summary + reservoir keep seeing every
+/// tick).
+constexpr std::size_t kMaxPoints = 512;
+/// Reservoir cap of each series' quantiles.
+constexpr std::size_t kQuantileCap = 1024;
+}  // namespace
+
 PeriodicSampler::PeriodicSampler(netsim::Simulator& sim, Config config,
                                  std::uint64_t key, std::uint32_t shard)
     : sim_(sim), config_(config), key_(key), shard_(shard) {
   SIXG_ASSERT(config_.every > Duration{}, "sampler cadence must be positive");
-  SIXG_ASSERT(config_.max_points >= 2, "sampler needs room for points");
 }
 
 void PeriodicSampler::add_series(std::string name,
@@ -20,7 +28,7 @@ void PeriodicSampler::add_series(std::string name,
   // Private reservoir stream per series: quantiles are a pure function
   // of (key, series index, sampled values) and perturb nothing else.
   s.quantiles = stats::ReservoirQuantile(
-      config_.quantile_cap, derive_seed(key_, 0x0b5e0000 + series_.size()));
+      kQuantileCap, derive_seed(key_, 0x0b5e0000 + series_.size()));
   series_.push_back(std::move(s));
 }
 
@@ -46,7 +54,7 @@ void PeriodicSampler::tick() {
     s.summary.add(v);
     s.quantiles.add(v);
     if (ticks_ % s.stride == 0) {
-      if (s.points.size() >= config_.max_points) {
+      if (s.points.size() >= kMaxPoints) {
         // Decimate: keep every other point, double the stride. The
         // summary and reservoir keep full-rate accuracy; only the
         // plotted trajectory coarsens.

@@ -33,11 +33,6 @@ class PeriodicSampler {
  public:
   struct Config {
     Duration every;
-    /// Retained (t, value) points per series; past it the point list is
-    /// decimated by powers of two (summary + reservoir keep seeing
-    /// every tick).
-    std::size_t max_points = 512;
-    std::size_t quantile_cap = 1024;
   };
 
   /// `key` labels every series this sampler publishes (engine seed);
