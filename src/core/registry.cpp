@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "stats/json.hpp"
+
 namespace sixg::core {
 
 std::vector<const ScenarioResult::Anchor*> ScenarioResult::anchors() const {
@@ -153,136 +155,100 @@ std::string render(const Scenario& scenario, const ScenarioResult& result) {
 
 namespace {
 
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-void append_json_string(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
+using stats::json::append_string;
 
-void append_json_number(std::ostringstream& os, double v) {
+/// Anchor values: JSON has no NaN/Inf, and the human-facing render_json
+/// convention is null (not stats/json.hpp's quoted sentinels).
+void append_anchor_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
-    os << "null";  // JSON has no NaN/Inf
+    out += "null";
     return;
   }
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  out += buf;
 }
 
-void append_string_array(std::ostringstream& os,
+void append_string_array(std::string& out,
                          const std::vector<std::string>& items) {
-  os << '[';
+  out += '[';
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) os << ',';
-    append_json_string(os, items[i]);
+    if (i > 0) out += ',';
+    append_string(out, items[i]);
   }
-  os << ']';
+  out += ']';
 }
 
 struct JsonItemRenderer {
-  std::ostringstream& os;
+  std::string& out;
 
   void operator()(const ScenarioResult::Note& n) const {
-    os << "{\"kind\":\"note\",\"text\":";
-    append_json_string(os, n.text);
-    os << '}';
+    out += "{\"kind\":\"note\",\"text\":";
+    append_string(out, n.text);
+    out += '}';
   }
   void operator()(const ScenarioResult::TitledTable& t) const {
-    os << "{\"kind\":\"table\",\"title\":";
-    append_json_string(os, t.title);
-    os << ",\"header\":";
-    append_string_array(os, t.table.header());
-    os << ",\"rows\":[";
+    out += "{\"kind\":\"table\",\"title\":";
+    append_string(out, t.title);
+    out += ",\"header\":";
+    append_string_array(out, t.table.header());
+    out += ",\"rows\":[";
     for (std::size_t i = 0; i < t.table.row_count(); ++i) {
-      if (i > 0) os << ',';
-      append_string_array(os, t.table.row(i));
+      if (i > 0) out += ',';
+      append_string_array(out, t.table.row(i));
     }
-    os << "]}";
+    out += "]}";
   }
   void operator()(const ScenarioResult::Anchor& a) const {
-    os << "{\"kind\":\"anchor\",\"what\":";
-    append_json_string(os, a.what);
-    os << ",\"measured\":";
-    append_json_number(os, a.measured);
-    os << ",\"paper\":";
-    append_json_string(os, a.paper);
-    os << '}';
+    out += "{\"kind\":\"anchor\",\"what\":";
+    append_string(out, a.what);
+    out += ",\"measured\":";
+    append_anchor_number(out, a.measured);
+    out += ",\"paper\":";
+    append_string(out, a.paper);
+    out += '}';
   }
 };
+
+/// {"name","artefact","description" — the descriptor fields shared by
+/// render_json and render_list_json; the caller closes the object.
+void append_descriptor(std::string& out, const Scenario& s) {
+  out += "{\"name\":";
+  append_string(out, s.name);
+  out += ",\"artefact\":";
+  append_string(out, s.artefact);
+  out += ",\"description\":";
+  append_string(out, s.description);
+}
 
 }  // namespace
 
 std::string render_json(const Scenario& scenario,
                         const ScenarioResult& result) {
-  std::ostringstream os;
-  os << "{\"name\":";
-  append_json_string(os, scenario.name);
-  os << ",\"artefact\":";
-  append_json_string(os, scenario.artefact);
-  os << ",\"description\":";
-  append_json_string(os, scenario.description);
-  os << ",\"items\":[";
+  std::string out;
+  append_descriptor(out, scenario);
+  out += ",\"items\":[";
   bool first = true;
   for (const auto& item : result.items()) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
-    std::visit(JsonItemRenderer{os}, item);
+    std::visit(JsonItemRenderer{out}, item);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string render_list_json(const ScenarioRegistry& registry) {
-  std::ostringstream os;
-  os << '[';
+  std::string out = "[";
   bool first = true;
   for (const Scenario* s : registry.list()) {
-    if (!first) os << ",\n";
+    if (!first) out += ",\n";
     first = false;
-    os << "{\"name\":";
-    append_json_string(os, s->name);
-    os << ",\"artefact\":";
-    append_json_string(os, s->artefact);
-    os << ",\"description\":";
-    append_json_string(os, s->description);
-    os << '}';
+    append_descriptor(out, *s);
+    out += '}';
   }
-  os << "]\n";
-  return os.str();
+  out += "]\n";
+  return out;
 }
 
 }  // namespace sixg::core
