@@ -1,16 +1,15 @@
-// google-benchmark suite for the topology hot path: path resolution
-// (policy AS routing + layered Dijkstra) and per-draw latency sampling.
-// After PR 3 made the event kernel ~2x faster these two loops dominate
-// every measurement-style scenario (grid campaigns, atlas fleets,
-// latency ladders, serving-over-network), so this suite is the
-// denominator of campaign throughput. `scripts/bench_to_json` turns the
-// output into BENCH_topo.json against the committed pre-refactor
+// google-benchmark suite for the topology layer: per-draw latency
+// sampling, the inner loop of every measurement-style scenario (grid
+// campaigns, atlas fleets, latency ladders, serving-over-network), and
+// path resolution (policy AS routing + layered Dijkstra), which a
+// scenario pays once per path it compiles. `scripts/bench_to_json` turns
+// the output into BENCH_topo.json against the committed pre-refactor
 // baseline (bench/topo_baseline.json: Network::sample_rtt with per-draw
-// link() lookups + libm log, uncached find_path with a freshly
-// allocated layered Dijkstra per query).
+// link() lookups + libm log, find_path with a freshly allocated layered
+// Dijkstra per query).
 //
 // The shared-name benchmarks measure today's implementation of the same
-// operation (CompiledPath draws, route-cached find_path); the *Legacy
+// operation (CompiledPath draws, on-demand find_path); the *Legacy
 // variants keep the reference path measurable side by side.
 
 #include <benchmark/benchmark.h>
@@ -127,22 +126,10 @@ void BM_SampleRttBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleRttBatch)->Arg(8)->Arg(16);
 
-// Repeated resolution of the same inter-AS destination — the ">=5x"
-// metric: the AS routes are memoized per destination and the layered
-// Dijkstra reuses a thread-local scratch workspace over CSR adjacency.
-void BM_FindPathRepeat(benchmark::State& state) {
-  const EuropeTopology europe = build_europe();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        europe.net.find_path(europe.mobile_ue, europe.university_probe));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FindPathRepeat);
-
-// Cold resolution: a freshly built world per iteration (construction is
-// untimed), so every find_path rebuilds CSR + AS routes from scratch —
-// the first-query cost the caches amortize away.
+// Inter-AS resolution of the measured Europe detour (10 router hops
+// across 8 ASes) on a freshly built world per iteration (construction is
+// untimed): AS routing towards the destination plus the layered
+// Dijkstra over the policy AS path.
 void BM_FindPathCold(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -155,23 +142,8 @@ void BM_FindPathCold(benchmark::State& state) {
 }
 BENCHMARK(BM_FindPathCold);
 
-// Rotating destinations (three cached AS routes after warm-up): the
-// access pattern of fleet scenarios probing a handful of anchors.
-void BM_FindPathFanout(benchmark::State& state) {
-  const EuropeTopology europe = build_europe();
-  const NodeId dsts[] = {europe.university_probe, europe.cloud_vienna,
-                         europe.wired_host};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        europe.net.find_path(europe.mobile_ue, dsts[i++ % 3]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FindPathFanout);
-
-// Pure intra-AS Dijkstra on a 32-hop chain: isolates the scratch-space /
-// CSR win from the AS-route memo.
+// Pure intra-AS Dijkstra on a 32-hop chain: router-level routing with
+// no AS routing.
 void BM_FindPathIntra(benchmark::State& state) {
   const Network net = make_chain(32);
   for (auto _ : state) {
@@ -181,8 +153,8 @@ void BM_FindPathIntra(benchmark::State& state) {
 }
 BENCHMARK(BM_FindPathIntra);
 
-// Incident-link enumeration (satellite: span over CSR adjacency instead
-// of a fresh vector per call).
+// Incident-link enumeration: a span over the node's adjacency list, no
+// allocation per call.
 void BM_LinksOf(benchmark::State& state) {
   const EuropeTopology europe = build_europe();
   const NodeId node = europe.mobile_ue;

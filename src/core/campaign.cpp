@@ -11,35 +11,4 @@ std::size_t Campaign::chunk_for(std::size_t jobs, unsigned threads) {
   return std::max<std::size_t>(1, jobs / (std::size_t(threads) * 4));
 }
 
-std::vector<stats::Summary> Campaign::replicate(
-    std::size_t points, const ReplicationPlan& plan,
-    const std::function<void(std::size_t point, std::uint32_t rep,
-                             std::uint64_t seed, SampleSink& sink)>& fn)
-    const {
-  const std::uint32_t reps = std::max<std::uint32_t>(1, plan.replications);
-  const std::size_t jobs = points * reps;
-  std::vector<stats::Summary> per_job(jobs);
-
-  const auto runner = ctx_->runner();
-  const std::size_t chunk = plan.chunk != 0
-                                ? plan.chunk
-                                : chunk_for(jobs, runner.thread_count());
-  runner.run_chunked(jobs, chunk, [&](std::size_t job) {
-    const std::size_t point = job % points;
-    const auto rep = std::uint32_t(job / points);
-    SampleSink sink{per_job[job], plan.warmup_samples};
-    fn(point, rep, seed_for_job(job), sink);
-  });
-
-  // Serial associative merge in fixed (point, rep) order: the result is
-  // independent of which worker ran which job.
-  std::vector<stats::Summary> merged(points);
-  for (std::size_t point = 0; point < points; ++point) {
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      merged[point].merge(per_job[point + std::size_t(rep) * points]);
-    }
-  }
-  return merged;
-}
-
 }  // namespace sixg::core

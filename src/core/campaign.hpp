@@ -1,7 +1,6 @@
-/// @file campaign.hpp — the sweep/replication engine: grid points ×
-/// replications over ParallelRunner, with per-point seed derivation,
-/// chunked scheduling, warm-up cutoff and associative Summary merging —
-/// the one implementation behind every scenario sweep.
+/// @file campaign.hpp — the sweep engine: one seeded job per grid point
+/// over ParallelRunner, with per-point seed derivation and chunked
+/// scheduling — the one implementation behind every scenario sweep.
 #pragma once
 
 #include <cstdint>
@@ -11,51 +10,24 @@
 #include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "netsim/parallel.hpp"
-#include "stats/summary.hpp"
 
 namespace sixg::core {
 
-/// Collects one replication's samples, dropping the first `warmup`
-/// (transient) ones before they reach the Summary — the standard
-/// steady-state cutoff for queueing studies.
-class SampleSink {
- public:
-  SampleSink(stats::Summary& out, std::uint32_t warmup)
-      : out_(&out), skip_(warmup) {}
-
-  void add(double x) {
-    if (skip_ > 0) {
-      --skip_;
-      return;
-    }
-    out_->add(x);
-  }
-
-  [[nodiscard]] std::uint32_t remaining_warmup() const { return skip_; }
-
- private:
-  stats::Summary* out_;
-  std::uint32_t skip_;
-};
-
 /// Declarative measurement campaign over a RunContext.
 ///
-/// A campaign is a grid of `points` (parameter combinations), each run
-/// for `replications` independent seeded trials. Seeds derive as
-/// ctx.seed_for(derive_seed(salt, index)) — exactly the derivation the
-/// hand-rolled sweeps in scenarios.cpp used, so migrating a sweep onto
-/// Campaign::sweep with the same salt reproduces its results
-/// bit-for-bit. Execution order is never observable: every job writes
-/// its own slot, replication Summaries merge in fixed (point, rep)
-/// order (stats::Summary::merge is associative), and ParallelRunner
+/// A campaign is a grid of `points` (parameter combinations), one
+/// seeded job each. Seeds derive as ctx.seed_for(derive_seed(salt,
+/// index)) — exactly the derivation the hand-rolled sweeps in
+/// scenarios.cpp used, so migrating a sweep onto Campaign::sweep with
+/// the same salt reproduces its results bit-for-bit. Execution order is
+/// never observable: every job writes its own slot, and ParallelRunner
 /// schedules whole chunks per cursor bump.
 class Campaign {
  public:
   Campaign(const RunContext& ctx, std::uint64_t salt)
       : ctx_(&ctx), salt_(salt) {}
 
-  /// One seeded job per grid point, results in point order. This is
-  /// the replication-free shape of the classic scenario sweeps.
+  /// One seeded job per grid point, results in point order.
   template <typename R>
   [[nodiscard]] std::vector<R> sweep(
       std::size_t points,
@@ -69,26 +41,6 @@ class Campaign {
                        });
     return results;
   }
-
-  struct ReplicationPlan {
-    std::uint32_t replications = 1;
-    /// Samples dropped from the head of every replication (transient
-    /// warm-up; e.g. a queue filling from empty) before merging.
-    std::uint32_t warmup_samples = 0;
-    /// Jobs per scheduled chunk; 0 = auto (several chunks per worker).
-    std::size_t chunk = 0;
-  };
-
-  /// replications × points: fn fills its sink with one replication's
-  /// samples; per-point Summaries are the warm-up-trimmed merge across
-  /// that point's replications, merged in replication order. Jobs are
-  /// laid out rep-major (point + rep·points) so one chunk sweeps
-  /// consecutive grid points of one replication wave.
-  [[nodiscard]] std::vector<stats::Summary> replicate(
-      std::size_t points, const ReplicationPlan& plan,
-      const std::function<void(std::size_t point, std::uint32_t rep,
-                               std::uint64_t seed, SampleSink& sink)>& fn)
-      const;
 
   /// The seed for grid job `index`: the campaign's salt stream.
   [[nodiscard]] std::uint64_t seed_for_job(std::uint64_t index) const {

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -1813,7 +1812,7 @@ ScenarioResult link_failure_sweep(const RunContext& ctx) {
 
   // Seed-derived link fault schedule over the primary path's own links:
   // each fibre cut forces policy routing onto a detour until the repair
-  // restores the same LinkId (and invalidates the memoized detour).
+  // restores the same LinkId (and the next query reroutes back).
   faults::FaultConfig fc;
   fc.link_fail_rate_per_s = 0.12;
   fc.link_mttr = Duration::millis(400);
@@ -2225,12 +2224,9 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
   // continuous batching and class-based admission control (shed at ~10
   // ms of fleet queue). The question at every rung: where does the
   // excess go — shed at the door, dropped from a full ring, or delivered
-  // late? SIXG_OVERLOAD_REQUESTS trims the per-rung request count for
-  // CI smoke runs.
+  // late?
   const double ladder[] = {0.5, 0.75, 1.0, 1.5, 2.0, 3.0};
-  std::uint32_t requests = 60000;
-  if (const char* env = std::getenv("SIXG_OVERLOAD_REQUESTS"))
-    requests = std::uint32_t(std::strtoul(env, nullptr, 10));
+  constexpr std::uint32_t kRequests = 60000;
   const double capacity = 2 * kEdgeGpuCapacity;
 
   const Campaign campaign{ctx, 0x10ad};
@@ -2239,7 +2235,7 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
         auto config =
             batching_fleet_config(access, conditions, peered, edge_path, 2);
         config.arrivals_per_second = capacity * ladder[i];
-        config.requests = requests;
+        config.requests = kRequests;
         config.seed = seed;
         for (auto& spec : config.servers) spec.batching.continuous = true;
         edgeai::FleetStudy::SloClassSpec cls;
@@ -2266,7 +2262,7 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
               strf("Overload ladder, continuous batching + admission "
                    "control, det-base over 2 edge GPUs (capacity %.0f "
                    "req/s, %uk requests per rung):",
-                   capacity, requests / 1000));
+                   capacity, kRequests / 1000));
 
   const auto goodput_at = [&](double x) {
     for (std::size_t i = 0; i < std::size(ladder); ++i)

@@ -17,9 +17,9 @@ std::vector<WhatIfResult> WhatIfEngine::local_peering() const {
 
   const radio::RadioLinkModel nsa{radio::AccessProfile::fiveg_nsa()};
 
-  // PingMeasurement resolves the path once (route cache) and samples
-  // through its compiled path, so the per-world measurement loop is the
-  // same hot path the campaigns use.
+  // PingMeasurement resolves the path once and samples through its
+  // compiled path, so the per-world measurement loop is the same hot
+  // path the campaigns use.
   const auto measure = [&](const topo::EuropeTopology& world) {
     const meas::PingMeasurement ping{world.net, world.mobile_ue,
                                      world.university_probe, nsa,

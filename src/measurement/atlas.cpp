@@ -35,11 +35,10 @@ std::vector<AtlasFleet::ProbeResult> AtlasFleet::run(Duration duration,
     results[i].probe_name = probes_[i].name;
 
   // Build the per-schedule measurement closures. Paths are resolved and
-  // compiled once (routing is static during a campaign; the route cache
-  // makes the repeated find_path calls towards shared targets cheap) and
-  // samples draw from the simulator's RNG so the whole run is a pure
-  // function of the seed. Each firing is then a lookup-free
-  // CompiledPath draw — no allocation, no libm.
+  // compiled once (routing is static during a campaign) and samples
+  // draw from the simulator's RNG so the whole run is a pure function of
+  // the seed. Each firing is then a lookup-free CompiledPath draw — no
+  // allocation, no libm.
   std::vector<PingMeasurement> pings;
   pings.reserve(schedules_.size());
   for (const Schedule& schedule : schedules_) {

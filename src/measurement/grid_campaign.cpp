@@ -186,9 +186,8 @@ GridReport GridCampaign::run(const netsim::ParallelRunner& runner) const {
   // serial and parallel execution produce identical reports. Workers
   // claim pairs of neighbouring cells per scheduling turn: adjacent
   // cells share radio-map state and rows of the result vector. Per-cell
-  // setup hits the Network route cache (every cell resolves the same
-  // UE->reference pair) and sampling runs on the compiled path inside
-  // PingMeasurement.
+  // setup routes the UE->reference pair once and sampling runs on the
+  // compiled path inside PingMeasurement.
   std::vector<CellResult> results(cell_count);
   runner.run_chunked(cell_count, 2, [&](std::size_t idx) {
     CellResult& r = results[idx];

@@ -63,19 +63,13 @@ void Simulator::schedule_after(Duration delay, Action action) {
 // ------------------------------------------------------------- timers
 
 Simulator::TimerHandle Simulator::arm_timer(Duration first_delay,
-                                            Duration period, TimePoint until,
-                                            bool has_until, Action action) {
+                                            Duration period, Action action) {
   SIXG_ASSERT(!first_delay.is_negative(), "delay must be non-negative");
-  const TimePoint first = now_ + first_delay;
-  if (has_until && first >= until) return TimerHandle{};  // nothing fits
-
   const std::uint32_t idx = wheel_.allocate();
   TimerWheel::Timer& t = wheel_.timer(idx);
-  t.deadline = first;
+  t.deadline = now_ + first_delay;
   t.seq = next_seq_++;  // same counter as one-shots: global FIFO order
   t.period = period;
-  t.until = until;
-  t.has_until = has_until;
   t.armed = true;
   t.cancel_requested = false;
   t.action = std::move(action);
@@ -88,27 +82,19 @@ Simulator::TimerHandle Simulator::arm_timer(Duration first_delay,
 Simulator::TimerHandle Simulator::schedule_periodic(Duration period,
                                                     Action action) {
   SIXG_ASSERT(period > Duration{}, "period must be positive");
-  return arm_timer(period, period, TimePoint{}, false, std::move(action));
+  return arm_timer(period, period, std::move(action));
 }
 
 Simulator::TimerHandle Simulator::schedule_every(Duration first_delay,
                                                  Duration period,
                                                  Action action) {
   SIXG_ASSERT(period > Duration{}, "period must be positive");
-  return arm_timer(first_delay, period, TimePoint{}, false,
-                   std::move(action));
-}
-
-Simulator::TimerHandle Simulator::schedule_every_until(Duration period,
-                                                       TimePoint until,
-                                                       Action action) {
-  SIXG_ASSERT(period > Duration{}, "period must be positive");
-  return arm_timer(period, period, until, true, std::move(action));
+  return arm_timer(first_delay, period, std::move(action));
 }
 
 Simulator::TimerHandle Simulator::schedule_once(Duration delay,
                                                 Action action) {
-  return arm_timer(delay, Duration{}, TimePoint{}, false, std::move(action));
+  return arm_timer(delay, Duration{}, std::move(action));
 }
 
 void Simulator::stage_timer(std::uint32_t idx) {
@@ -143,12 +129,7 @@ void Simulator::fire_timer(std::uint32_t idx, std::uint32_t generation) {
     wheel_.release(idx);
     return;
   }
-  const TimePoint next = after.deadline + after.period;
-  if (after.has_until && next >= after.until) {
-    wheel_.release(idx);
-    return;
-  }
-  after.deadline = next;
+  after.deadline = after.deadline + after.period;
   after.seq = next_seq_++;  // fresh FIFO position, as re-scheduling had
   after.action = std::move(action);
   if (wheel_.schedule(idx)) stage_timer(idx);

@@ -64,12 +64,6 @@ class Simulator {
   TimerHandle schedule_every(Duration first_delay, Duration period,
                              Action action);
 
-  /// Periodic schedule with a built-in end: fires at now() + k·period
-  /// for k >= 1 while the firing time is strictly before `until`, then
-  /// disarms itself. Returns an inactive handle when no firing fits.
-  TimerHandle schedule_every_until(Duration period, TimePoint until,
-                                   Action action);
-
   /// Cancellable one-shot on the timer wheel: like schedule_after, but
   /// the returned handle can disarm it in O(1) — no stale no-op event
   /// left behind (the batch-window pattern).
@@ -103,7 +97,7 @@ class Simulator {
   friend class TimerHandle;
 
   TimerHandle arm_timer(Duration first_delay, Duration period,
-                        TimePoint until, bool has_until, Action action);
+                        Action action);
   /// Push timer `idx`'s next firing into the event queue.
   void stage_timer(std::uint32_t idx);
   /// Staged-firing entry point: runs the action and re-arms or releases.

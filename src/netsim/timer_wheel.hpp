@@ -50,8 +50,6 @@ class TimerWheel {
     TimePoint deadline;        ///< exact next firing time
     std::uint64_t seq = 0;     ///< FIFO tie-break key of the next firing
     Duration period;           ///< zero = one-shot
-    TimePoint until;           ///< firing stops at deadlines >= until
-    bool has_until = false;
     bool armed = false;              ///< false once cancelled
     bool cancel_requested = false;   ///< cancel() arrived mid-action
     State state = State::kFree;

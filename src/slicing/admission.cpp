@@ -15,8 +15,8 @@ SliceAdmission::SliceAdmission(const topo::Network& net, Config config)
 
 std::optional<SliceAdmission::Admitted> SliceAdmission::admit(
     const SliceSpec& spec, topo::NodeId from, topo::NodeId to) {
-  // find_path hits the Network route cache, so admitting many slices
-  // between recurring endpoint pairs re-runs no AS routing.
+  // Route once: the admitted slice keeps the compiled path for its
+  // latency draws.
   const topo::CompiledPath path = net_->compile(net_->find_path(from, to));
   if (!path.valid()) return std::nullopt;
 

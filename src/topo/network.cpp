@@ -11,72 +11,16 @@ namespace sixg::topo {
 
 namespace {
 constexpr std::int64_t kInfCost = std::numeric_limits<std::int64_t>::max();
-
-/// Reusable layered-Dijkstra workspace. Thread-local so concurrent
-/// replication workers route without locking or per-query allocation;
-/// it holds no cross-query semantic state (validity of `dist` entries is
-/// tracked by epoch stamps, so no O(states) clearing per query either).
-struct DijkstraScratch {
-  std::vector<std::int64_t> dist;
-  std::vector<std::int64_t> prev;     // previous state, -1 at the source
-  std::vector<std::uint32_t> via;     // raw LinkId into the previous state
-  std::vector<std::uint32_t> stamp;   // dist/prev/via valid iff == epoch
-  std::uint32_t epoch = 0;
-  std::vector<std::pair<std::int64_t, std::size_t>> heap;  // (cost, state)
-
-  void begin_query(std::size_t states) {
-    if (dist.size() < states) {
-      dist.resize(states);
-      prev.resize(states);
-      via.resize(states);
-      stamp.resize(states, 0);
-    }
-    if (++epoch == 0) {  // epoch wrap: all stamps are stale again
-      std::fill(stamp.begin(), stamp.end(), 0u);
-      epoch = 1;
-    }
-    heap.clear();
-  }
-};
-
-DijkstraScratch& scratch() {
-  thread_local DijkstraScratch instance;
-  return instance;
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // construction
 // ---------------------------------------------------------------------------
 
-Network::Network() : cache_(std::make_unique<RouteCache>()) {}
-
-Network::Network(const Network& other)
-    : ases_(other.ases_),
-      nodes_(other.nodes_),
-      links_(other.links_),
-      link_alive_(other.link_alive_),
-      adjacency_(other.adjacency_),
-      as_adjacency_(other.as_adjacency_),
-      cache_(std::make_unique<RouteCache>()) {}
-
-Network& Network::operator=(const Network& other) {
-  if (this == &other) return *this;
-  ases_ = other.ases_;
-  nodes_ = other.nodes_;
-  links_ = other.links_;
-  link_alive_ = other.link_alive_;
-  adjacency_ = other.adjacency_;
-  as_adjacency_ = other.as_adjacency_;
-  cache_ = std::make_unique<RouteCache>();
-  return *this;
-}
-
 AsId Network::add_as(std::uint32_t asn, std::string name) {
   const AsId id{std::uint32_t(ases_.size())};
   ases_.push_back(AutonomousSystem{id, asn, std::move(name)});
   as_adjacency_.emplace_back();
-  invalidate_routing_caches();
   return id;
 }
 
@@ -88,7 +32,6 @@ NodeId Network::add_node(std::string name, std::string ipv4, NodeKind kind,
   nodes_.push_back(Node{id, std::move(name), std::move(ipv4), kind, as,
                         position, processing_delay});
   adjacency_.emplace_back();
-  invalidate_routing_caches();
   return id;
 }
 
@@ -120,15 +63,20 @@ LinkId Network::add_link(NodeId a, NodeId b, LinkRelation relation,
   adjacency_[a.value()].push_back(id);
   adjacency_[b.value()].push_back(id);
   rebuild_as_adjacency();
-  invalidate_routing_caches();
   return id;
 }
 
 void Network::remove_link(LinkId id) {
   SIXG_ASSERT(id.value() < links_.size(), "unknown link");
+  SIXG_ASSERT(link_alive_[id.value()],
+              "remove_link on a link that is already removed");
   link_alive_[id.value()] = false;
+  const Link& l = links_[id.value()];
+  for (const NodeId n : {l.a, l.b}) {
+    auto& adj = adjacency_[n.value()];
+    adj.erase(std::find(adj.begin(), adj.end(), id));
+  }
   rebuild_as_adjacency();
-  invalidate_routing_caches();
 }
 
 void Network::restore_link(LinkId id) {
@@ -136,56 +84,17 @@ void Network::restore_link(LinkId id) {
   SIXG_ASSERT(!link_alive_[id.value()],
               "restore_link on a link that is already alive");
   link_alive_[id.value()] = true;
+  const Link& l = links_[id.value()];
+  for (const NodeId n : {l.a, l.b}) {
+    auto& adj = adjacency_[n.value()];
+    adj.insert(std::lower_bound(adj.begin(), adj.end(), id), id);
+  }
   rebuild_as_adjacency();
-  invalidate_routing_caches();
 }
 
 bool Network::link_alive(LinkId id) const {
   SIXG_ASSERT(id.value() < links_.size(), "unknown link");
   return link_alive_[id.value()];
-}
-
-// ---------------------------------------------------------------------------
-// query-time caches
-// ---------------------------------------------------------------------------
-
-void Network::invalidate_routing_caches() {
-  RouteCache& c = *cache_;
-  std::lock_guard<std::mutex> lock(c.mu);
-  c.csr_ready.store(false, std::memory_order_release);
-  c.route_ready.clear();
-  c.routes.clear();
-  c.path_memo.clear();
-}
-
-Network::RouteCache& Network::csr() const {
-  RouteCache& c = *cache_;
-  if (!c.csr_ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(c.mu);
-    if (!c.csr_ready.load(std::memory_order_relaxed)) {
-      c.csr_offsets.assign(nodes_.size() + 1, 0);
-      c.csr_links.clear();
-      for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        for (const LinkId l : adjacency_[n])
-          if (link_alive_[l.value()]) c.csr_links.push_back(l);
-        c.csr_offsets[n + 1] = std::uint32_t(c.csr_links.size());
-      }
-      c.route_ready.assign(ases_.size(), 0);
-      c.routes.assign(ases_.size(), {});
-      c.csr_ready.store(true, std::memory_order_release);
-    }
-  }
-  return c;
-}
-
-const std::vector<Network::AsRoute>& Network::routes_to_locked(
-    AsId dst) const {
-  RouteCache& c = *cache_;
-  if (!c.route_ready[dst.value()]) {
-    c.routes[dst.value()] = compute_as_routes_uncached(dst);
-    c.route_ready[dst.value()] = 1;
-  }
-  return c.routes[dst.value()];
 }
 
 void Network::add_as_edge(AsId customer, AsId provider, bool peer) {
@@ -271,10 +180,7 @@ std::optional<NodeId> Network::find_node(std::string_view name) const {
 
 std::span<const LinkId> Network::links_of(NodeId n) const {
   SIXG_ASSERT(n.value() < nodes_.size(), "unknown node");
-  const RouteCache& c = csr();
-  const std::uint32_t begin = c.csr_offsets[n.value()];
-  const std::uint32_t end = c.csr_offsets[n.value() + 1];
-  return {c.csr_links.data() + begin, end - begin};
+  return adjacency_[n.value()];
 }
 
 NodeId Network::peer_of(LinkId l, NodeId n) const {
@@ -289,13 +195,6 @@ NodeId Network::peer_of(LinkId l, NodeId n) const {
 
 std::vector<Network::AsRoute> Network::compute_as_routes_to(AsId dst) const {
   SIXG_ASSERT(dst.value() < ases_.size(), "unknown AS");
-  RouteCache& c = csr();
-  std::lock_guard<std::mutex> lock(c.mu);
-  return routes_to_locked(dst);
-}
-
-std::vector<Network::AsRoute> Network::compute_as_routes_uncached(
-    AsId dst) const {
   std::vector<AsRoute> routes(ases_.size());
   routes[dst.value()] = AsRoute{RouteSource::kSelf, 0, AsId{}};
 
@@ -372,9 +271,7 @@ std::vector<Network::AsRoute> Network::compute_as_routes_uncached(
 }
 
 std::vector<AsId> Network::as_path(AsId src, AsId dst) const {
-  RouteCache& c = csr();
-  std::lock_guard<std::mutex> lock(c.mu);
-  const std::vector<AsRoute>& routes = routes_to_locked(dst);
+  const std::vector<AsRoute> routes = compute_as_routes_to(dst);
   std::vector<AsId> path;
   AsId cursor = src;
   for (std::size_t guard = 0; guard <= ases_.size(); ++guard) {
@@ -417,17 +314,11 @@ Path Network::layered_path(NodeId src, NodeId dst,
     return layer * n + node_index;
   };
 
-  // CSR adjacency (alive links only, original per-node order, so the
-  // relaxation order — and therefore every tie-break — matches the
-  // pre-CSR implementation) plus the thread-local scratch workspace:
-  // repeated routing queries allocate nothing.
-  const RouteCache& c = csr();
-  DijkstraScratch& s = scratch();
-  s.begin_query(layers * n);
-  const auto dist_at = [&s](std::size_t state) {
-    return s.stamp[state] == s.epoch ? s.dist[state] : kInfCost;
-  };
+  std::vector<std::int64_t> dist(layers * n, kInfCost);
+  std::vector<std::size_t> prev(layers * n);  // previous state
+  std::vector<LinkId> via(layers * n);        // link into the state
   using HeapEntry = std::pair<std::int64_t, std::size_t>;  // cost, state
+  std::vector<HeapEntry> heap;
 
   SIXG_ASSERT(node(src).as_id == as_seq.front(),
               "source must be in the first AS of the sequence");
@@ -435,26 +326,21 @@ Path Network::layered_path(NodeId src, NodeId dst,
               "destination must be in the last AS of the sequence");
 
   const std::size_t start = state_of(0, src.value());
-  s.dist[start] = 0;
-  s.prev[start] = -1;
-  s.stamp[start] = s.epoch;
-  s.heap.emplace_back(0, start);
+  dist[start] = 0;
+  heap.emplace_back(0, start);
 
   const std::size_t goal = state_of(layers - 1, dst.value());
 
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<HeapEntry>{});
-    const auto [cost, state] = s.heap.back();
-    s.heap.pop_back();
-    if (cost > dist_at(state)) continue;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>{});
+    const auto [cost, state] = heap.back();
+    heap.pop_back();
+    if (cost > dist[state]) continue;
     if (state == goal) break;
     const std::size_t layer = state / n;
     const NodeId u{std::uint32_t(state % n)};
 
-    const std::uint32_t adj_begin = c.csr_offsets[u.value()];
-    const std::uint32_t adj_end = c.csr_offsets[u.value() + 1];
-    for (std::uint32_t a = adj_begin; a < adj_end; ++a) {
-      const LinkId lid = c.csr_links[a];
+    for (const LinkId lid : adjacency_[u.value()]) {
       const Link& l = links_[lid.value()];
       const NodeId v = (l.a == u) ? l.b : l.a;
       const AsId as_v = nodes_[v.value()].as_id;
@@ -476,28 +362,26 @@ Path Network::layered_path(NodeId src, NodeId dst,
                                  nodes_[v.value()].processing_delay)
                                     .ns();
       const std::size_t next_state = state_of(next_layer, v.value());
-      if (cost + step < dist_at(next_state)) {
-        s.dist[next_state] = cost + step;
-        s.prev[next_state] = std::int64_t(state);
-        s.via[next_state] = lid.value();
-        s.stamp[next_state] = s.epoch;
-        s.heap.emplace_back(cost + step, next_state);
-        std::push_heap(s.heap.begin(), s.heap.end(),
-                       std::greater<HeapEntry>{});
+      if (cost + step < dist[next_state]) {
+        dist[next_state] = cost + step;
+        prev[next_state] = state;
+        via[next_state] = lid;
+        heap.emplace_back(cost + step, next_state);
+        std::push_heap(heap.begin(), heap.end(), std::greater<HeapEntry>{});
       }
     }
   }
 
-  if (dist_at(goal) == kInfCost) return Path{};
+  if (dist[goal] == kInfCost) return Path{};
 
   Path path;
   std::size_t cursor = goal;
   std::vector<LinkId> rev_links;
   std::vector<NodeId> rev_nodes;
   rev_nodes.push_back(dst);
-  while (std::int64_t(cursor) != std::int64_t(start)) {
-    rev_links.push_back(LinkId{s.via[cursor]});
-    cursor = std::size_t(s.prev[cursor]);
+  while (cursor != start) {
+    rev_links.push_back(via[cursor]);
+    cursor = prev[cursor];
     rev_nodes.push_back(NodeId{std::uint32_t(cursor % n)});
   }
   path.nodes.assign(rev_nodes.rbegin(), rev_nodes.rend());
@@ -514,33 +398,12 @@ Path Network::find_path(NodeId src, NodeId dst) const {
     p.nodes.push_back(src);
     return p;
   }
-  // Full-result memo: routing is a pure function of the topology, so a
-  // cached pair returns a copy without touching the routing machinery.
-  // Computation happens outside the lock (as_path re-acquires it); if
-  // two threads race on the same cold pair, both compute the identical
-  // path and the first insert wins.
-  const std::uint64_t key =
-      (std::uint64_t(src.value()) << 32) | dst.value();
-  RouteCache& c = csr();
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    const auto it = c.path_memo.find(key);
-    if (it != c.path_memo.end()) return it->second;
-  }
-  Path path;
   const AsId as_src = node(src).as_id;
   const AsId as_dst = node(dst).as_id;
-  if (as_src == as_dst) {
-    path = intra_as_path(src, dst);
-  } else {
-    const auto seq = as_path(as_src, as_dst);
-    if (!seq.empty()) path = layered_path(src, dst, seq);
-  }
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    c.path_memo.emplace(key, path);
-  }
-  return path;
+  if (as_src == as_dst) return intra_as_path(src, dst);
+  const auto seq = as_path(as_src, as_dst);
+  if (seq.empty()) return Path{};
+  return layered_path(src, dst, seq);
 }
 
 // ---------------------------------------------------------------------------

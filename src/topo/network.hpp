@@ -1,12 +1,8 @@
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,23 +69,12 @@ struct Path {
 /// afterwards the object is logically immutable and safe to share across
 /// replication worker threads (sampling takes an external Rng).
 ///
-/// Query-side caching: the first routing query after a mutation builds a
-/// flat CSR adjacency (alive links only) and, per destination AS, the
-/// first `as_path`/`find_path`/`compute_as_routes_to` memoizes the AS
-/// routing table. `add_link`/`remove_link`/`add_node`/`add_as`
-/// invalidate both, so repeated queries are amortized and mutation is
-/// always honoured. Cache fills are mutex-guarded (concurrent const
-/// queries are safe); mutation itself remains construction-phase,
-/// single-threaded, and invalidates `links_of` spans.
+/// Routing is computed on every query as a pure function of the current
+/// topology: the next query sees every mutation, and concurrent const
+/// queries need no lock. Mutation itself is single-threaded and
+/// invalidates `links_of` spans.
 class Network {
  public:
-  Network();
-  Network(const Network& other);             // copies topology, not caches
-  Network& operator=(const Network& other);
-  Network(Network&&) noexcept = default;
-  Network& operator=(Network&&) noexcept = default;
-  ~Network() = default;
-
   // -- construction ---------------------------------------------------------
   AsId add_as(std::uint32_t asn, std::string name);
   NodeId add_node(std::string name, std::string ipv4, NodeKind kind, AsId as,
@@ -111,12 +96,14 @@ class Network {
     return add_link(a, b, relation, LinkOptions{});
   }
 
+  /// Take an alive link out of service (a fibre cut). Its LinkId stays
+  /// reserved for restore_link().
   void remove_link(LinkId id);
 
   /// Revive a link previously removed with remove_link(), under the SAME
   /// LinkId — the fault-injection repair path (link MTTR elapses and the
-  /// fibre comes back). Invalidates every routing cache exactly like
-  /// remove_link, so a memoized detour can never outlive the repair.
+  /// fibre comes back). The link rejoins its endpoints' adjacency in
+  /// LinkId order, so routing tie-breaks are those before the cut.
   void restore_link(LinkId id);
 
   /// Is `id` currently alive (not removed)?
@@ -131,10 +118,10 @@ class Network {
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
   [[nodiscard]] std::optional<NodeId> find_node(std::string_view name) const;
 
-  /// Alive links incident to `n`, as a view over the CSR adjacency — no
-  /// allocation. The span is invalidated by any topology mutation
-  /// (add_link/remove_link/add_node/add_as); snapshot into a vector when
-  /// iterating across mutations.
+  /// Alive links incident to `n` in ascending LinkId, as a view over the
+  /// adjacency list — no allocation. The span is invalidated by any
+  /// topology mutation (add_link/remove_link/restore_link/add_node);
+  /// snapshot into a vector when iterating across mutations.
   [[nodiscard]] std::span<const LinkId> links_of(NodeId n) const;
 
   /// Other endpoint of `l` as seen from `n`.
@@ -191,7 +178,9 @@ class Network {
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<bool> link_alive_;
-  std::vector<std::vector<LinkId>> adjacency_;  // node -> incident links
+  /// node -> alive incident links, ascending LinkId (the relaxation
+  /// order of layered_path, and so its tie-breaks).
+  std::vector<std::vector<LinkId>> adjacency_;
 
   // AS-level adjacency (rebuilt incrementally on link add/remove).
   struct AsAdjacency {
@@ -202,30 +191,6 @@ class Network {
   std::vector<AsAdjacency> as_adjacency_;
   void add_as_edge(AsId customer, AsId provider, bool peer);
   void rebuild_as_adjacency();
-
-  /// Derived query-time structures. Held behind a unique_ptr so the
-  /// Network stays movable (the mutex pins the cache in place); rebuilt
-  /// lazily under `mu` after every mutation.
-  struct RouteCache {
-    std::mutex mu;
-    std::atomic<bool> csr_ready{false};
-    std::vector<std::uint32_t> csr_offsets;    ///< node -> begin in csr_links
-    std::vector<LinkId> csr_links;             ///< alive incident links
-    std::vector<std::uint8_t> route_ready;     ///< per destination AS
-    std::vector<std::vector<AsRoute>> routes;  ///< memoized routing tables
-    /// Memoized find_path results, keyed by (src << 32) | dst. Routing
-    /// is a pure function of the (static-between-mutations) topology,
-    /// so repeated queries to a cached pair return a copy.
-    std::unordered_map<std::uint64_t, Path> path_memo;
-  };
-  mutable std::unique_ptr<RouteCache> cache_;
-
-  void invalidate_routing_caches();
-  RouteCache& csr() const;  ///< build-on-first-use accessor
-  /// Memoized routing table towards `dst`; `cache_->mu` must be held.
-  const std::vector<AsRoute>& routes_to_locked(AsId dst) const;
-  [[nodiscard]] std::vector<AsRoute> compute_as_routes_uncached(AsId dst)
-      const;
 };
 
 }  // namespace sixg::topo

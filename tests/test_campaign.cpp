@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -57,91 +56,6 @@ TEST(Campaign, SweepIsThreadCountInvariant) {
   EXPECT_EQ(run_with(1), run_with(4));
 }
 
-// ------------------------------------------------------------ replicate
-
-TEST(Campaign, ReplicateMergesAllReplicationsPerPoint) {
-  const RunContext ctx = make_ctx(5, 2);
-  const Campaign campaign{ctx, 0xcafe};
-  Campaign::ReplicationPlan plan;
-  plan.replications = 4;
-  const auto merged = campaign.replicate(
-      3, plan,
-      [](std::size_t point, std::uint32_t, std::uint64_t, SampleSink& sink) {
-        for (int i = 0; i < 50; ++i) sink.add(double(point));
-      });
-  ASSERT_EQ(merged.size(), 3u);
-  for (std::size_t point = 0; point < merged.size(); ++point) {
-    EXPECT_EQ(merged[point].count(), 200u);  // 4 reps x 50 samples
-    EXPECT_DOUBLE_EQ(merged[point].mean(), double(point));
-  }
-}
-
-TEST(Campaign, ReplicateDropsWarmupSamplesFromEveryReplication) {
-  const RunContext ctx = make_ctx(5, 1);
-  const Campaign campaign{ctx, 1};
-  Campaign::ReplicationPlan plan;
-  plan.replications = 3;
-  plan.warmup_samples = 10;
-  const auto merged = campaign.replicate(
-      1, plan,
-      [](std::size_t, std::uint32_t, std::uint64_t, SampleSink& sink) {
-        // The first 10 samples are a transient ramp; the steady state
-        // is a constant 7. Warm-up must hide the ramp entirely.
-        for (int i = 0; i < 10; ++i) sink.add(1000.0 + i);
-        for (int i = 0; i < 40; ++i) sink.add(7.0);
-      });
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].count(), 120u);  // 3 x (50 - 10)
-  EXPECT_DOUBLE_EQ(merged[0].mean(), 7.0);
-  EXPECT_DOUBLE_EQ(merged[0].max(), 7.0);
-}
-
-TEST(Campaign, ReplicateSeedsAreUniquePerPointAndRep) {
-  const RunContext ctx = make_ctx(11, 1);
-  const Campaign campaign{ctx, 0xab};
-  Campaign::ReplicationPlan plan;
-  plan.replications = 5;
-  std::vector<std::uint64_t> seen;
-  const auto merged = campaign.replicate(
-      4, plan,
-      [&](std::size_t, std::uint32_t, std::uint64_t seed, SampleSink& sink) {
-        seen.push_back(seed);
-        sink.add(1.0);
-      });
-  ASSERT_EQ(seen.size(), 20u);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
-}
-
-TEST(Campaign, ReplicateIsThreadAndChunkInvariant) {
-  const auto run_with = [](unsigned threads, std::size_t chunk) {
-    const RunContext ctx = make_ctx(3, threads);
-    const Campaign campaign{ctx, 0x60};
-    Campaign::ReplicationPlan plan;
-    plan.replications = 6;
-    plan.warmup_samples = 5;
-    plan.chunk = chunk;
-    const auto merged = campaign.replicate(
-        8, plan,
-        [](std::size_t, std::uint32_t, std::uint64_t seed,
-           SampleSink& sink) {
-          Rng rng{seed};
-          for (int i = 0; i < 30; ++i) sink.add(rng.uniform());
-        });
-    std::vector<double> flat;
-    for (const auto& s : merged) {
-      flat.push_back(s.mean());
-      flat.push_back(s.stddev());
-      flat.push_back(double(s.count()));
-    }
-    return flat;
-  };
-  const auto serial = run_with(1, 1);
-  EXPECT_EQ(serial, run_with(4, 1));
-  EXPECT_EQ(serial, run_with(4, 7));
-  EXPECT_EQ(serial, run_with(2, 0));  // auto chunking
-}
-
 TEST(Campaign, ShardStreamsNeverCollideWithReplicationStreams) {
   // The sharded kernel derives shard-local seeds through a dedicated
   // salt stream (netsim::shard_seed); campaign sweeps derive job seeds
@@ -171,17 +85,6 @@ TEST(Campaign, ShardStreamsNeverCollideWithReplicationStreams) {
     }
   }
   EXPECT_EQ(seen.size(), inserted);
-}
-
-// ---------------------------------------------------------- SampleSink
-
-TEST(SampleSink, AppliesWarmupThenForwards) {
-  stats::Summary out;
-  SampleSink sink{out, 3};
-  for (int i = 0; i < 5; ++i) sink.add(double(i));
-  EXPECT_EQ(out.count(), 2u);
-  EXPECT_DOUBLE_EQ(out.min(), 3.0);
-  EXPECT_EQ(sink.remaining_warmup(), 0u);
 }
 
 TEST(Campaign, ChunkForGivesWorkersSeveralTurns) {

@@ -128,7 +128,7 @@ TEST(PolicyRouting, NoTransitThroughPeersOfPeers) {
   // middle AS must not transit: remove the peer edge and connectivity
   // dies.
   MiniInternet mini;
-  // links_of returns a span over the adjacency cache; snapshot before
+  // links_of returns a span over the adjacency list; snapshot before
   // mutating (remove_link invalidates the view).
   const auto t1t2_view = mini.net.links_of(mini.n_t1);
   const std::vector<LinkId> t1t2(t1t2_view.begin(), t1t2_view.end());
@@ -393,7 +393,9 @@ TEST(CompiledPath, PingMeasurementUsesCompiledPath) {
   EXPECT_EQ(ref.stddev(), result.summary_ms.stddev());
 }
 
-// ------------------------------------------------------ route-cache rules
+// ------------------------------------------------------ routing after mutation
+// Routing computes on every query; these pin that the next query after a
+// mutation sees it.
 
 TEST(RouteCache, RemoveLinkInvalidatesMemoizedPath) {
   // Two parallel intra-AS routes: a fast direct link and a slow detour.
@@ -412,27 +414,27 @@ TEST(RouteCache, RemoveLinkInvalidatesMemoizedPath) {
   net.add_link(b, c, LinkRelation::kIntraAs, slow);
   const LinkId fast = net.add_link(a, c, LinkRelation::kIntraAs);
 
-  // Warm every cache layer: repeated queries must come from the memo.
+  // Query twice before mutating: repeated queries agree.
   const Path before = net.find_path(a, c);
   ASSERT_EQ(before.hop_count(), 1u);
   ASSERT_EQ(net.find_path(a, c).hop_count(), 1u);
 
-  // Cut the fast link: a stale cache would still return the 1-hop path.
+  // Cut the fast link: the next query must take the detour.
   net.remove_link(fast);
   const Path after = net.find_path(a, c);
   ASSERT_TRUE(after.valid());
   EXPECT_EQ(after.hop_count(), 2u);
   EXPECT_EQ(after.nodes[1], b);
 
-  // Restore a fast link: the cache must also pick up additions.
+  // Add a fast link back: the next query must also see additions.
   net.add_link(a, c, LinkRelation::kIntraAs);
   EXPECT_EQ(net.find_path(a, c).hop_count(), 1u);
 }
 
 TEST(RouteCache, RemoveLinkInvalidatesAsRouteMemo) {
   MiniInternet mini;
-  // Warm the AS-route memo towards S3's AS, then cut the only peer edge:
-  // the re-query must see unreachability, not the memoized route.
+  // Route towards S3's AS, then cut the only peer edge: the re-query
+  // must see unreachability, not the earlier route.
   ASSERT_FALSE(mini.net.as_path(mini.s1, mini.s3).empty());
   const auto view = mini.net.links_of(mini.n_t1);
   const std::vector<LinkId> t1_links(view.begin(), view.end());
@@ -453,7 +455,7 @@ TEST(RouteCache, LinksOfSpanTracksMutation) {
 
 TEST(RouteCache, RestoreLinkRevivesSameIdAndInvalidatesMemo) {
   // The fault-injector repair path: remove_link then restore_link on the
-  // SAME LinkId. A memoized detour (or a stale links_of span) must not
+  // SAME LinkId. Neither the detour nor a stale links_of view may
   // survive the repair.
   Network net;
   const AsId as = net.add_as(1, "A");
@@ -475,7 +477,7 @@ TEST(RouteCache, RestoreLinkRevivesSameIdAndInvalidatesMemo) {
 
   net.remove_link(fast);
   EXPECT_FALSE(net.link_alive(fast));
-  // Warm the memo with the detour before the repair.
+  // Route the detour before the repair.
   ASSERT_EQ(net.find_path(a, c).hop_count(), 2u);
   ASSERT_EQ(net.find_path(a, c).hop_count(), 2u);
   const auto during = net.links_of(a);
@@ -483,8 +485,8 @@ TEST(RouteCache, RestoreLinkRevivesSameIdAndInvalidatesMemo) {
 
   net.restore_link(fast);
   EXPECT_TRUE(net.link_alive(fast));
-  // Same id is back: links_of must include it again and the memoized
-  // detour must be gone.
+  // Same id is back: links_of must include it again and the detour
+  // must be gone.
   const auto after = net.links_of(a);
   EXPECT_EQ(after.size(), 2u);
   const Path repaired = net.find_path(a, c);
@@ -493,8 +495,8 @@ TEST(RouteCache, RestoreLinkRevivesSameIdAndInvalidatesMemo) {
 }
 
 TEST(RouteCache, RestoreLinkInvalidatesAsRouteMemo) {
-  // Fail-and-repair of the only inter-AS peer edge: the AS-route memo
-  // must flip unreachable -> reachable across the restore, not serve the
+  // Fail-and-repair of the only inter-AS peer edge: AS routing must flip
+  // unreachable -> reachable across the restore, not serve the
   // failure-time table.
   MiniInternet mini;
   ASSERT_FALSE(mini.net.as_path(mini.s1, mini.s3).empty());
@@ -507,10 +509,39 @@ TEST(RouteCache, RestoreLinkInvalidatesAsRouteMemo) {
       cut.push_back(l);
     }
   ASSERT_FALSE(cut.empty());
-  // Warm the memo on the failed topology.
+  // Route on the failed topology.
   ASSERT_TRUE(mini.net.as_path(mini.s1, mini.s3).empty());
   for (const LinkId l : cut) mini.net.restore_link(l);
   EXPECT_FALSE(mini.net.as_path(mini.s1, mini.s3).empty());
+}
+
+TEST(Network, RemoveLinkTwiceAborts) {
+  MiniInternet mini;
+  const LinkId l = mini.net.links_of(mini.n_s1)[0];
+  mini.net.remove_link(l);
+  EXPECT_DEATH(mini.net.remove_link(l), "already removed");
+}
+
+TEST(Network, RestoreKeepsParallelLinkTieBreak) {
+  // Two equal-cost parallel links: the lower LinkId wins the tie, and a
+  // cut-and-repair of it must give the tie back.
+  Network net;
+  const AsId as = net.add_as(1, "A");
+  const geo::LatLon pos{47.0, 15.0};
+  const NodeId a = net.add_node("a", "a", NodeKind::kRouter, as, pos);
+  const NodeId b = net.add_node("b", "b", NodeKind::kRouter, as, pos);
+  const LinkId first = net.add_link(a, b, LinkRelation::kIntraAs);
+  const LinkId second = net.add_link(a, b, LinkRelation::kIntraAs);
+  ASSERT_LT(first, second);
+
+  EXPECT_EQ(net.find_path(a, b).links, std::vector<LinkId>{first});
+  net.remove_link(first);
+  EXPECT_EQ(net.find_path(a, b).links, std::vector<LinkId>{second});
+  net.restore_link(first);
+  EXPECT_EQ(net.find_path(a, b).links, std::vector<LinkId>{first});
+  const auto links = net.links_of(a);
+  EXPECT_EQ(std::vector<LinkId>(links.begin(), links.end()),
+            (std::vector<LinkId>{first, second}));
 }
 
 // ------------------------------------------------------------ Europe world
