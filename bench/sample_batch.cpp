@@ -255,6 +255,33 @@ void BM_NetLegRadioScalarLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_NetLegRadioScalarLoop)->Arg(8);
 
+// ------------------------------------------------------ per-draw samplers
+
+// One draw at a time, outside the tier dispatch, so like the *ScalarLoop
+// rows they run the same code in both captures: the lognormal behind the
+// model-level jitters, and a loaded 5G NSA cell's radio RTT.
+void BM_LognormalSample(benchmark::State& state) {
+  const stats::Lognormal dist = stats::Lognormal::from_median(10.0, 0.4);
+  Rng rng{3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist.sample(rng));
+  }
+}
+BENCHMARK(BM_LognormalSample);
+
+void BM_RadioRttSample(benchmark::State& state) {
+  const radio::RadioLinkModel model{radio::AccessProfile::fiveg_nsa()};
+  const radio::CellConditions conditions{.load = 0.5,
+                                         .quality = 0.7,
+                                         .bler = 0.1,
+                                         .spike_rate = 0.02};
+  Rng rng{2};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.sample_rtt(conditions, rng));
+  }
+}
+BENCHMARK(BM_RadioRttSample);
+
 // ------------------------------------------------------ bit-equality gate
 
 // Abort before timing anything if the dispatched tier's batched RTT

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "geo/coords.hpp"
+#include "topo/backbone.hpp"
 #include "topo/europe.hpp"
 #include "topo/network.hpp"
 
@@ -153,6 +155,30 @@ void BM_FindPathIntra(benchmark::State& state) {
 }
 BENCHMARK(BM_FindPathIntra);
 
+// One stage of find_path on the Europe world: the policy AS routes from
+// every AS towards the university's AS.
+void BM_AsRouteComputation(benchmark::State& state) {
+  const EuropeTopology europe = build_europe();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(europe.net.compute_as_routes_to(europe.as_uninet));
+  }
+}
+BENCHMARK(BM_AsRouteComputation);
+
+// find_path between stub hosts of the synthetic backbone (1 and 4 stub
+// ASes per city): policy routing well beyond the 8-AS evaluation world.
+void BM_BackboneRouting(benchmark::State& state) {
+  const Backbone backbone = build_backbone(int(state.range(0)));
+  const auto& hosts = backbone.stub_hosts;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(backbone.net.find_path(
+        hosts[i % hosts.size()], hosts[(i * 7 + 3) % hosts.size()]));
+    ++i;
+  }
+}
+BENCHMARK(BM_BackboneRouting)->Arg(1)->Arg(4);
+
 // Incident-link enumeration: a span over the node's adjacency list, no
 // allocation per call.
 void BM_LinksOf(benchmark::State& state) {
@@ -164,6 +190,16 @@ void BM_LinksOf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinksOf);
+
+// Great-circle distance, which every link length derives from.
+void BM_HaversineDistance(benchmark::State& state) {
+  const geo::LatLon a{46.62, 14.31};
+  const geo::LatLon b{48.21, 16.37};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geo::distance_km(a, b));
+  }
+}
+BENCHMARK(BM_HaversineDistance);
 
 }  // namespace
 

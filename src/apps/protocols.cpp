@@ -8,21 +8,20 @@ namespace {
 struct Overhead {
   double median_ms;
   double sigma;
-  bool ack;
 };
 
 constexpr Overhead params_of(IotProtocol p) {
   switch (p) {
     case IotProtocol::kMqtt:
-      return {5.6, 0.30, true};
+      return {5.6, 0.30};
     case IotProtocol::kAmqp:
-      return {7.4, 0.35, true};
+      return {7.4, 0.35};
     case IotProtocol::kCoap:
-      return {4.8, 0.25, false};
+      return {4.8, 0.25};
     case IotProtocol::kRawUdp:
-      return {0.15, 0.20, false};
+      return {0.15, 0.20};
   }
-  return {5.0, 0.3, false};
+  return {5.0, 0.3};
 }
 }  // namespace
 
@@ -51,10 +50,6 @@ Duration ProtocolOverheadModel::expected_overhead(IotProtocol protocol) {
   const Overhead o = params_of(protocol);
   return Duration::from_millis_f(
       stats::Lognormal::from_median(o.median_ms, o.sigma).mean());
-}
-
-bool ProtocolOverheadModel::requires_ack_roundtrip(IotProtocol protocol) {
-  return params_of(protocol).ack;
 }
 
 }  // namespace sixg::apps

@@ -29,10 +29,6 @@ class ProtocolOverheadModel {
 
   /// Expected overhead (deterministic mean).
   [[nodiscard]] static Duration expected_overhead(IotProtocol protocol);
-
-  /// Messages needing a transport-level round trip before delivery
-  /// (QoS-1 style acknowledgement), multiplying the effective latency.
-  [[nodiscard]] static bool requires_ack_roundtrip(IotProtocol protocol);
 };
 
 }  // namespace sixg::apps

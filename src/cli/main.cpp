@@ -207,10 +207,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--sample-every") {
-      if (!parse_f64(next(), &sample_ms) || sample_ms <= 0.0) {
+      // Checked on the product the cadence conversion below truncates to
+      // an int64_t nanosecond count: under 1 ns the cadence reads as
+      // "sampling off", and from 2^63 ns up the conversion overflows.
+      const bool parsed = parse_f64(next(), &sample_ms);
+      const double ns = sample_ms / 1e3 * 1e9;
+      if (!parsed || !(ns >= 1.0 && ns < 0x1p63)) {
         std::fprintf(stderr,
-                     "sixg_run: invalid --sample-every value "
-                     "(milliseconds > 0)\n");
+                     "sixg_run: invalid --sample-every value (milliseconds; "
+                     "the cadence must be at least 1 ns and below 2^63 ns)\n");
         return 2;
       }
     } else if (arg == "--log-level") {

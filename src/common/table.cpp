@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
-#include <sstream>
 
 #include "common/assert.hpp"
 
@@ -82,35 +80,6 @@ std::string TextTable::str() const {
   std::string out;
   to(out);
   return out;
-}
-
-std::string TextTable::csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) out << ',';
-      const bool needs_quote =
-          cells[c].find_first_of(",\"\n") != std::string::npos;
-      if (needs_quote) {
-        out << '"';
-        for (char ch : cells[c]) {
-          if (ch == '"') out << '"';
-          out << ch;
-        }
-        out << '"';
-      } else {
-        out << cells[c];
-      }
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const TextTable& t) {
-  return os << t.str();
 }
 
 }  // namespace sixg

@@ -1,15 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace sixg {
 
 /// Column-aligned text table used by the benchmark harnesses to print the
-/// rows the paper reports (figures as grids, tables as hop lists). Also
-/// serialises to CSV so results can be post-processed.
+/// rows the paper reports (figures as grids, tables as hop lists).
 class TextTable {
  public:
   enum class Align : std::uint8_t { kLeft, kRight };
@@ -38,9 +36,6 @@ class TextTable {
   /// Append the str() rendering to `out`: one growing buffer, no
   /// per-cell temporary strings — what the scenario render loop uses.
   void to(std::string& out) const;
-  [[nodiscard]] std::string csv() const;
-
-  friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
  private:
   std::vector<std::string> header_;

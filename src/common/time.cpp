@@ -24,6 +24,4 @@ std::string format_with_unit(double ns) {
 
 std::string Duration::str() const { return format_with_unit(double(ticks_)); }
 
-std::string TimePoint::str() const { return format_with_unit(double(ticks_)); }
-
 }  // namespace sixg

@@ -115,8 +115,6 @@ class TimePoint {
     return Duration::nanos(a.ticks_ - b.ticks_);
   }
 
-  [[nodiscard]] std::string str() const;
-
  private:
   constexpr explicit TimePoint(std::int64_t t) : ticks_(t) {}
   std::int64_t ticks_ = 0;

@@ -16,14 +16,6 @@ std::vector<const ScenarioResult::Anchor*> ScenarioResult::anchors() const {
   return out;
 }
 
-std::size_t ScenarioResult::table_count() const {
-  std::size_t n = 0;
-  for (const auto& item : items_) {
-    if (std::holds_alternative<TitledTable>(item)) ++n;
-  }
-  return n;
-}
-
 bool ScenarioRegistry::add(Scenario scenario) {
   if (scenario.name.empty() || !scenario.run) return false;
   if (contains(scenario.name)) return false;

@@ -72,7 +72,6 @@ class ScenarioResult {
 
   /// Anchors in emission order (pointers into items()).
   [[nodiscard]] std::vector<const Anchor*> anchors() const;
-  [[nodiscard]] std::size_t table_count() const;
 
  private:
   std::vector<Item> items_;

@@ -16,8 +16,8 @@ namespace sixg::core {
 
 /// The complete Klagenfurt case study in one object: grid, census, radio
 /// environment, Internet topology and the canonical campaign config.
-/// All paper benches construct this so every figure/table draws from the
-/// same calibrated world.
+/// The paper scenarios construct this so every figure/table draws from
+/// the same calibrated world.
 class KlagenfurtStudy {
  public:
   struct Options {

@@ -73,18 +73,6 @@ AcceleratorServer::AcceleratorServer(netsim::Simulator& sim,
   scratch_.resize(std::size_t{2} * config_.max_batch);
 }
 
-const char* to_string(ServerHealth health) {
-  switch (health) {
-    case ServerHealth::kUp:
-      return "up";
-    case ServerHealth::kDraining:
-      return "draining";
-    case ServerHealth::kDown:
-      return "down";
-  }
-  return "?";
-}
-
 void AcceleratorServer::set_completion_sink(CompletionSink sink) {
   SIXG_ASSERT(static_cast<bool>(sink), "completion sink must be callable");
   sink_ = std::move(sink);
@@ -135,14 +123,6 @@ void AcceleratorServer::recover() {
   SIXG_ASSERT(health_ != ServerHealth::kUp,
               "recover() on a server that is already up");
   health_ = ServerHealth::kUp;
-  // Work queued before a drain() may still be waiting on a window; a
-  // crashed server comes back empty, so this is a no-op after fail().
-  if (!busy_ && count_ > 0) maybe_dispatch();
-}
-
-void AcceleratorServer::drain() {
-  SIXG_ASSERT(health_ == ServerHealth::kUp, "drain() needs an up server");
-  health_ = ServerHealth::kDraining;
 }
 
 void AcceleratorServer::set_service_rate_multiplier(double factor) {

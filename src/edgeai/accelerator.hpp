@@ -56,13 +56,11 @@ struct AcceleratorProfile {
                                     std::uint32_t batch) const;
 };
 
-/// Server health: the crash/drain/recover state machine of the fault
-/// model (docs/ARCHITECTURE.md "Fault model & failure-aware dispatch").
-/// kUp accepts and serves; kDraining serves what is queued but rejects
-/// new submissions; kDown holds nothing — fail() lost it all.
-enum class ServerHealth : std::uint8_t { kUp, kDraining, kDown };
-
-[[nodiscard]] const char* to_string(ServerHealth health);
+/// Server health: the crash/recover state machine of the fault model
+/// (docs/ARCHITECTURE.md "Fault model & failure-aware dispatch").
+/// kUp accepts and serves; kDown holds nothing — fail() lost it all —
+/// and rejects submissions until recover().
+enum class ServerHealth : std::uint8_t { kUp, kDown };
 
 /// Event-driven inference server bound to one netsim::Simulator timeline.
 ///
@@ -82,7 +80,7 @@ enum class ServerHealth : std::uint8_t { kUp, kDraining, kDown };
 ///
 /// Determinism: all scheduling goes through the simulator's FIFO
 /// event queue; no wall clock, no RNG. Same submissions -> same batches.
-/// Fault hooks (fail/recover/drain, the service-rate multiplier) are
+/// Fault hooks (fail/recover, the service-rate multiplier) are
 /// themselves scheduled as ordinary events by the caller, so a faulted
 /// run stays a pure function of its seed.
 class AcceleratorServer {
@@ -172,9 +170,6 @@ class AcceleratorServer {
   /// Repair: back to kUp, empty. Queued work rejected while down stays
   /// rejected — the dispatch layer owns retries.
   [[gnu::cold]] void recover();
-  /// Stop accepting new work but finish everything already queued (the
-  /// graceful half of the state machine; recover() reopens).
-  [[gnu::cold]] void drain();
   [[nodiscard]] ServerHealth health() const { return health_; }
   /// Is this server a valid dispatch target right now?
   [[nodiscard]] bool accepting() const { return health_ == ServerHealth::kUp; }
@@ -222,7 +217,7 @@ class AcceleratorServer {
   [[nodiscard]] std::uint64_t batches_launched() const { return batches_; }
   /// Requests lost to fail() (queued + mid-batch).
   [[nodiscard]] std::uint64_t lost_to_crashes() const { return lost_; }
-  /// Submissions rejected because the server was draining or down.
+  /// Submissions rejected because the server was down.
   [[nodiscard]] std::uint64_t rejected_unhealthy() const { return rejected_; }
 
   /// Mean size of the batches launched so far (0 before any launch).

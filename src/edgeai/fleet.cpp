@@ -85,8 +85,8 @@ constexpr std::uint64_t kClassSalt = 0xc1a5;
 /// completion sink route hedge copies without widening the payload word.
 constexpr std::uint64_t kHedgeTag = 0xff;
 
-/// dispatch() sentinel: no server is accepting (every candidate down or
-/// draining). Only reachable when a fault schedule is active.
+/// dispatch() sentinel: no server is accepting (every candidate down).
+/// Only reachable when a fault schedule is active.
 constexpr std::uint32_t kNoServer = std::numeric_limits<std::uint32_t>::max();
 
 /// One fleet engine: the mutable state of one serving timeline — the
@@ -393,7 +393,7 @@ struct FleetEngine {
     return s.server->queue_depth() + s.server->in_service();
   }
 
-  /// Health-aware min-load scan: down/draining servers are never picked.
+  /// Health-aware min-load scan: down servers are never picked.
   /// With every server up this selects exactly what the health-blind
   /// scan did (strict-less keeps the lowest index on ties), which is
   /// what preserves zero-fault byte-identity. kNoServer if none accepts.
@@ -740,9 +740,9 @@ void FleetEngine::on_remote_submit(std::uint32_t origin, std::uint32_t slot,
                                    std::int64_t up_ns, std::uint8_t lane) {
   const std::uint32_t k = dispatch();
   if (k == kNoServer) [[unlikely]] {
-    // Every server of this pod is down or draining: same contract as a
-    // full queue — the owner decides (drop or failover) on its own
-    // timeline, reached through the mailbox.
+    // Every server of this pod is down: same contract as a full queue —
+    // the owner decides (drop or failover) on its own timeline, reached
+    // through the mailbox.
     sharded->post(self, origin, sim.now() + window,
                   RemoteDropEvent{peers[origin], slot});
     return;

@@ -23,17 +23,6 @@ Duration RuleTable::add_rule(const PdrRule& rule) {
          costs_.per_rule_update * std::int64_t(rules_.size());
 }
 
-std::optional<Duration> RuleTable::remove_rule(std::uint32_t id) {
-  const auto it = std::find_if(rules_.begin(), rules_.end(),
-                               [id](const PdrRule& r) { return r.id == id; });
-  if (it == rules_.end()) return std::nullopt;
-  const std::uint64_t key = it->flow_key;
-  rules_.erase(it);
-  hot_.erase(std::remove(hot_.begin(), hot_.end(), key), hot_.end());
-  return costs_.update_base +
-         costs_.per_rule_update * std::int64_t(rules_.size());
-}
-
 std::optional<std::size_t> RuleTable::hot_position(
     std::uint64_t flow_key) const {
   const auto it = std::find(hot_.begin(), hot_.end(), flow_key);

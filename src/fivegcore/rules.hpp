@@ -59,9 +59,6 @@ class RuleTable {
   /// Install a rule (precedence-ordered insertion). Returns install cost.
   Duration add_rule(const PdrRule& rule);
 
-  /// Remove by rule id; returns cost, or nullopt if absent.
-  std::optional<Duration> remove_rule(std::uint32_t id);
-
   /// Look up the rule for `flow_key`; context-aware mode promotes a
   /// matched flow into the hot cache.
   [[nodiscard]] LookupOutcome lookup(std::uint64_t flow_key);

@@ -51,9 +51,4 @@ Duration Upf::sample_packet_latency(std::uint64_t flow_key, Rng& rng) {
   return d;
 }
 
-void Upf::set_offered_load(double load) {
-  SIXG_ASSERT(load >= 0.0 && load < 1.0, "offered load must be in [0,1)");
-  config_.offered_load = load;
-}
-
 }  // namespace sixg::core5g

@@ -57,9 +57,6 @@ class Upf {
   /// effects); used by placement planners.
   [[nodiscard]] Duration mean_pipeline_latency() const;
 
-  /// Change offered load (e.g. from a placement study sweep).
-  void set_offered_load(double load);
-
  private:
   Config config_;
   RuleTable rules_;

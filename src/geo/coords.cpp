@@ -1,7 +1,7 @@
 #include "geo/coords.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numbers>
 
 namespace sixg::geo {
@@ -12,14 +12,7 @@ constexpr double kDegToRad = std::numbers::pi / 180.0;
 constexpr double kRadToDeg = 180.0 / std::numbers::pi;
 /// Signal velocity in standard single-mode fibre, km/s (n ≈ 1.468).
 constexpr double kFiberVelocityKmPerSec = 204'190.0;
-constexpr double kLightSpeedKmPerSec = 299'792.458;
 }  // namespace
-
-std::string LatLon::str() const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "(%.4f, %.4f)", lat_deg, lon_deg);
-  return buf;
-}
 
 double distance_km(const LatLon& a, const LatLon& b) {
   const double phi1 = a.lat_deg * kDegToRad;
@@ -31,25 +24,6 @@ double distance_km(const LatLon& a, const LatLon& b) {
   const double h =
       sin_dphi * sin_dphi + std::cos(phi1) * std::cos(phi2) * sin_dl * sin_dl;
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
-}
-
-double approx_distance_km(const LatLon& a, const LatLon& b) {
-  const double mean_lat = 0.5 * (a.lat_deg + b.lat_deg) * kDegToRad;
-  const double x = (b.lon_deg - a.lon_deg) * kDegToRad * std::cos(mean_lat);
-  const double y = (b.lat_deg - a.lat_deg) * kDegToRad;
-  return kEarthRadiusKm * std::sqrt(x * x + y * y);
-}
-
-double bearing_deg(const LatLon& a, const LatLon& b) {
-  const double phi1 = a.lat_deg * kDegToRad;
-  const double phi2 = b.lat_deg * kDegToRad;
-  const double dlambda = (b.lon_deg - a.lon_deg) * kDegToRad;
-  const double y = std::sin(dlambda) * std::cos(phi2);
-  const double x = std::cos(phi1) * std::sin(phi2) -
-                   std::sin(phi1) * std::cos(phi2) * std::cos(dlambda);
-  double brg = std::atan2(y, x) * kRadToDeg;
-  if (brg < 0.0) brg += 360.0;
-  return brg;
 }
 
 LatLon offset(const LatLon& origin, double dist_km, double bearing) {
@@ -68,10 +42,6 @@ LatLon offset(const LatLon& origin, double dist_km, double bearing) {
 
 double fiber_delay_us(double dist_km) {
   return dist_km / kFiberVelocityKmPerSec * 1e6;
-}
-
-double radio_delay_us(double dist_km) {
-  return dist_km / kLightSpeedKmPerSec * 1e6;
 }
 
 }  // namespace sixg::geo

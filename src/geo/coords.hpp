@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 namespace sixg::geo {
 
 /// WGS84 geographic coordinate (degrees).
@@ -10,18 +8,10 @@ struct LatLon {
   double lon_deg = 0.0;
 
   friend constexpr bool operator==(const LatLon&, const LatLon&) = default;
-  [[nodiscard]] std::string str() const;
 };
 
 /// Great-circle distance in kilometres (haversine, mean-Earth radius).
 [[nodiscard]] double distance_km(const LatLon& a, const LatLon& b);
-
-/// Fast planar approximation (equirectangular) — adequate below ~100 km,
-/// used in the per-cell mobility hot path.
-[[nodiscard]] double approx_distance_km(const LatLon& a, const LatLon& b);
-
-/// Initial bearing from `a` to `b` in degrees clockwise from north.
-[[nodiscard]] double bearing_deg(const LatLon& a, const LatLon& b);
 
 /// Destination point `dist_km` from `origin` along `bearing` (degrees).
 [[nodiscard]] LatLon offset(const LatLon& origin, double dist_km,
@@ -31,8 +21,5 @@ struct LatLon {
 /// light (≈ 5.0 us/km). The constant every latency budget in the paper's
 /// analysis rests on.
 [[nodiscard]] double fiber_delay_us(double dist_km);
-
-/// Straight-line (free-space) radio propagation delay in microseconds.
-[[nodiscard]] double radio_delay_us(double dist_km);
 
 }  // namespace sixg::geo

@@ -76,9 +76,4 @@ std::vector<CellIndex> SectorGrid::all_cells() const {
   return cells;
 }
 
-bool SectorGrid::is_border(CellIndex c) const {
-  SIXG_ASSERT(contains(c), "cell outside grid");
-  return c.row == 0 || c.row == rows_ - 1 || c.col == 0 || c.col == cols_ - 1;
-}
-
 }  // namespace sixg::geo

@@ -64,10 +64,6 @@ class SectorGrid {
   /// All cells in row-major order.
   [[nodiscard]] std::vector<CellIndex> all_cells() const;
 
-  /// True when the cell touches the sector boundary; the paper's
-  /// under-sampled (0.0) cells are all border cells.
-  [[nodiscard]] bool is_border(CellIndex c) const;
-
  private:
   LatLon origin_;
   int rows_;

@@ -264,19 +264,4 @@ void ShardedSimulator::run() {
   while (has_work()) step_window(now_ + config_.window);
 }
 
-void ShardedSimulator::run_until(TimePoint horizon) {
-  SIXG_OBS_GAUGE(obs::Metric::kShardLookaheadNs, double(config_.window.ns()));
-  SIXG_OBS_GAUGE(obs::Metric::kShardShards, double(shards_.size()));
-  while (now_ < horizon) {
-    const TimePoint next = now_ + config_.window;
-    step_window(next < horizon ? next : horizon);
-  }
-}
-
-std::uint64_t ShardedSimulator::processed_events() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.processed_events();
-  return total;
-}
-
 }  // namespace sixg::netsim

@@ -109,17 +109,11 @@ class ShardedSimulator {
   /// (periodic timers) never returns.
   void run();
 
-  /// Run whole windows while now() < horizon, clamping the final window
-  /// at `horizon`; the barrier clock lands exactly on the horizon.
-  void run_until(TimePoint horizon);
-
   /// Windows executed so far. During a window (i.e. from inside an
   /// executing action) this is the index of the current window.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
   /// Cross-shard messages delivered at barriers so far.
   [[nodiscard]] std::uint64_t messages() const { return messages_; }
-  /// Events processed across all shards.
-  [[nodiscard]] std::uint64_t processed_events() const;
 
  private:
   struct Message {

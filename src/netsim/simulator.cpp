@@ -79,12 +79,6 @@ Simulator::TimerHandle Simulator::arm_timer(Duration first_delay,
   return TimerHandle{this, idx, generation};
 }
 
-Simulator::TimerHandle Simulator::schedule_periodic(Duration period,
-                                                    Action action) {
-  SIXG_ASSERT(period > Duration{}, "period must be positive");
-  return arm_timer(period, period, std::move(action));
-}
-
 Simulator::TimerHandle Simulator::schedule_every(Duration first_delay,
                                                  Duration period,
                                                  Action action) {

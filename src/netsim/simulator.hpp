@@ -51,15 +51,10 @@ class Simulator {
 
   /// Cancellation token for wheel-backed timers (see below).
   class TimerHandle;
-  using PeriodicHandle = TimerHandle;
 
-  /// Schedule `action` every `period`, starting at now() + period, until
-  /// the simulation stops or the returned handle is cancelled.
-  TimerHandle schedule_periodic(Duration period, Action action);
-
-  /// Like schedule_periodic, but the first firing is at now() +
-  /// `first_delay` (which may be zero) and subsequent firings follow at
-  /// `period` intervals — phase-offset pacing loops (measurement
+  /// Schedule `action` at now() + `first_delay` (which may be zero) and
+  /// then every `period`, until the simulation stops or the returned
+  /// handle is cancelled — phase-offset pacing loops (measurement
   /// cadences, frame clocks) without a wrapper event.
   TimerHandle schedule_every(Duration first_delay, Duration period,
                              Action action);

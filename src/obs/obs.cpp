@@ -224,11 +224,6 @@ void Runtime::disable() {
   detail::g_flags.store(0, std::memory_order_relaxed);
 }
 
-Config Runtime::config() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return config_;
-}
-
 Duration Runtime::sample_every() const {
   std::lock_guard<std::mutex> lk(mu_);
   return config_.sample_every;
@@ -310,12 +305,6 @@ void Runtime::end_scenario_locked() {
   workers_.clear();
   scenario_open_ = false;
   scenario_name_.clear();
-}
-
-Scope* Runtime::main_scope() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!main_) main_ = std::make_unique<Scope>(0, "main");
-  return main_.get();
 }
 
 Scope* Runtime::shard_scope(std::uint32_t shard) {

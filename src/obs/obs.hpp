@@ -215,7 +215,6 @@ class Runtime {
   void configure(const Config& config);
   /// Turn all probes off (records are kept for export).
   void disable();
-  [[nodiscard]] Config config() const;
   [[nodiscard]] Duration sample_every() const;
 
   /// Open/close one named metrics+trace section. end_scenario merges
@@ -224,7 +223,6 @@ class Runtime {
   void begin_scenario(std::string name);
   void end_scenario();
 
-  [[nodiscard]] Scope* main_scope();
   /// Shard k's scope (created on demand); trace tid 1 + k.
   [[nodiscard]] Scope* shard_scope(std::uint32_t shard);
   /// A fresh worker scope for a spawned thread (ParallelRunner calls

@@ -4,21 +4,8 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "stats/distributions.hpp"
 
 namespace sixg::oran {
-
-const char* to_string(ControlPlacement p) {
-  switch (p) {
-    case ControlPlacement::kDistributed:
-      return "distributed (gNB)";
-    case ControlPlacement::kNearRtRic:
-      return "Near-RT RIC";
-    case ControlPlacement::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
 
 NearRtRic::NearRtRic(Config config) : config_(config) {
   SIXG_ASSERT(config_.decision_capacity_per_sec > 0, "capacity must be > 0");
@@ -30,18 +17,6 @@ double NearRtRic::utilization() const {
       0.97);
 }
 
-Duration NearRtRic::sample_control_loop(Rng& rng) const {
-  const double u = utilization();
-  const double service_ms = 1000.0 / config_.decision_capacity_per_sec;
-  const double wait_ms = service_ms * u / (1.0 - u);
-  Duration d = config_.e2_transport + config_.e2_transport;
-  d += config_.xapp_inference *
-       stats::Lognormal::from_median(1.0, 0.25).sample(rng);
-  d += Duration::from_millis_f(
-      stats::ShiftedExponential{0.0, wait_ms}.sample(rng));
-  return d;
-}
-
 Duration NearRtRic::expected_control_loop() const {
   const double u = utilization();
   const double service_ms = 1000.0 / config_.decision_capacity_per_sec;
@@ -50,17 +25,6 @@ Duration NearRtRic::expected_control_loop() const {
       config_.xapp_inference.ms() * std::exp(0.25 * 0.25 / 2.0);
   return config_.e2_transport + config_.e2_transport +
          Duration::from_millis_f(inference_mean + wait_ms);
-}
-
-void NearRtRic::set_offered_rate(double per_sec) {
-  SIXG_ASSERT(per_sec >= 0, "rate must be non-negative");
-  config_.offered_rate_per_sec = per_sec;
-}
-
-Duration Smo::sample_policy_propagation(Rng& rng) const {
-  return config_.a1_transport +
-         config_.policy_processing *
-             stats::Lognormal::from_median(1.0, 0.3).sample(rng);
 }
 
 }  // namespace sixg::oran

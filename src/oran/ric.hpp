@@ -1,24 +1,8 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/rng.hpp"
 #include "common/time.hpp"
 
 namespace sixg::oran {
-
-/// Where a control decision is taken. The paper's Section V-C argues for
-/// a *hybrid*: per-TTI decisions cannot leave the gNB, while policy-level
-/// decisions benefit from the Near-RT RIC's global view.
-enum class ControlPlacement : std::uint8_t {
-  kDistributed,  ///< at the gNB/DU (real-time scheduler)
-  kNearRtRic,    ///< at the Near-RT RIC over E2 (10 ms - 1 s loop)
-  kHybrid,       ///< gNB acts immediately, RIC refines asynchronously
-};
-
-[[nodiscard]] const char* to_string(ControlPlacement p);
 
 /// Near-Real-Time RAN Intelligent Controller: hosts xApps, terminates E2.
 /// Models the control-loop latency (E2 report + xApp inference + E2
@@ -38,52 +22,12 @@ class NearRtRic {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Latency of one full E2 loop: report -> queue -> inference -> control.
-  [[nodiscard]] Duration sample_control_loop(Rng& rng) const;
-
   /// Deterministic mean (M/M/1 queue around the inference stage).
   [[nodiscard]] Duration expected_control_loop() const;
-
-  void set_offered_rate(double per_sec);
 
  private:
   [[nodiscard]] double utilization() const;
   Config config_;
-};
-
-/// An xApp as the SMO sees it: a named control application with a
-/// subscription period. Used by the SMO deployment model and the QoS xApp.
-struct XAppDescriptor {
-  std::string name;
-  Duration subscription_period = Duration::from_millis_f(100);
-  ControlPlacement placement = ControlPlacement::kNearRtRic;
-};
-
-/// Service Management & Orchestration: deploys xApps and propagates policy
-/// updates (A1). The model exposes how long a policy change takes to reach
-/// the RAN — the non-real-time half of the paper's control-plane story.
-class Smo {
- public:
-  struct Config {
-    Duration a1_transport = Duration::from_millis_f(12);
-    Duration deployment_overhead = Duration::seconds(2);
-    Duration policy_processing = Duration::from_millis_f(40);
-  };
-
-  explicit Smo(Config config) : config_(config) {}
-  Smo() : Smo(Config{}) {}
-
-  void deploy(XAppDescriptor xapp) { xapps_.push_back(std::move(xapp)); }
-  [[nodiscard]] const std::vector<XAppDescriptor>& xapps() const {
-    return xapps_;
-  }
-
-  /// Time for a policy update to become active in the RIC.
-  [[nodiscard]] Duration sample_policy_propagation(Rng& rng) const;
-
- private:
-  Config config_;
-  std::vector<XAppDescriptor> xapps_;
 };
 
 }  // namespace sixg::oran

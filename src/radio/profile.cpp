@@ -51,19 +51,4 @@ AccessProfile AccessProfile::sixg() {
   return p;
 }
 
-AccessProfile AccessProfile::wired_access() {
-  AccessProfile p;
-  p.name = "wired";
-  p.tti = 0_us;
-  p.sr_period = 0_us;
-  p.grant_delay = 0_us;
-  p.harq_rtt = 0_us;
-  p.ue_processing = 100_us;
-  p.gnb_processing = 0_us;
-  p.ran_edge_delay = 100_us;
-  p.base_bler = 0.0;
-  p.queue_scale_ms = 0.2;
-  return p;
-}
-
 }  // namespace sixg::radio

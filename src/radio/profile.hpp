@@ -33,10 +33,6 @@ struct AccessProfile {
 
   /// 6G target per She et al. [5]: 100 us-class radio latency.
   [[nodiscard]] static AccessProfile sixg();
-
-  /// Fixed-line access for the wired comparison population; modelled as a
-  /// degenerate "radio" with no scheduling wait.
-  [[nodiscard]] static AccessProfile wired_access();
 };
 
 }  // namespace sixg::radio

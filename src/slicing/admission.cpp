@@ -41,34 +41,7 @@ std::optional<SliceAdmission::Admitted> SliceAdmission::admit(
 
   Admitted a{spec.id, path};
   admitted_.push_back(a);
-  specs_.push_back(spec);
   return a;
-}
-
-bool SliceAdmission::release(std::uint32_t slice_id) {
-  for (std::size_t i = 0; i < admitted_.size(); ++i) {
-    if (admitted_[i].slice_id != slice_id) continue;
-    for (const topo::LinkId link : admitted_[i].path.links())
-      reserved_bps_[std::size_t(link.value())] -=
-          specs_[i].guaranteed_rate.bits_per_second();
-    admitted_.erase(admitted_.begin() + std::ptrdiff_t(i));
-    specs_.erase(specs_.begin() + std::ptrdiff_t(i));
-    return true;
-  }
-  return false;
-}
-
-DataRate SliceAdmission::reserved_on(topo::LinkId link) const {
-  const auto idx = std::size_t(link.value());
-  if (idx >= reserved_bps_.size()) return DataRate::bps(0);
-  return DataRate::bps(reserved_bps_[idx]);
-}
-
-double SliceAdmission::reservation_ratio(topo::LinkId link) const {
-  const double limit = double(net_->link(link).capacity.bits_per_second()) *
-                       config_.reservable_share;
-  if (limit <= 0.0) return 0.0;
-  return double(reserved_on(link).bits_per_second()) / limit;
 }
 
 }  // namespace sixg::slicing

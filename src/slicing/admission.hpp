@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/units.hpp"
 #include "slicing/slice.hpp"
 #include "topo/network.hpp"
 
@@ -37,15 +36,6 @@ class SliceAdmission {
                                               topo::NodeId from,
                                               topo::NodeId to);
 
-  /// Release a previously admitted slice.
-  bool release(std::uint32_t slice_id);
-
-  /// Reserved rate on a link.
-  [[nodiscard]] DataRate reserved_on(topo::LinkId link) const;
-
-  /// Utilisation of the reservable share of a link, in [0,1].
-  [[nodiscard]] double reservation_ratio(topo::LinkId link) const;
-
   [[nodiscard]] std::size_t admitted_count() const {
     return admitted_.size();
   }
@@ -55,7 +45,6 @@ class SliceAdmission {
   Config config_;
   std::vector<std::int64_t> reserved_bps_;  // by link id value
   std::vector<Admitted> admitted_;
-  std::vector<SliceSpec> specs_;
 };
 
 }  // namespace sixg::slicing

@@ -68,58 +68,4 @@ void ShiftedExponential::sample_into(std::span<double> out, Rng& rng) const {
   }
 }
 
-double Gamma::sample(Rng& rng) const {
-  SIXG_ASSERT(shape_ > 0.0 && scale_ > 0.0, "gamma parameters must be > 0");
-  double k = shape_;
-  double boost = 1.0;
-  if (k < 1.0) {
-    // Boost trick: Gamma(k) = Gamma(k+1) * U^(1/k).
-    boost = std::pow(rng.uniform(), 1.0 / k);
-    k += 1.0;
-  }
-  const double d = k - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x;
-    double v;
-    do {
-      x = sample_normal(rng, 0.0, 1.0);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = rng.uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return boost * d * v * scale_;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v)))
-      return boost * d * v * scale_;
-  }
-}
-
-double TruncatedNormal::sample(Rng& rng) const {
-  // Rejection; for our parameterisations the floor is well below the mean,
-  // so acceptance is near 1 and this cannot loop pathologically.
-  for (int i = 0; i < 1024; ++i) {
-    const double x = sample_normal(rng, mean_, stddev_);
-    if (x >= floor_) return x;
-  }
-  return floor_;
-}
-
-std::uint64_t sample_poisson(Rng& rng, double lambda) {
-  SIXG_ASSERT(lambda >= 0.0, "poisson rate must be non-negative");
-  if (lambda == 0.0) return 0;
-  if (lambda < 64.0) {
-    const double limit = std::exp(-lambda);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= rng.uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction.
-  const double x = sample_normal(rng, lambda, std::sqrt(lambda));
-  return x <= 0.0 ? 0 : std::uint64_t(x + 0.5);
-}
-
 }  // namespace sixg::stats

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 
 #include "common/rng.hpp"
@@ -56,36 +55,5 @@ class ShiftedExponential {
   double shift_;
   double mean_excess_;
 };
-
-/// Gamma(k, theta) via Marsaglia–Tsang; used for per-hop processing jitter.
-class Gamma {
- public:
-  Gamma(double shape, double scale) : shape_(shape), scale_(scale) {}
-
-  [[nodiscard]] double sample(Rng& rng) const;
-  [[nodiscard]] double mean() const { return shape_ * scale_; }
-
- private:
-  double shape_;
-  double scale_;
-};
-
-/// Normal truncated below at `floor` (resampled); keeps latency samples
-/// physical (never below the propagation bound).
-class TruncatedNormal {
- public:
-  TruncatedNormal(double mean, double stddev, double floor)
-      : mean_(mean), stddev_(stddev), floor_(floor) {}
-
-  [[nodiscard]] double sample(Rng& rng) const;
-
- private:
-  double mean_;
-  double stddev_;
-  double floor_;
-};
-
-/// Poisson counts (Knuth for small lambda, normal approximation above 64).
-[[nodiscard]] std::uint64_t sample_poisson(Rng& rng, double lambda);
 
 }  // namespace sixg::stats

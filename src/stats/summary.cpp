@@ -32,19 +32,12 @@ void Summary::merge(const Summary& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void Summary::reset() { *this = Summary{}; }
-
 double Summary::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / double(n_ - 1);
 }
 
 double Summary::stddev() const { return std::sqrt(variance()); }
-
-double Summary::sem() const {
-  if (n_ < 2) return 0.0;
-  return stddev() / std::sqrt(double(n_));
-}
 
 void Summary::to(std::string& out) const {
   char buf[160];

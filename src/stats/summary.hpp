@@ -14,7 +14,6 @@ class Summary {
  public:
   void add(double x);
   void merge(const Summary& other);
-  void reset();
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
@@ -25,9 +24,6 @@ class Summary {
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return mean_ * double(n_); }
-
-  /// Standard error of the mean.
-  [[nodiscard]] double sem() const;
 
   [[nodiscard]] std::string str() const;
   /// Append the str() rendering to `out` without constructing a fresh

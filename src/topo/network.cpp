@@ -162,16 +162,6 @@ const Link& Network::link(LinkId id) const {
   return links_[id.value()];
 }
 
-const AutonomousSystem& Network::as_of(AsId id) const {
-  SIXG_ASSERT(id.value() < ases_.size(), "unknown AS");
-  return ases_[id.value()];
-}
-
-std::size_t Network::link_count() const {
-  return std::size_t(
-      std::count(link_alive_.begin(), link_alive_.end(), true));
-}
-
 std::optional<NodeId> Network::find_node(std::string_view name) const {
   for (const Node& n : nodes_)
     if (n.name == name) return n.id;
@@ -181,12 +171,6 @@ std::optional<NodeId> Network::find_node(std::string_view name) const {
 std::span<const LinkId> Network::links_of(NodeId n) const {
   SIXG_ASSERT(n.value() < nodes_.size(), "unknown node");
   return adjacency_[n.value()];
-}
-
-NodeId Network::peer_of(LinkId l, NodeId n) const {
-  const Link& lk = link(l);
-  SIXG_ASSERT(lk.a == n || lk.b == n, "node not an endpoint of link");
-  return lk.a == n ? lk.b : lk.a;
 }
 
 // ---------------------------------------------------------------------------

@@ -112,9 +112,7 @@ class Network {
   // -- accessors ------------------------------------------------------------
   [[nodiscard]] const Node& node(NodeId id) const;
   [[nodiscard]] const Link& link(LinkId id) const;
-  [[nodiscard]] const AutonomousSystem& as_of(AsId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t link_count() const;
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
   [[nodiscard]] std::optional<NodeId> find_node(std::string_view name) const;
 
@@ -123,9 +121,6 @@ class Network {
   /// topology mutation (add_link/remove_link/restore_link/add_node);
   /// snapshot into a vector when iterating across mutations.
   [[nodiscard]] std::span<const LinkId> links_of(NodeId n) const;
-
-  /// Other endpoint of `l` as seen from `n`.
-  [[nodiscard]] NodeId peer_of(LinkId l, NodeId n) const;
 
   // -- routing --------------------------------------------------------------
   /// Best policy-compliant AS-level route from every AS towards `dst`.

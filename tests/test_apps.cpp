@@ -36,15 +36,6 @@ TEST(Protocols, RelativeOrdering) {
   EXPECT_LT(mqtt, amqp);
 }
 
-TEST(Protocols, AckSemantics) {
-  EXPECT_TRUE(ProtocolOverheadModel::requires_ack_roundtrip(
-      IotProtocol::kMqtt));
-  EXPECT_TRUE(ProtocolOverheadModel::requires_ack_roundtrip(
-      IotProtocol::kAmqp));
-  EXPECT_FALSE(ProtocolOverheadModel::requires_ack_roundtrip(
-      IotProtocol::kCoap));
-}
-
 TEST(Protocols, SampleMeanTracksExpectation) {
   Rng rng{1};
   stats::Summary s;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "common/ids.hpp"
 #include "common/log.hpp"
@@ -247,26 +246,10 @@ TEST(TextTable, BufferAppendMatchesStr) {
   EXPECT_EQ(buf, "before\n" + t.str());
 }
 
-TEST(TextTable, CsvEscapesSpecialCharacters) {
-  TextTable t{{"a", "b"}};
-  t.add_row({"x,y", "quote\"inside"});
-  const std::string csv = t.csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-}
-
 TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
   EXPECT_EQ(TextTable::integer(-42), "-42");
-}
-
-TEST(TextTable, StreamOperator) {
-  TextTable t{{"h"}};
-  t.add_row({"v"});
-  std::ostringstream os;
-  os << t;
-  EXPECT_EQ(os.str(), t.str());
 }
 
 // ---------------------------------------------------------------- Log

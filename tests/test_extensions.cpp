@@ -1,10 +1,9 @@
-// Tests for the extension/future-work models: mmWave PHY, video pipeline,
-// federated learning rounds, gNB energy.
+// Tests for the extension/future-work models: mmWave PHY, federated
+// learning rounds, gNB energy.
 
 #include <gtest/gtest.h>
 
 #include "apps/federated.hpp"
-#include "apps/video.hpp"
 #include "radio/energy.hpp"
 #include "radio/mmwave.hpp"
 #include "stats/histogram.hpp"
@@ -54,54 +53,6 @@ TEST(MmWavePhy, BlerAddsHarqDelay) {
     b.add(pb.sample_one_way(rng_b).ms());
   }
   EXPECT_GT(b.mean(), a.mean() + 0.3);
-}
-
-// ---------------------------------------------------------------- video
-
-TEST(VideoPipeline, FastNetworkDeliversOnTime) {
-  apps::VideoPipeline::Config config;
-  config.frames = 6000;
-  const apps::VideoPipeline pipeline{
-      [](Rng&) { return Duration::from_millis_f(2.0); }, config};
-  const auto report = pipeline.run();
-  EXPECT_GT(report.on_time_share, 0.98);
-  EXPECT_LT(report.glass_to_glass_ms.mean(), 16.0);
-}
-
-TEST(VideoPipeline, SlowNetworkStalls) {
-  apps::VideoPipeline::Config config;
-  config.frames = 6000;
-  const apps::VideoPipeline pipeline{
-      [](Rng&) { return Duration::from_millis_f(90.0); }, config};
-  const auto report = pipeline.run();
-  EXPECT_LT(report.on_time_share, 0.05);
-  EXPECT_GT(report.stall_share, 0.95);
-}
-
-TEST(VideoPipeline, JitterBufferTradesLatencyForSmoothness) {
-  apps::VideoPipeline::Config no_buffer;
-  no_buffer.frames = 8000;
-  no_buffer.jitter_buffer_frames = 0.0;
-  apps::VideoPipeline::Config buffered = no_buffer;
-  buffered.jitter_buffer_frames = 2.0;
-  const auto jittery_rtt = [](Rng& rng) {
-    return Duration::from_millis_f(8.0 + 30.0 * rng.uniform());
-  };
-  const auto a = apps::VideoPipeline{jittery_rtt, no_buffer}.run();
-  const auto b = apps::VideoPipeline{jittery_rtt, buffered}.run();
-  EXPECT_GT(b.on_time_share, a.on_time_share);
-}
-
-TEST(VideoPipeline, SharesSumToOne) {
-  apps::VideoPipeline::Config config;
-  config.frames = 3000;
-  const apps::VideoPipeline pipeline{
-      [](Rng& rng) { return Duration::from_millis_f(10.0 + 20.0 *
-                                                    rng.uniform()); },
-      config};
-  const auto report = pipeline.run();
-  EXPECT_NEAR(report.on_time_share + report.stall_share, 1.0, 1e-9);
-  EXPECT_EQ(report.frames, 3000u);
 }
 
 // ---------------------------------------------------------------- federated

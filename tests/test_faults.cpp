@@ -224,29 +224,6 @@ TEST(AcceleratorFaults, FailLosesInflightThenQueueInFifoOrder) {
   EXPECT_EQ(server.completed(), 1u);
 }
 
-TEST(AcceleratorFaults, DrainFinishesQueuedWorkButRejectsNew) {
-  Simulator sim;
-  AcceleratorServer server{sim, AcceleratorProfile::edge_gpu(),
-                           edgeai::ModelZoo::at("det-base"), small_batches()};
-  std::vector<std::uint32_t> completed;
-  server.set_completion_sink(
-      [&](std::uint32_t slot, std::uint64_t, const AcceleratorServer::Completion&) {
-        completed.push_back(slot);
-      });
-  ASSERT_TRUE(server.submit(0));
-  ASSERT_TRUE(server.submit(1));
-  server.drain();
-  EXPECT_EQ(server.health(), ServerHealth::kDraining);
-  EXPECT_FALSE(server.accepting());
-  EXPECT_FALSE(server.submit(2));
-  EXPECT_EQ(server.rejected_unhealthy(), 1u);
-  sim.run();
-  EXPECT_EQ(completed, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(server.lost_to_crashes(), 0u);
-  server.recover();
-  EXPECT_TRUE(server.accepting());
-}
-
 TEST(AcceleratorFaults, StragglerMultiplierStretchesServiceTime) {
   const auto run_one = [](double multiplier) {
     Simulator sim;

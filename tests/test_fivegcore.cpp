@@ -127,15 +127,6 @@ TEST(RuleTable, UpdateOfPrioritisedRuleKeepsPrecedenceOrder) {
   EXPECT_EQ(table.lookup(300).scanned, 2u);
 }
 
-TEST(RuleTable, RemoveRule) {
-  RuleTable table{RuleTable::Mode::kLinearScan};
-  (void)table.add_rule(PdrRule{1, 100, 1, 0});
-  EXPECT_TRUE(table.remove_rule(1).has_value());
-  EXPECT_FALSE(table.remove_rule(1).has_value());
-  EXPECT_FALSE(table.lookup(100).matched);
-  EXPECT_EQ(table.size(), 0u);
-}
-
 TEST(RuleTable, HitsAccounting) {
   RuleTable table{RuleTable::Mode::kLinearScan};
   (void)table.add_rule(PdrRule{1, 100, 1, 0});
@@ -185,12 +176,6 @@ TEST(Upf, LoadRaisesLatency) {
     b.add(busy.sample_packet_latency(42, rng_b).us());
   }
   EXPECT_GT(b.mean(), a.mean());
-}
-
-TEST(Upf, SetOfferedLoadValidated) {
-  Upf upf{Upf::Config{}};
-  upf.set_offered_load(0.5);
-  EXPECT_DOUBLE_EQ(upf.config().offered_load, 0.5);
 }
 
 // ---------------------------------------------------------------- placement

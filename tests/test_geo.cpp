@@ -28,13 +28,6 @@ TEST(Coords, DistanceIsAMetric) {
   EXPECT_LE(distance_km(a, c), distance_km(a, b) + distance_km(b, c) + 1e-9);
 }
 
-TEST(Coords, ApproxMatchesHaversineLocally) {
-  const LatLon a{46.62, 14.31};
-  const LatLon b{46.70, 14.40};  // ~11 km away
-  EXPECT_NEAR(approx_distance_km(a, b), distance_km(a, b),
-              distance_km(a, b) * 0.01);
-}
-
 TEST(Coords, OffsetRoundTrip) {
   const LatLon origin{46.6, 14.3};
   for (double bearing : {0.0, 90.0, 180.0, 270.0, 45.0}) {
@@ -43,17 +36,22 @@ TEST(Coords, OffsetRoundTrip) {
   }
 }
 
-TEST(Coords, BearingCardinalDirections) {
+// SectorGrid::cell_center walks south (180) then east (90) with offset().
+TEST(Coords, OffsetMovesAlongBearing) {
   const LatLon origin{46.6, 14.3};
-  EXPECT_NEAR(bearing_deg(origin, offset(origin, 5.0, 0.0)), 0.0, 0.5);
-  EXPECT_NEAR(bearing_deg(origin, offset(origin, 5.0, 90.0)), 90.0, 0.5);
-  EXPECT_NEAR(bearing_deg(origin, offset(origin, 5.0, 180.0)), 180.0, 0.5);
+  const LatLon north = offset(origin, 5.0, 0.0);
+  EXPECT_GT(north.lat_deg, origin.lat_deg);
+  EXPECT_NEAR(north.lon_deg, origin.lon_deg, 1e-9);
+  const LatLon east = offset(origin, 5.0, 90.0);
+  EXPECT_GT(east.lon_deg, origin.lon_deg);
+  EXPECT_NEAR(east.lat_deg, origin.lat_deg, 1e-3);
+  const LatLon south = offset(origin, 5.0, 180.0);
+  EXPECT_LT(south.lat_deg, origin.lat_deg);
 }
 
 TEST(Coords, FiberDelayMagnitude) {
   // ~5 us/km: 200 km => ~1 ms one way.
   EXPECT_NEAR(fiber_delay_us(200.0), 980.0, 30.0);
-  EXPECT_LT(radio_delay_us(100.0), fiber_delay_us(100.0));
 }
 
 // ---------------------------------------------------------------- grid
@@ -113,18 +111,6 @@ TEST(Grid, CellGeometry) {
   const double d = distance_km(grid.cell_center(CellIndex{2, 2}),
                                grid.cell_center(CellIndex{2, 3}));
   EXPECT_NEAR(d, grid.cell_size_km(), 0.02);
-}
-
-TEST(Grid, BorderClassification) {
-  const SectorGrid grid = SectorGrid::klagenfurt_sector();
-  EXPECT_TRUE(grid.is_border(CellIndex{0, 3}));
-  EXPECT_TRUE(grid.is_border(CellIndex{5, 0}));
-  EXPECT_TRUE(grid.is_border(CellIndex{2, 6}));
-  EXPECT_FALSE(grid.is_border(CellIndex{2, 2}));
-  int border = 0;
-  for (const CellIndex c : grid.all_cells())
-    if (grid.is_border(c)) ++border;
-  EXPECT_EQ(border, 2 * 7 + 2 * 6 - 4);
 }
 
 TEST(Grid, FlatUnflatRoundTrip) {

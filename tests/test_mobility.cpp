@@ -5,7 +5,6 @@
 #include "geo/grid.hpp"
 #include "geo/population.hpp"
 #include "mobility/drive_plan.hpp"
-#include "mobility/waypoint.hpp"
 
 namespace sixg::mobility {
 namespace {
@@ -106,43 +105,6 @@ TEST_F(DrivePlanFixture, RespectsTotalDuration) {
   // The walk stops at the first visit that crosses the horizon.
   EXPECT_GE(plan.total_duration().sec(), 1800.0);
   EXPECT_LT(plan.total_duration().sec(), 1800.0 + 300.0);
-}
-
-// ---------------------------------------------------------------- waypoint
-
-TEST(RandomWaypoint, StaysInsideArea) {
-  RandomWaypoint::Params params;
-  params.area_origin = {46.62, 14.30};
-  params.area_width_km = 1.0;
-  params.area_height_km = 1.0;
-  RandomWaypoint model{params, 3};
-  for (int s = 0; s <= 600; s += 5) {
-    const geo::LatLon pos = model.position_at(TimePoint{} +
-                                              Duration::seconds(s));
-    EXPECT_LE(pos.lat_deg, params.area_origin.lat_deg + 1e-6);
-    EXPECT_GE(pos.lon_deg, params.area_origin.lon_deg - 1e-6);
-    const double south = geo::distance_km(
-        {params.area_origin.lat_deg, pos.lon_deg},
-        {pos.lat_deg, pos.lon_deg});
-    EXPECT_LE(south, params.area_height_km + 0.02);
-  }
-}
-
-TEST(RandomWaypoint, MovesAtBoundedSpeed) {
-  RandomWaypoint::Params params;
-  params.area_origin = {46.62, 14.30};
-  params.speed_kmh_min = 2.0;
-  params.speed_kmh_max = 4.0;
-  params.pause_max = Duration{};
-  RandomWaypoint model{params, 4};
-  geo::LatLon prev = model.position_at(TimePoint{});
-  for (int s = 1; s <= 300; ++s) {
-    const geo::LatLon pos =
-        model.position_at(TimePoint{} + Duration::seconds(s));
-    const double km = geo::distance_km(prev, pos);
-    EXPECT_LE(km, 4.2 / 3600.0);  // max speed + slack
-    prev = pos;
-  }
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ TEST(Simulator, RunUntilHorizon) {
 TEST(Simulator, PeriodicFiresAtPeriod) {
   Simulator sim;
   int fired = 0;
-  auto handle = sim.schedule_periodic(10_ms, [&] { ++fired; });
+  auto handle = sim.schedule_every(10_ms, 10_ms, [&] { ++fired; });
   sim.run_until(TimePoint{} + 55_ms);
   EXPECT_EQ(fired, 5);
   EXPECT_TRUE(handle.active());
@@ -105,7 +105,7 @@ TEST(Simulator, PeriodicFiresAtPeriod) {
 TEST(Simulator, PeriodicCancelStopsFiring) {
   Simulator sim;
   int fired = 0;
-  auto handle = sim.schedule_periodic(10_ms, [&] { ++fired; });
+  auto handle = sim.schedule_every(10_ms, 10_ms, [&] { ++fired; });
   sim.schedule_after(25_ms, [&] { handle.cancel(); });
   sim.run_until(TimePoint{} + 100_ms);
   EXPECT_EQ(fired, 2);
@@ -115,8 +115,8 @@ TEST(Simulator, PeriodicCancelStopsFiring) {
 TEST(Simulator, PeriodicSelfCancelFromAction) {
   Simulator sim;
   int fired = 0;
-  Simulator::PeriodicHandle handle;
-  handle = sim.schedule_periodic(5_ms, [&] {
+  Simulator::TimerHandle handle;
+  handle = sim.schedule_every(5_ms, 5_ms, [&] {
     if (++fired == 3) handle.cancel();
   });
   sim.run_until(TimePoint{} + 200_ms);
@@ -274,8 +274,8 @@ TEST(Simulator, RunUntilAdvancesClockToHorizonEvenAfterStop) {
 TEST(Simulator, PeriodicCancelFromInsideOwnActionIsImmediate) {
   Simulator sim;
   int fired = 0;
-  Simulator::PeriodicHandle handle;
-  handle = sim.schedule_periodic(5_ms, [&] {
+  Simulator::TimerHandle handle;
+  handle = sim.schedule_every(5_ms, 5_ms, [&] {
     ++fired;
     handle.cancel();  // first firing disarms the timer
     EXPECT_FALSE(handle.active());
@@ -383,7 +383,7 @@ TEST(Simulator, PeriodicAndOneShotAtEqualTimeKeepFifoOrder) {
   Simulator sim;
   std::vector<std::string> order;
   sim.schedule_at(TimePoint{} + 20_ms, [&] { order.push_back("oneshot"); });
-  auto handle = sim.schedule_periodic(10_ms, [&] {
+  auto handle = sim.schedule_every(10_ms, 10_ms, [&] {
     order.push_back("periodic@" + std::to_string(sim.now().ns() / 1000000));
   });
   sim.run_until(TimePoint{} + 25_ms);

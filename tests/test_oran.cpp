@@ -3,7 +3,6 @@
 #include "oran/handover.hpp"
 #include "oran/qos_xapp.hpp"
 #include "oran/ric.hpp"
-#include "stats/summary.hpp"
 
 namespace sixg::oran {
 namespace {
@@ -18,40 +17,11 @@ TEST(NearRtRic, LoopLatencyInNearRtBand) {
   EXPECT_LT(ms, 1000.0);
 }
 
-TEST(NearRtRic, SampledMeanTracksExpectation) {
-  const NearRtRic ric{NearRtRic::Config{}};
-  Rng rng{1};
-  stats::Summary s;
-  for (int i = 0; i < 40000; ++i)
-    s.add(ric.sample_control_loop(rng).ms());
-  EXPECT_NEAR(s.mean() / ric.expected_control_loop().ms(), 1.0, 0.05);
-}
-
 TEST(NearRtRic, QueueingGrowsWithOfferedRate) {
   NearRtRic idle{NearRtRic::Config{.offered_rate_per_sec = 100.0}};
   NearRtRic busy{NearRtRic::Config{.offered_rate_per_sec = 3900.0}};
   EXPECT_GT(busy.expected_control_loop().ms(),
             idle.expected_control_loop().ms());
-}
-
-TEST(NearRtRic, SetOfferedRate) {
-  NearRtRic ric{NearRtRic::Config{}};
-  const double before = ric.expected_control_loop().ms();
-  ric.set_offered_rate(3950.0);
-  EXPECT_GT(ric.expected_control_loop().ms(), before);
-}
-
-TEST(Smo, DeploymentAndPolicyPropagation) {
-  Smo smo;
-  smo.deploy(XAppDescriptor{"qos-xapp", Duration::from_millis_f(100),
-                            ControlPlacement::kNearRtRic});
-  smo.deploy(XAppDescriptor{"mobility-xapp", Duration::from_millis_f(50),
-                            ControlPlacement::kHybrid});
-  EXPECT_EQ(smo.xapps().size(), 2u);
-  Rng rng{2};
-  const Duration d = smo.sample_policy_propagation(rng);
-  EXPECT_GT(d.ms(), 10.0);   // A1 + processing is non-real-time
-  EXPECT_LT(d.ms(), 1000.0);
 }
 
 // ---------------------------------------------------------------- handover

@@ -188,7 +188,6 @@ TEST(ScenarioResult, KeepsEmissionOrderAndFilteredViews) {
   result.add_anchor("second", 2.5, "other");
 
   EXPECT_EQ(result.items().size(), 5u);
-  EXPECT_EQ(result.table_count(), 1u);
   const auto anchors = result.anchors();
   ASSERT_EQ(anchors.size(), 2u);
   EXPECT_EQ(anchors[0]->what, "metric");

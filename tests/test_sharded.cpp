@@ -74,21 +74,6 @@ TEST(ShardedSimulator, OneShardReplaysThePlainSimulatorTimeline) {
   EXPECT_EQ(sharded.messages(), 0u);
 }
 
-TEST(ShardedSimulator, RunUntilLandsOnTheHorizonAndKeepsLateEvents) {
-  ShardedSimulator::Config config;
-  config.shards = 2;
-  config.window = Duration::millis(1);
-  ShardedSimulator sharded{config};
-  int fired = 0;
-  sharded.shard(1).schedule_at(TimePoint{} + Duration::millis(10),
-                               [&fired] { ++fired; });
-  sharded.run_until(TimePoint{} + Duration::from_millis_f(3.5));
-  EXPECT_EQ(sharded.now().ns(), Duration::from_millis_f(3.5).ns());
-  EXPECT_EQ(fired, 0);
-  sharded.run();
-  EXPECT_EQ(fired, 1);
-}
-
 /// Shared state of the cross-shard message storm. Each shard owns its
 /// RNG and its log; events hop shards through post() with a latency of
 /// at least one window (the conservative contract), or reschedule

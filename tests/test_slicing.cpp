@@ -62,23 +62,6 @@ TEST_F(AdmissionFixture, CapacityExhaustionRejects) {
                               peered_->university_probe).has_value());
 }
 
-TEST_F(AdmissionFixture, ReservationsAccumulateAndRelease) {
-  SliceAdmission admission{peered_->net, SliceAdmission::Config{}};
-  const auto spec = SliceSpec::ar_gaming(1);
-  const auto admitted = admission.admit(spec, peered_->mobile_ue,
-                                        peered_->university_probe);
-  ASSERT_TRUE(admitted.has_value());
-  ASSERT_FALSE(admitted->path.links().empty());
-  const topo::LinkId first = admitted->path.links().front();
-  EXPECT_EQ(admission.reserved_on(first).bits_per_second(),
-            spec.guaranteed_rate.bits_per_second());
-  EXPECT_GT(admission.reservation_ratio(first), 0.0);
-
-  EXPECT_TRUE(admission.release(1));
-  EXPECT_EQ(admission.reserved_on(first).bits_per_second(), 0);
-  EXPECT_FALSE(admission.release(1));
-}
-
 TEST_F(AdmissionFixture, ManySmallSlicesUntilFull) {
   SliceAdmission admission{peered_->net, SliceAdmission::Config{
                                .reservable_share = 0.05}};  // 500 Mbps

@@ -67,18 +67,9 @@ TEST(Network, NodeAndLinkAccessors) {
   MiniInternet mini;
   EXPECT_EQ(mini.net.as_count(), 8u);
   EXPECT_EQ(mini.net.node_count(), 8u);
-  EXPECT_EQ(mini.net.link_count(), 7u);
   EXPECT_EQ(mini.net.node(mini.n_t1).name, "t1");
   EXPECT_TRUE(mini.net.find_node("s3").has_value());
   EXPECT_FALSE(mini.net.find_node("nope").has_value());
-}
-
-TEST(Network, PeerOfReturnsOtherEndpoint) {
-  MiniInternet mini;
-  const auto links = mini.net.links_of(mini.n_s1);
-  ASSERT_EQ(links.size(), 1u);
-  EXPECT_EQ(mini.net.peer_of(links[0], mini.n_s1), mini.n_r1);
-  EXPECT_EQ(mini.net.peer_of(links[0], mini.n_r1), mini.n_s1);
 }
 
 TEST(Network, LinkLengthFromGeometry) {
