@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> to_run;
   std::string metrics_path;
   std::string trace_path;
-  double sample_ms = 0.0;
+  std::int64_t sample_ns = 0;
   RunContext ctx;
 
   for (int i = 1; i < argc; ++i) {
@@ -207,17 +208,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--sample-every") {
-      // Checked on the product the cadence conversion below truncates to
-      // an int64_t nanosecond count: under 1 ns the cadence reads as
-      // "sampling off", and from 2^63 ns up the conversion overflows.
+      // The cadence is the nearest whole number of nanoseconds. Under
+      // 1 ns it would read as "sampling off", and from 2^63 ns up it
+      // overflows the int64_t count.
+      double sample_ms = 0.0;
       const bool parsed = parse_f64(next(), &sample_ms);
-      const double ns = sample_ms / 1e3 * 1e9;
+      const double ns = std::round(sample_ms * 1e6);
       if (!parsed || !(ns >= 1.0 && ns < 0x1p63)) {
         std::fprintf(stderr,
                      "sixg_run: invalid --sample-every value (milliseconds; "
                      "the cadence must be at least 1 ns and below 2^63 ns)\n");
         return 2;
       }
+      sample_ns = static_cast<std::int64_t>(ns);
     } else if (arg == "--log-level") {
       const std::string value = next();
       sixg::LogLevel level;
@@ -237,7 +240,7 @@ int main(int argc, char** argv) {
   }
 
   const bool obs_wanted = !metrics_path.empty() || !trace_path.empty();
-  if (sample_ms > 0.0 && metrics_path.empty()) {
+  if (sample_ns > 0 && metrics_path.empty()) {
     std::fprintf(stderr, "sixg_run: --sample-every requires --metrics\n");
     return 2;
   }
@@ -292,7 +295,7 @@ int main(int argc, char** argv) {
     obs_rt.configure(sixg::obs::Config{
         .metrics = !metrics_path.empty(),
         .trace = !trace_path.empty(),
-        .sample_every = sixg::Duration::from_seconds_f(sample_ms / 1e3)});
+        .sample_every = sixg::Duration::nanos(sample_ns)});
   }
   const auto run_one = [&](const Scenario* s) {
     if (obs_wanted) obs_rt.begin_scenario(s->name);

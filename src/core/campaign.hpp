@@ -1,6 +1,6 @@
 /// @file campaign.hpp — the sweep engine: one seeded job per grid point
-/// over ParallelRunner, with per-point seed derivation and chunked
-/// scheduling — the one implementation behind every scenario sweep.
+/// over ParallelRunner, with per-point seed derivation — the one
+/// implementation behind every scenario sweep.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@ namespace sixg::core {
 /// scenarios.cpp used, so migrating a sweep onto Campaign::sweep with
 /// the same salt reproduces its results bit-for-bit. Execution order is
 /// never observable: every job writes its own slot, and ParallelRunner
-/// schedules whole chunks per cursor bump.
+/// hands out one point per cursor bump.
 class Campaign {
  public:
   Campaign(const RunContext& ctx, std::uint64_t salt)
@@ -33,12 +33,9 @@ class Campaign {
       std::size_t points,
       const std::function<R(std::size_t point, std::uint64_t seed)>& fn)
       const {
-    const auto runner = ctx_->runner();
     std::vector<R> results(points);
-    runner.run_chunked(points, chunk_for(points, runner.thread_count()),
-                       [&](std::size_t i) {
-                         results[i] = fn(i, seed_for_job(i));
-                       });
+    ctx_->runner().run(
+        points, [&](std::size_t i) { results[i] = fn(i, seed_for_job(i)); });
     return results;
   }
 
@@ -46,11 +43,6 @@ class Campaign {
   [[nodiscard]] std::uint64_t seed_for_job(std::uint64_t index) const {
     return ctx_->seed_for(derive_seed(salt_, index));
   }
-
-  /// Auto chunk size: aim for several chunks per worker so the tail is
-  /// short without paying one atomic bump per tiny job.
-  [[nodiscard]] static std::size_t chunk_for(std::size_t jobs,
-                                             unsigned threads);
 
  private:
   const RunContext* ctx_;

@@ -25,7 +25,8 @@ struct RunContext {
   /// cannot shift another component's stream.
   std::uint64_t seed = 1;
 
-  /// Worker threads for ParallelRunner-based scenarios; 0 = hardware
+  /// Threads taking part in each parallel batch, the calling thread
+  /// included (sweeps, grid campaigns, sharded windows); 0 = hardware
   /// concurrency. Thread count never changes results, only wall clock.
   unsigned threads = 0;
 

@@ -1494,6 +1494,24 @@ edgeai::FleetStudy::ServerSpec edge_server_spec(
   return spec;
 }
 
+/// The city pod every fleet scenario starts from: N identical edge GPUs
+/// behind the metro path serving det-base, JSQ dispatch, 20 ms SLO,
+/// 2/4 Gb/s radio.
+edgeai::FleetStudy::Config city_fleet_config(
+    const radio::RadioLinkModel& access, const radio::CellConditions& cell,
+    const topo::EuropeTopology& world, const topo::Path& path,
+    std::size_t edge_gpus) {
+  edgeai::FleetStudy::Config config;
+  config.model = edgeai::ModelZoo::at("det-base");
+  config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+  config.slo = Duration::from_millis_f(20.0);
+  config.energy.uplink = DataRate::gbps(2);
+  config.energy.downlink = DataRate::gbps(4);
+  for (std::size_t s = 0; s < edge_gpus; ++s)
+    config.servers.push_back(edge_server_spec(access, cell, world, path));
+  return config;
+}
+
 ScenarioResult city_serving(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
@@ -1512,25 +1530,16 @@ ScenarioResult city_serving(const RunContext& ctx) {
   // overload (2) through tight (3) to headroom (4, 6).
   constexpr double kCityLoad = 12000.0;
   constexpr std::uint32_t kRequestsPerPoint = 300000;  // 1.2M over the sweep
-  const Duration slo = Duration::from_millis_f(20.0);
   const std::size_t fleet_sizes[] = {2, 3, 4, 6};
 
   const Campaign campaign{ctx, 0xc17e};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(fleet_sizes), [&](std::size_t i, std::uint64_t seed) {
-        edgeai::FleetStudy::Config config;
-        config.model = edgeai::ModelZoo::at("det-base");
-        config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+        auto config = city_fleet_config(access, conditions, peered, edge_path,
+                                        fleet_sizes[i]);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerPoint;
-        config.slo = slo;
-        config.energy.uplink = DataRate::gbps(2);
-        config.energy.downlink = DataRate::gbps(4);
         config.seed = seed;
-        for (std::size_t s = 0; s < fleet_sizes[i]; ++s) {
-          config.servers.push_back(
-              edge_server_spec(access, conditions, peered, edge_path));
-        }
         return edgeai::FleetStudy::run(config);
       });
 
@@ -1596,7 +1605,6 @@ ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
 
   constexpr double kCityLoad = 12000.0;
   constexpr std::uint32_t kRequestsPerCell = 150000;
-  const Duration slo = Duration::from_millis_f(20.0);
 
   const edgeai::DispatchPolicy policies[] = {
       edgeai::DispatchPolicy::kRoundRobin,
@@ -1614,19 +1622,12 @@ ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xf1d5};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       cells.size(), [&](std::size_t i, std::uint64_t seed) {
-        edgeai::FleetStudy::Config config;
-        config.model = edgeai::ModelZoo::at("det-base");
+        auto config = city_fleet_config(access, conditions, peered, edge_path,
+                                        cells[i].edges);
         config.policy = cells[i].policy;
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerCell;
-        config.slo = slo;
-        config.energy.uplink = DataRate::gbps(2);
-        config.energy.downlink = DataRate::gbps(4);
         config.seed = seed;
-        for (std::size_t s = 0; s < cells[i].edges; ++s) {
-          config.servers.push_back(
-              edge_server_spec(access, conditions, peered, edge_path));
-        }
         edgeai::FleetStudy::ServerSpec cloud;
         cloud.name = "cloud";
         cloud.accelerator = edgeai::AcceleratorProfile::cloud_gpu();
@@ -1726,18 +1727,10 @@ ScenarioResult city_serving_sharded(const RunContext& ctx) {
   const auto sharded_config = [&](std::uint32_t pods, unsigned workers,
                                   std::uint32_t requests_per_pod) {
     edgeai::ShardedFleetStudy::Config config;
-    config.shard.model = edgeai::ModelZoo::at("det-base");
-    config.shard.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+    config.shard = city_fleet_config(access, conditions, peered, edge_path, 3);
     config.shard.arrivals_per_second = kPodLoad;
     config.shard.requests = requests_per_pod;
-    config.shard.slo = Duration::from_millis_f(20.0);
-    config.shard.energy.uplink = DataRate::gbps(2);
-    config.shard.energy.downlink = DataRate::gbps(4);
     config.shard.seed = base_seed;
-    for (std::size_t s = 0; s < 3; ++s) {
-      config.shard.servers.push_back(
-          edge_server_spec(access, conditions, peered, edge_path));
-    }
     config.shards = pods;
     config.workers = workers;
     config.window = window;
@@ -1937,19 +1930,11 @@ ScenarioResult fleet_resilience_ablation(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xfa4e};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       cells.size(), [&](std::size_t i, std::uint64_t seed) {
-        edgeai::FleetStudy::Config config;
-        config.model = edgeai::ModelZoo::at("det-base");
-        config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+        auto config =
+            city_fleet_config(access, conditions, peered, edge_path, 4);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerCell;
-        config.slo = Duration::from_millis_f(20.0);
-        config.energy.uplink = DataRate::gbps(2);
-        config.energy.downlink = DataRate::gbps(4);
         config.seed = seed;
-        for (std::size_t s = 0; s < 4; ++s) {
-          config.servers.push_back(
-              edge_server_spec(access, conditions, peered, edge_path));
-        }
         config.faults.server_crash_rate_per_s = crash_rates[cells[i].rate];
         config.faults.server_mttr = Duration::millis(150);
         config.resilience = policies[cells[i].policy].res;
@@ -2028,19 +2013,11 @@ ScenarioResult degraded_fleet_slo(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xdead};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(mttr_ms), [&](std::size_t i, std::uint64_t seed) {
-        edgeai::FleetStudy::Config config;
-        config.model = edgeai::ModelZoo::at("det-base");
-        config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+        auto config =
+            city_fleet_config(access, conditions, peered, edge_path, 3);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequests;
-        config.slo = Duration::from_millis_f(20.0);
-        config.energy.uplink = DataRate::gbps(2);
-        config.energy.downlink = DataRate::gbps(4);
         config.seed = seed;
-        for (std::size_t s = 0; s < 3; ++s) {
-          config.servers.push_back(
-              edge_server_spec(access, conditions, peered, edge_path));
-        }
         // Scripted, not stochastic: server 0 dies at exactly t=2 s and
         // repairs after the swept MTTR, so every row sees the same
         // incident and only the repair time varies.
@@ -2092,23 +2069,6 @@ ScenarioResult degraded_fleet_slo(const RunContext& ctx) {
 
 // ------------------------------------- continuous batching + SLO classes
 
-/// Shared fleet base for the batching-mode scenarios: N identical edge
-/// GPUs behind the metro path serving det-base, JSQ dispatch, 20 ms SLO.
-edgeai::FleetStudy::Config batching_fleet_config(
-    const radio::RadioLinkModel& access, const radio::CellConditions& cell,
-    const topo::EuropeTopology& world, const topo::Path& path,
-    std::size_t edge_gpus) {
-  edgeai::FleetStudy::Config config;
-  config.model = edgeai::ModelZoo::at("det-base");
-  config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
-  config.slo = Duration::from_millis_f(20.0);
-  config.energy.uplink = DataRate::gbps(2);
-  config.energy.downlink = DataRate::gbps(4);
-  for (std::size_t s = 0; s < edge_gpus; ++s)
-    config.servers.push_back(edge_server_spec(access, cell, world, path));
-  return config;
-}
-
 /// Saturation reference for the ladder: one edge GPU sustains ~4.7k
 /// det-base req/s at batch 16 (the city-serving provisioning knee).
 constexpr double kEdgeGpuCapacity = 4700.0;
@@ -2150,7 +2110,7 @@ ScenarioResult continuous_vs_window(const RunContext& ctx) {
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(modes), [&](std::size_t i, std::uint64_t seed) {
         auto config =
-            batching_fleet_config(access, conditions, peered, edge_path, 3);
+            city_fleet_config(access, conditions, peered, edge_path, 3);
         config.arrivals_per_second = kMeanLoad;
         config.requests = kRequests;
         config.seed = seed;
@@ -2233,7 +2193,7 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(ladder), [&](std::size_t i, std::uint64_t seed) {
         auto config =
-            batching_fleet_config(access, conditions, peered, edge_path, 2);
+            city_fleet_config(access, conditions, peered, edge_path, 2);
         config.arrivals_per_second = capacity * ladder[i];
         config.requests = kRequests;
         config.seed = seed;
@@ -2309,7 +2269,7 @@ ScenarioResult priority_mix_sweep(const RunContext& ctx) {
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(interactive_shares), [&](std::size_t i, std::uint64_t seed) {
         auto config =
-            batching_fleet_config(access, conditions, peered, edge_path, 3);
+            city_fleet_config(access, conditions, peered, edge_path, 3);
         config.arrivals_per_second = capacity * 1.3;
         config.requests = kRequests;
         config.seed = seed;

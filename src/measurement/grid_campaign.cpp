@@ -183,13 +183,11 @@ GridReport GridCampaign::run(const netsim::ParallelRunner& runner) const {
 
   // Phase 2 (parallel): sample each cell's RTT distribution. Each cell
   // gets an independent RNG stream derived from (seed, cell index), so
-  // serial and parallel execution produce identical reports. Workers
-  // claim pairs of neighbouring cells per scheduling turn: adjacent
-  // cells share radio-map state and rows of the result vector. Per-cell
+  // serial and parallel execution produce identical reports. Per-cell
   // setup routes the UE->reference pair once and sampling runs on the
   // compiled path inside PingMeasurement.
   std::vector<CellResult> results(cell_count);
-  runner.run_chunked(cell_count, 2, [&](std::size_t idx) {
+  runner.run(cell_count, [&](std::size_t idx) {
     CellResult& r = results[idx];
     r.traversed = traversed[idx];
     r.sample_count = samples[idx];

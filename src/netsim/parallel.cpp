@@ -2,11 +2,169 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "obs/obs.hpp"
 
 namespace sixg::netsim {
+
+namespace {
+
+[[nodiscard]] std::uint64_t steady_ns() {
+  return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now().time_since_epoch())
+                           .count());
+}
+
+/// One run() call: its jobs, the cursor they are claimed off, and the
+/// helpers working on it. Lives on the caller's stack; `open`, `joined`
+/// and `active` are guarded by the executor's mutex.
+struct Batch {
+  Batch(const std::function<void(std::size_t)>& fn, std::size_t jobs,
+        ParallelRunner::Profile* record, unsigned helpers)
+      : job(fn), count(jobs), profile(record), open(helpers) {}
+
+  const std::function<void(std::size_t)>& job;
+  const std::size_t count;
+  ParallelRunner::Profile* const profile;  ///< null: not profiled
+  unsigned open;                           ///< helper slots left
+  unsigned joined = 0;                     ///< helpers attached so far
+  unsigned active = 0;                     ///< attached helpers still working
+  std::atomic<std::size_t> cursor{0};
+  std::condition_variable left;  ///< notified when `active` drops to 0
+
+  /// Claim and run jobs until the cursor runs dry.
+  void work(unsigned slot) {
+    const std::uint64_t t0 = profile != nullptr ? steady_ns() : 0;
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) break;
+      job(i);
+    }
+    if (profile != nullptr) {
+      ParallelRunner::Profile::Slot& s = profile->slots[slot];
+      s.busy_ns += steady_ns() - t0;
+      ++s.batches;
+    }
+  }
+};
+
+/// The process-wide worker threads. A caller opens its batch, works on
+/// it, then closes it and waits only for the helpers that attached, so
+/// the batch completes when its jobs are done; a helper that wakes after
+/// the close finds nothing to join. The job results a helper wrote reach
+/// the caller through the mutex hand-off at detach.
+class Executor {
+ public:
+  Executor() = default;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  ~Executor() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
+
+  void run(Batch& batch) {
+    // Wall time starts before the batch opens: a helper still holding the
+    // mutex from its last batch may attach before the notify returns.
+    const std::uint64_t t0 = batch.profile != nullptr ? steady_ns() : 0;
+    const unsigned helpers = batch.open;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      while (threads_.size() < helpers) {
+        threads_.emplace_back([this] { serve(); });
+      }
+      open_.push_back(&batch);
+    }
+    // A one-helper batch (a 2-shard window) wakes one idle thread, not
+    // every thread the executor has grown to.
+    if (helpers == 1) {
+      wake_.notify_one();
+    } else {
+      wake_.notify_all();
+    }
+    batch.work(0);
+    std::unique_lock<std::mutex> lock(mu_);
+    std::erase(open_, &batch);
+    batch.left.wait(lock, [&] { return batch.active == 0; });
+    if (batch.profile != nullptr) batch.profile->wall_ns += steady_ns() - t0;
+  }
+
+ private:
+  /// Attach to the oldest open batch that has jobs left. Needs mu_.
+  Batch* attach() {
+    for (auto it = open_.begin(); it != open_.end(); ++it) {
+      Batch* batch = *it;
+      if (batch->cursor.load(std::memory_order_relaxed) >= batch->count) {
+        continue;
+      }
+      ++batch->joined;
+      ++batch->active;
+      if (--batch->open == 0) open_.erase(it);
+      return batch;
+    }
+    return nullptr;
+  }
+
+  void serve() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      // Attach inside the predicate: a caller may exhaust and close its
+      // batch between this wake-up and any later look at open_.
+      Batch* batch = nullptr;
+      wake_.wait(lock,
+                 [&] { return stopping_ || (batch = attach()) != nullptr; });
+      if (batch == nullptr) return;
+      const unsigned slot = batch->joined;
+      lock.unlock();
+      {
+        // Helpers write probes to their own scope, one per thread and
+        // obs section; counters merged from it are sums, so the merged
+        // metrics do not depend on which thread ran a job.
+        const obs::ScopeBind bind(obs::probes_enabled()
+                                      ? obs::Runtime::instance().thread_scope()
+                                      : nullptr);
+        batch->work(slot);
+      }
+      lock.lock();
+      // Notify under the mutex: the caller destroys the batch as soon as
+      // it can reacquire it.
+      if (--batch->active == 0) batch->left.notify_one();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable wake_;
+  std::vector<Batch*> open_;  ///< batches with helper slots left
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;  ///< last: the threads use the above
+};
+
+void run_batch(unsigned threads, std::size_t job_count,
+               const std::function<void(std::size_t)>& job,
+               ParallelRunner::Profile* profile) {
+  const std::size_t participants = std::min<std::size_t>(threads, job_count);
+  if (participants <= 1) {
+    for (std::size_t i = 0; i < job_count; ++i) job(i);
+    return;
+  }
+  if (profile != nullptr && profile->slots.size() < participants) {
+    profile->slots.resize(participants);
+  }
+  static Executor executor;
+  Batch batch{job, job_count, profile, unsigned(participants - 1)};
+  executor.run(batch);
+}
+
+}  // namespace
 
 ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(threads != 0 ? threads
@@ -14,52 +172,14 @@ ParallelRunner::ParallelRunner(unsigned threads)
 
 void ParallelRunner::run(std::size_t job_count,
                          const std::function<void(std::size_t)>& job) const {
-  run_chunked(job_count, 1, job);
+  run_batch(threads_, job_count, job, nullptr);
 }
 
-void ParallelRunner::run_chunked(
-    std::size_t job_count, std::size_t chunk,
-    const std::function<void(std::size_t)>& job) const {
-  if (job_count == 0) return;
-  if (chunk == 0) chunk = 1;
-  // An oversized chunk must not serialise the whole run: clamp it to a
-  // fair split so every thread still gets work. Results are unchanged
-  // (jobs are independent and chunking never affects seed derivation).
-  if (chunk > job_count && threads_ > 1) {
-    chunk = (job_count + threads_ - 1) / threads_;
-  }
-  if (threads_ == 1 || job_count <= chunk) {
-    for (std::size_t i = 0; i < job_count; ++i) job(i);
-    return;
-  }
-  std::atomic<std::size_t> cursor{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= job_count) return;
-      const std::size_t end = std::min(begin + chunk, job_count);
-      for (std::size_t i = begin; i < end; ++i) job(i);
-    }
-  };
-  const std::size_t chunk_count = (job_count + chunk - 1) / chunk;
-  const unsigned n = unsigned(std::min<std::size_t>(threads_, chunk_count));
-  std::vector<std::thread> pool;
-  pool.reserve(n - 1);
-  for (unsigned t = 0; t + 1 < n; ++t) {
-    // Spawned workers get their own metric scope: probe counters from
-    // replication jobs sum commutatively at scenario end, so the merged
-    // metrics are thread-count invariant. The calling thread keeps its
-    // existing binding (usually the main scope).
-    pool.emplace_back([&worker] {
-      const obs::ScopeBind bind(obs::probes_enabled()
-                                    ? obs::Runtime::instance().thread_scope()
-                                    : nullptr);
-      worker();
-    });
-  }
-  worker();  // calling thread participates
-  for (auto& t : pool) t.join();
+void ParallelRunner::run(std::size_t job_count,
+                         const std::function<void(std::size_t)>& job,
+                         Profile& profile) const {
+  run_batch(threads_, job_count, job,
+            obs::kProbesCompiled && obs::metrics_on() ? &profile : nullptr);
 }
 
 }  // namespace sixg::netsim

@@ -1,11 +1,5 @@
 #include "netsim/sharded.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -13,117 +7,11 @@
 
 namespace sixg::netsim {
 
-namespace {
-[[nodiscard]] std::uint64_t steady_ns() {
-  return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count());
-}
-}  // namespace
-
-/// Persistent worker pool: one barrier generation per window. Workers
-/// sleep on a condition variable between windows; per window the
-/// coordinator bumps the epoch, every participant (workers plus the
-/// coordinating thread) claims shards off an atomic cursor, and the
-/// coordinator waits until all participants have checked back in. The
-/// mutex hand-offs give the mailbox reads after the barrier a
-/// happens-before edge over every shard executed in the window.
-struct ShardedSimulator::Pool {
-  explicit Pool(ShardedSimulator& owner, unsigned workers)
-      : sharded(owner), stats(workers) {
-    if (obs::kProbesCompiled && obs::metrics_on()) {
-      pool_id = obs::Runtime::instance().next_pool_id();
-    }
-    threads.reserve(workers - 1);
-    for (unsigned t = 0; t + 1 < workers; ++t) {
-      threads.emplace_back([this, self = t + 1] { worker_loop(self); });
-    }
-  }
-
-  ~Pool() {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      shutdown = true;
-    }
-    cv_work.notify_all();
-    for (auto& t : threads) t.join();
-    publish_profile();
-  }
-
-  void worker_loop(unsigned self) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_work.wait(lock, [&] { return shutdown || epoch != seen; });
-        if (shutdown) return;
-        seen = epoch;
-      }
-      // profile_ and bind_scopes_ are written by the coordinator before
-      // the epoch bump; the mutex hand-off above makes them visible.
-      if (sharded.profile_) {
-        const std::uint64_t t0 = steady_ns();
-        sharded.run_claimed();
-        stats[self].busy_ns += steady_ns() - t0;
-        ++stats[self].windows;
-      } else {
-        sharded.run_claimed();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) cv_done.notify_one();
-      }
-    }
-  }
-
-  /// Hand the wall-clock busy/stall rows to the obs runtime. Stall is
-  /// the window wall time a participant spent NOT executing shards —
-  /// barrier waiting plus claim overhead. Explicitly non-deterministic;
-  /// the runtime exports it outside the determinism-checked sections.
-  void publish_profile() {
-    if (wall_ns == 0) return;
-    std::vector<obs::WorkerProfile> rows;
-    rows.reserve(stats.size());
-    for (std::uint32_t w = 0; w < stats.size(); ++w) {
-      obs::WorkerProfile row;
-      row.pool = pool_id;
-      row.worker = w;
-      row.busy_ns = stats[w].busy_ns;
-      row.stall_ns = wall_ns > stats[w].busy_ns ? wall_ns - stats[w].busy_ns
-                                                : 0;
-      row.windows = stats[w].windows;
-      rows.push_back(row);
-    }
-    obs::Runtime::instance().publish_workers(std::move(rows));
-  }
-
-  struct WorkerStat {
-    std::uint64_t busy_ns = 0;
-    std::uint64_t windows = 0;
-  };
-
-  ShardedSimulator& sharded;
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t epoch = 0;
-  unsigned remaining = 0;
-  bool shutdown = false;
-  std::atomic<std::uint32_t> cursor{0};
-  std::vector<std::thread> threads;
-  std::vector<WorkerStat> stats;  ///< index 0 is the coordinator
-  std::uint64_t wall_ns = 0;      ///< profiled window wall time, summed
-  std::uint32_t pool_id = 0;
-};
-
-ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
+ShardedSimulator::ShardedSimulator(const Config& config)
+    : config_(config), runner_(config.workers) {
   SIXG_ASSERT(config.shards >= 1, "a sharded run needs at least one shard");
   SIXG_ASSERT(config.window > Duration{},
               "the conservative window must be positive");
-  const unsigned requested =
-      config.workers != 0 ? config.workers
-                          : std::max(1u, std::thread::hardware_concurrency());
-  workers_ = std::min<unsigned>(requested, config.shards);
   shards_.reserve(config.shards);
   for (std::uint32_t k = 0; k < config.shards; ++k) {
     shards_.push_back(
@@ -131,7 +19,26 @@ ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
   }
 }
 
-ShardedSimulator::~ShardedSimulator() = default;
+/// Hand the window participants' wall-clock busy/stall rows to the obs
+/// runtime. Stall is the window wall time a participant spent NOT
+/// executing shards: barrier waiting plus claim overhead. Explicitly
+/// non-deterministic; the runtime exports it outside the
+/// determinism-checked sections.
+ShardedSimulator::~ShardedSimulator() {
+  const std::uint64_t wall = window_profile_.wall_ns;
+  if (wall == 0) return;
+  auto& runtime = obs::Runtime::instance();
+  const std::uint32_t pool = runtime.next_pool_id();
+  std::vector<obs::WorkerProfile> rows;
+  rows.reserve(window_profile_.slots.size());
+  for (std::uint32_t w = 0; w < window_profile_.slots.size(); ++w) {
+    const auto& slot = window_profile_.slots[w];
+    rows.push_back({pool, w, slot.busy_ns,
+                    wall > slot.busy_ns ? wall - slot.busy_ns : 0,
+                    slot.batches});
+  }
+  runtime.publish_workers(std::move(rows));
+}
 
 void ShardedSimulator::post(std::uint32_t src, std::uint32_t dst, TimePoint at,
                             Simulator::Action action) {
@@ -182,57 +89,11 @@ void ShardedSimulator::drain_mailboxes() {
   }
 }
 
-void ShardedSimulator::run_claimed() {
-  for (;;) {
-    const std::uint32_t k =
-        pool_->cursor.fetch_add(1, std::memory_order_relaxed);
-    if (k >= shards_.size()) return;
-    // Shard k's probes always land in shard k's scope, regardless of
-    // which worker claimed it — the merged metrics (and the per-shard
-    // trace streams) stay byte-identical at any worker count.
-    const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
-    shards_[k]->sim.run_until(horizon_);
-  }
-}
-
-void ShardedSimulator::execute_shards() {
-  if (workers_ <= 1) {
-    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
-      shards_[k]->sim.run_until(horizon_);
-    }
-    return;
-  }
-  if (pool_ == nullptr) pool_ = std::make_unique<Pool>(*this, workers_);
-  {
-    const std::lock_guard<std::mutex> lock(pool_->mu);
-    pool_->cursor.store(0, std::memory_order_relaxed);
-    pool_->remaining = workers_ - 1;  // the coordinator checks in inline
-    ++pool_->epoch;
-  }
-  pool_->cv_work.notify_all();
-  if (profile_) {
-    const std::uint64_t w0 = steady_ns();
-    run_claimed();
-    const std::uint64_t busy = steady_ns() - w0;
-    pool_->stats[0].busy_ns += busy;
-    ++pool_->stats[0].windows;
-    std::unique_lock<std::mutex> lock(pool_->mu);
-    pool_->cv_done.wait(lock, [&] { return pool_->remaining == 0; });
-    pool_->wall_ns += steady_ns() - w0;
-  } else {
-    run_claimed();
-    std::unique_lock<std::mutex> lock(pool_->mu);
-    pool_->cv_done.wait(lock, [&] { return pool_->remaining == 0; });
-  }
-}
-
 void ShardedSimulator::step_window(TimePoint horizon) {
   if (obs::kProbesCompiled) {
-    // Latch per-window observability decisions on the coordinator; the
-    // pool's epoch mutex publishes them to workers.
+    // Latch the per-window binding decision on the coordinator; the
+    // runner's batch hand-off publishes it to the helpers.
     bind_scopes_ = obs::probes_enabled();
-    profile_ = obs::metrics_on() && workers_ > 1;
     if (bind_scopes_ && scopes_.empty()) {
       scopes_.resize(shards_.size());
       auto& rt = obs::Runtime::instance();
@@ -252,7 +113,17 @@ void ShardedSimulator::step_window(TimePoint horizon) {
                 windows_);
   horizon_ = horizon;
   running_ = true;
-  execute_shards();
+  // One batch per window, complete when every shard has reached the
+  // horizon. Shard k's probes always land in shard k's scope, whichever
+  // thread claimed it, so the merged metrics (and the per-shard trace
+  // streams) stay byte-identical at any worker count.
+  runner_.run(
+      shards_.size(),
+      [this](std::size_t k) {
+        const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
+        shards_[k]->sim.run_until(horizon_);
+      },
+      window_profile_);
   running_ = false;
   now_ = horizon;
   ++windows_;

@@ -29,6 +29,7 @@
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "netsim/parallel.hpp"
 #include "netsim/simulator.hpp"
 
 namespace sixg::obs {
@@ -70,8 +71,9 @@ class ShardedSimulator {
     /// interaction (post() asserts each message against it).
     Duration window = Duration::millis(1);
     std::uint64_t seed = 1;
-    /// Worker threads executing shards within a window; 0 = hardware
-    /// concurrency. Clamped to the shard count. Never changes results.
+    /// Threads taking part in each window, the coordinating thread
+    /// included; 0 = hardware concurrency. Clamped to the shard count.
+    /// Never changes results.
     unsigned workers = 0;
   };
 
@@ -85,7 +87,6 @@ class ShardedSimulator {
     return std::uint32_t(shards_.size());
   }
   [[nodiscard]] Duration window() const { return config_.window; }
-  [[nodiscard]] unsigned worker_count() const { return workers_; }
 
   /// Shard k's own timeline, seeded with shard_seed(config.seed, k).
   /// Safe to touch from the owning shard's actions during a window, and
@@ -132,34 +133,31 @@ class ShardedSimulator {
         : sim(seed), outbox(shards) {}
   };
 
-  struct Pool;  ///< persistent worker pool (defined in sharded.cpp)
-
   [[nodiscard]] bool has_work() const;
   /// Deliver every queued message (fixed order), then run all shards to
   /// `horizon` in parallel and advance the barrier clock.
   void step_window(TimePoint horizon);
   void drain_mailboxes();
-  void execute_shards();
-  void run_claimed();  ///< claim-and-run loop shared by all workers
 
   Config config_;
-  unsigned workers_;
+  ParallelRunner runner_;  ///< one batch per window, shard k is job k
   std::vector<std::unique_ptr<Shard>> shards_;
   TimePoint now_;
   TimePoint horizon_;        ///< end of the executing window
   bool running_ = false;     ///< a window is executing right now
   std::uint64_t windows_ = 0;
   std::uint64_t messages_ = 0;
-  std::unique_ptr<Pool> pool_;  ///< lazily started on first parallel window
 
   /// Observability: when probes are enabled, the coordinator latches
-  /// these before each window's epoch bump (the pool's mutex hand-off
-  /// makes them visible to workers). Shard k's probes land in shard k's
-  /// scope no matter which worker runs it — the per-shard-slot rule the
-  /// determinism contract needs.
-  bool bind_scopes_ = false;   ///< bind per-shard obs scopes this window
-  bool profile_ = false;       ///< wall-clock worker profiling this window
+  /// the binding decision before each window's batch (the runner's
+  /// hand-off makes it visible to the helpers). Shard k's probes land in
+  /// shard k's scope no matter which thread runs it — the per-shard-slot
+  /// rule the determinism contract needs.
+  bool bind_scopes_ = false;         ///< bind per-shard obs scopes this window
   std::vector<obs::Scope*> scopes_;  ///< shard scope per shard, lazy
+  /// Wall-clock participant profile, filled while the obs metrics are
+  /// on and published as the `workers` rows when the run is destroyed.
+  ParallelRunner::Profile window_profile_;
 };
 
 }  // namespace sixg::netsim

@@ -234,6 +234,7 @@ void Runtime::reset_locked() {
   main_->reset();
   for (auto& s : shard_scopes_) s->reset();
   thread_scopes_.clear();
+  ++section_;
   series_.clear();
   distributions_.clear();
   workers_.clear();
@@ -278,6 +279,7 @@ void Runtime::end_scenario_locked() {
   for (auto& s : shard_scopes_) fold(*s);
   for (auto& s : thread_scopes_) fold(*s);
   thread_scopes_.clear();
+  ++section_;
 
   rec.series = std::move(series_);
   std::sort(rec.series.begin(), rec.series.end(),
@@ -318,11 +320,17 @@ Scope* Runtime::shard_scope(std::uint32_t shard) {
 }
 
 Scope* Runtime::thread_scope() {
+  thread_local Scope* tl_worker = nullptr;
+  thread_local std::uint64_t tl_section = 0;
   std::lock_guard<std::mutex> lk(mu_);
-  const auto k = std::uint32_t(thread_scopes_.size());
-  thread_scopes_.push_back(
-      std::make_unique<Scope>(4096 + k, "worker " + std::to_string(k)));
-  return thread_scopes_.back().get();
+  if (tl_worker == nullptr || tl_section != section_) {
+    const auto k = std::uint32_t(thread_scopes_.size());
+    thread_scopes_.push_back(
+        std::make_unique<Scope>(4096 + k, "worker " + std::to_string(k)));
+    tl_worker = thread_scopes_.back().get();
+    tl_section = section_;
+  }
+  return tl_worker;
 }
 
 void Runtime::publish_series(SeriesResult series) {

@@ -182,12 +182,13 @@ struct Distribution {
   stats::ReservoirQuantile quantiles;
 };
 
-/// Wall-clock busy-vs-stall profile of one worker of one sharded pool.
+/// Wall-clock busy-vs-stall profile of one participant slot of one
+/// sharded run's windows (`pool` numbers the runs of a section).
 /// Deliberately non-deterministic (steady_clock); excluded from
 /// metrics_json(include_worker_profile=false).
 struct WorkerProfile {
   std::uint32_t pool = 0;
-  std::uint32_t worker = 0;  ///< 0 is the coordinating thread
+  std::uint32_t worker = 0;  ///< 0 is the coordinator; helpers by join order
   std::uint64_t busy_ns = 0;
   std::uint64_t stall_ns = 0;
   std::uint64_t windows = 0;
@@ -225,10 +226,11 @@ class Runtime {
 
   /// Shard k's scope (created on demand); trace tid 1 + k.
   [[nodiscard]] Scope* shard_scope(std::uint32_t shard);
-  /// A fresh worker scope for a spawned thread (ParallelRunner calls
-  /// this once per worker it launches). Counters merged from these
-  /// scopes are worker-count invariant (sums commute); trace tids are
-  /// assigned in creation order and are NOT deterministic across runs.
+  /// The calling thread's worker scope in the current section, created
+  /// on its first use there (ParallelRunner's helper threads bind it for
+  /// every batch they join). Counters merged from these scopes are
+  /// worker-count invariant (sums commute); trace tids are assigned in
+  /// creation order and are NOT deterministic across runs.
   [[nodiscard]] Scope* thread_scope();
 
   void publish_series(SeriesResult series);
@@ -270,6 +272,9 @@ class Runtime {
   std::unique_ptr<Scope> main_;
   std::vector<std::unique_ptr<Scope>> shard_scopes_;
   std::vector<std::unique_ptr<Scope>> thread_scopes_;
+  /// Bumped whenever thread_scopes_ is cleared: a thread's cached worker
+  /// scope is valid while the section it was created in is current.
+  std::uint64_t section_ = 0;
   std::vector<SeriesResult> series_;
   std::vector<Distribution> distributions_;
   std::vector<WorkerProfile> workers_;

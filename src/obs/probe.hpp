@@ -88,7 +88,7 @@ inline constexpr std::uint64_t kTraceBatchMask = 15;    ///< 1 in 16
 namespace detail {
 /// Bit flags of the enabled domains. Relaxed is correct: the flags only
 /// change between runs (Runtime::configure, on the coordinating thread,
-/// strictly before worker pools receive work through mutex hand-offs).
+/// strictly before helper threads receive work through mutex hand-offs).
 inline constexpr std::uint8_t kMetricsBit = 1;
 inline constexpr std::uint8_t kTraceBit = 2;
 extern std::atomic<std::uint8_t> g_flags;  // defined in obs.cpp

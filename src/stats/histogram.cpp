@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/assert.hpp"
 #include "stats/json.hpp"
@@ -75,47 +74,6 @@ double Histogram::cdf(double x) const {
   const double frac = (x - bin_lo(idx)) / bin_width_;
   below += frac * double(counts_[idx]);
   return below / double(total_);
-}
-
-double Histogram::quantile(double q) const {
-  SIXG_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * double(total_);
-  double cum = double(underflow_);
-  if (target <= cum) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + double(counts_[i]);
-    if (target <= next && counts_[i] > 0) {
-      const double frac = (target - cum) / double(counts_[i]);
-      return bin_lo(i) + frac * bin_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-void Histogram::to(std::string& out, std::size_t max_bar) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[96];
-    const int len = std::snprintf(label, sizeof label, "[%8.2f, %8.2f) ",
-                                  bin_lo(i), bin_hi(i));
-    if (len > 0) out.append(label, std::size_t(len));
-    out.append(std::size_t(double(counts_[i]) / double(peak) *
-                           double(max_bar)),
-               '#');
-    const int count_len = std::snprintf(label, sizeof label, " %llu\n",
-                                        static_cast<unsigned long long>(
-                                            counts_[i]));
-    if (count_len > 0) out.append(label, std::size_t(count_len));
-  }
-}
-
-std::string Histogram::str(std::size_t max_bar) const {
-  std::string out;
-  to(out, max_bar);
-  return out;
 }
 
 void Histogram::to_json(std::string& out) const {

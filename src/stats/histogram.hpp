@@ -28,14 +28,6 @@ class Histogram {
   /// containing bin). This is the empirical CDF.
   [[nodiscard]] double cdf(double x) const;
 
-  /// Value at quantile q in [0,1] (inverse CDF, interpolated).
-  [[nodiscard]] double quantile(double q) const;
-
-  /// ASCII rendering (one row per bin with a proportional bar).
-  [[nodiscard]] std::string str(std::size_t max_bar = 50) const;
-  /// Append the str() rendering to `out` without intermediate strings.
-  void to(std::string& out, std::size_t max_bar = 50) const;
-
   /// Append a strict-JSON object: {"lo","hi","count","underflow",
   /// "overflow","bins":[...]}. Non-finite bounds round-trip via the
   /// stats/json.hpp sentinel-string encoding.

@@ -87,14 +87,5 @@ TEST(Campaign, ShardStreamsNeverCollideWithReplicationStreams) {
   EXPECT_EQ(seen.size(), inserted);
 }
 
-TEST(Campaign, ChunkForGivesWorkersSeveralTurns) {
-  EXPECT_EQ(Campaign::chunk_for(100, 1), 1u);  // serial: no chunking
-  EXPECT_EQ(Campaign::chunk_for(4, 8), 1u);    // fewer jobs than workers
-  const std::size_t chunk = Campaign::chunk_for(1000, 8);
-  EXPECT_GE(chunk, 1u);
-  // Each worker averages at least ~4 scheduling turns.
-  EXPECT_LE(chunk, 1000u / (8u * 4u));
-}
-
 }  // namespace
 }  // namespace sixg::core

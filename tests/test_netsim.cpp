@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -511,28 +512,12 @@ TEST(ParallelRunner, MoreJobsThanThreads) {
   EXPECT_EQ(sum.load(), 999 * 1000 / 2);
 }
 
-TEST(ParallelRunner, ChunkedRunCoversEveryJobExactlyOnce) {
-  const ParallelRunner runner{4};
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{64}, std::size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(257);
-    runner.run_chunked(hits.size(), chunk, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunk " << chunk;
-  }
-}
-
-TEST(ParallelRunner, OversizedChunkIsClampedToAFairSplit) {
-  // Regression: chunk >= job_count used to serialise the whole run on
-  // the calling thread even with a multi-thread pool (Campaign plans
-  // with a large fixed chunk and a small grid lost all parallelism).
-  // With the clamp, 64 jobs over 4 threads split into 16-job chunks, so
-  // several distinct threads participate.
+TEST(ParallelRunner, SeveralThreadsTakePart) {
+  // 64 jobs over 4 threads: the caller does not run the batch alone.
   const ParallelRunner runner{4};
   std::mutex mu;
   std::map<std::thread::id, int> per_thread;
-  runner.run_chunked(64, 1000, [&](std::size_t) {
+  runner.run(64, [&](std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const std::lock_guard<std::mutex> lock(mu);
     ++per_thread[std::this_thread::get_id()];
@@ -543,63 +528,31 @@ TEST(ParallelRunner, OversizedChunkIsClampedToAFairSplit) {
   EXPECT_GE(per_thread.size(), 2u);
 }
 
-TEST(ParallelRunner, OversizedChunkEdgeCasesCoverEveryJobOnce) {
+TEST(ParallelRunner, ConcurrentCallersEachRunEveryJobOnce) {
+  // Two callers share the process's executor at once; batches open and
+  // close back to back, so helpers keep waking to batches that another
+  // caller may already have exhausted and closed.
+  constexpr int kRounds = 1000;
   const ParallelRunner runner{4};
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3},
-                                 std::size_t{4}, std::size_t{5}}) {
-    for (const std::size_t chunk :
-         {jobs, jobs + 1, std::size_t{1000000}}) {
-      std::vector<std::atomic<int>> hits(jobs);
-      runner.run_chunked(jobs, chunk, [&](std::size_t i) {
+  std::vector<std::atomic<int>> hits_a(257);
+  std::vector<std::atomic<int>> hits_b(257);
+  std::atomic<int> ready{0};
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < kRounds; ++round) {
+      runner.run(hits.size(), [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       });
-      for (const auto& h : hits)
-        EXPECT_EQ(h.load(), 1) << "jobs " << jobs << " chunk " << chunk;
     }
-  }
-  bool called = false;
-  runner.run_chunked(0, 1000000, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelRunner, ChunkSizeNeverChangesSeededResults) {
-  // Seeds derive from the job index alone, so chunk geometry (including
-  // the oversized-chunk clamp path) must never leak into results.
-  const auto simulate = [](std::size_t i) {
-    Simulator sim{derive_seed(99, i)};
-    double acc = 0.0;
-    for (int k = 0; k < 50; ++k) acc += sim.rng().uniform();
-    return acc;
   };
-  const ParallelRunner runner{4};
-  const auto run_with_chunk = [&](std::size_t chunk) {
-    std::vector<double> out(24);
-    runner.run_chunked(out.size(), chunk,
-                       [&](std::size_t i) { out[i] = simulate(i); });
-    return out;
-  };
-  const auto reference = run_with_chunk(1);
-  EXPECT_EQ(reference, run_with_chunk(5));
-  EXPECT_EQ(reference, run_with_chunk(24));
-  EXPECT_EQ(reference, run_with_chunk(1000));  // the clamped path
-}
-
-TEST(ParallelRunner, ChunkedRunKeepsChunksContiguousPerWorker) {
-  // Within one chunk the indices run sequentially on a single worker —
-  // record the order per thread and check each worker's sequence is
-  // piecewise-ascending in steps of 1 within chunk boundaries.
-  const ParallelRunner runner{2};
-  constexpr std::size_t kChunk = 10;
-  std::mutex mu;
-  std::map<std::thread::id, std::vector<std::size_t>> per_thread;
-  runner.run_chunked(100, kChunk, [&](std::size_t i) {
-    const std::lock_guard<std::mutex> lock(mu);
-    per_thread[std::this_thread::get_id()].push_back(i);
-  });
-  for (const auto& [tid, seq] : per_thread) {
-    for (std::size_t k = 1; k < seq.size(); ++k) {
-      if (seq[k] % kChunk != 0) EXPECT_EQ(seq[k], seq[k - 1] + 1);
-    }
+  std::thread a{caller, std::ref(hits_a)};
+  std::thread b{caller, std::ref(hits_b)};
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < hits_a.size(); ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << "caller a, job " << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << "caller b, job " << i;
   }
 }
 

@@ -8,7 +8,8 @@
 ///      window it was posted from (source barrier clock + window);
 ///   3. fleet: a 1-shard ShardedFleetStudy digests identically to the
 ///      serial FleetStudy across seeds and {networked, local} fleets,
-///      and an N-pod run digests identically at worker counts 1/2/4/8.
+///      and an N-pod run digests identically at worker counts 1/2/4/8,
+///      also when its windows nest inside a 4-thread sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "edgeai/fleet.hpp"
+#include "netsim/parallel.hpp"
 #include "netsim/sharded.hpp"
 #include "netsim/simulator.hpp"
 #include "stats/distributions.hpp"
@@ -268,6 +270,22 @@ TEST(ShardedFleet, MultiPodDigestsIdenticalAcrossWorkerCounts) {
         << "workers " << workers;
     EXPECT_EQ(report.remote_requests, reference.remote_requests);
     EXPECT_EQ(report.mailbox_messages, reference.mailbox_messages);
+  }
+}
+
+TEST(ShardedFleet, NestedInASweepMatchesTheSerialDigest) {
+  // Each sweep job runs a 4-worker city: its windows are batches nested
+  // inside the sweep's batch on the one shared executor. Nothing may
+  // deadlock, and every nested run digests like the 1-worker run.
+  const std::uint64_t want = edgeai::fleet_report_digest(
+      edgeai::ShardedFleetStudy::run(city_config(21, 1)));
+  const netsim::ParallelRunner sweep{4};
+  const auto digests = sweep.map<std::uint64_t>(8, [](std::size_t) {
+    return edgeai::fleet_report_digest(
+        edgeai::ShardedFleetStudy::run(city_config(21, 4)));
+  });
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i], want) << "sweep job " << i;
   }
 }
 

@@ -129,15 +129,6 @@ TEST(Histogram, CdfMonotoneAndBounded) {
   EXPECT_NEAR(h.cdf(50.0), 0.5, 0.03);
 }
 
-TEST(Histogram, QuantileInvertsCdf) {
-  Histogram h{0.0, 100.0, 100};
-  Rng rng{4};
-  for (int i = 0; i < 20000; ++i) h.add(rng.uniform(0.0, 100.0));
-  for (double q : {0.1, 0.25, 0.5, 0.9}) {
-    EXPECT_NEAR(h.cdf(h.quantile(q)), q, 0.02);
-  }
-}
-
 TEST(Histogram, MergeAddsCounts) {
   Histogram a{0.0, 10.0, 10};
   Histogram b{0.0, 10.0, 10};
@@ -350,24 +341,13 @@ TEST(ReservoirQuantile, DeterministicForFixedSeed) {
 
 // -------------------------------------------------- buffer renderers
 
-TEST(BufferRenderers, SummaryAndHistogramAppendMatchStr) {
+TEST(BufferRenderers, SummaryAppendMatchesStr) {
   Summary s;
-  Histogram h{0.0, 10.0, 8};
   Rng rng{2};
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-1.0, 12.0);
-    s.add(x);
-    h.add(x);
-  }
+  for (int i = 0; i < 500; ++i) s.add(rng.uniform(-1.0, 12.0));
   std::string buf = "prefix:";
   s.to(buf);
   EXPECT_EQ(buf, "prefix:" + s.str());
-  buf.clear();
-  h.to(buf);
-  EXPECT_EQ(buf, h.str());
-  buf.clear();
-  h.to(buf, 10);
-  EXPECT_EQ(buf, h.str(10));
 }
 
 TEST(FastLog, ShiftedExponentialUsesTheSharedKernel) {
