@@ -67,29 +67,28 @@ class Executor {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       stopping_ = true;
+      for (std::condition_variable* parked : parked_) parked->notify_one();
     }
-    wake_.notify_all();
     for (auto& t : threads_) t.join();
   }
 
   void run(Batch& batch) {
-    // Wall time starts before the batch opens: a helper still holding the
-    // mutex from its last batch may attach before the notify returns.
+    // Wall time starts before the batch opens: a thread already awake
+    // may attach the moment the mutex is released.
     const std::uint64_t t0 = batch.profile != nullptr ? steady_ns() : 0;
-    const unsigned helpers = batch.open;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      while (threads_.size() < helpers) {
+      while (threads_.size() < batch.open) {
         threads_.emplace_back([this] { serve(); });
       }
       open_.push_back(&batch);
-    }
-    // A one-helper batch (a 2-shard window) wakes one idle thread, not
-    // every thread the executor has grown to.
-    if (helpers == 1) {
-      wake_.notify_one();
-    } else {
-      wake_.notify_all();
+      // Wake the most recently parked threads: a stream of one-helper
+      // batches (2-shard windows) then keeps landing on one warm thread
+      // instead of cycling through every thread the executor has grown to.
+      for (unsigned i = 0; i < batch.open && !parked_.empty(); ++i) {
+        parked_.back()->notify_one();
+        parked_.pop_back();
+      }
     }
     batch.work(0);
     std::unique_lock<std::mutex> lock(mu_);
@@ -115,13 +114,17 @@ class Executor {
   }
 
   void serve() {
+    std::condition_variable wake;  // this thread's own, listed in parked_
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      // Attach inside the predicate: a caller may exhaust and close its
-      // batch between this wake-up and any later look at open_.
+      // Join only a batch attach() returned: a caller may exhaust and
+      // close its batch between a wake-up and any later look at open_.
       Batch* batch = nullptr;
-      wake_.wait(lock,
-                 [&] { return stopping_ || (batch = attach()) != nullptr; });
+      while (!stopping_ && (batch = attach()) == nullptr) {
+        parked_.push_back(&wake);
+        wake.wait(lock);
+        std::erase(parked_, &wake);  // still listed after a spurious wake-up
+      }
       if (batch == nullptr) return;
       const unsigned slot = batch->joined;
       lock.unlock();
@@ -142,8 +145,10 @@ class Executor {
   }
 
   std::mutex mu_;
-  std::condition_variable wake_;
   std::vector<Batch*> open_;  ///< batches with helper slots left
+  /// Wake-up signals of the threads waiting for a batch, most recently
+  /// parked last.
+  std::vector<std::condition_variable*> parked_;
   bool stopping_ = false;
   std::vector<std::thread> threads_;  ///< last: the threads use the above
 };
