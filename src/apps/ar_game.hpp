@@ -31,11 +31,9 @@ class ArGameSession {
   /// simulated 6G, wired, ...).
   using RttSampler = std::function<Duration(Rng&)>;
 
+  static constexpr double kFrameRateHz = 60.0;
+
   struct Config {
-    double frame_rate_hz = 60.0;
-    Duration rtt_budget = Duration::from_millis_f(20.0);  ///< [15]
-    Duration render_time = Duration::from_millis_f(3.2);  ///< headset GPU
-    Duration trajectory_compute = Duration::from_millis_f(1.1);
     double throws_per_second = 0.8;  ///< controller event rate
     std::uint32_t frames = 36000;    ///< 10 minutes at 60 FPS
     std::uint64_t seed = 0xa59a;

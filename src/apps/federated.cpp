@@ -9,6 +9,14 @@
 #include "stats/distributions.hpp"
 
 namespace sixg::apps {
+namespace {
+
+constexpr DataSize kModelUpdate = DataSize::megabytes(12);  ///< weight delta
+constexpr DataRate kDownlinkRate = DataRate::mbps(150);
+constexpr double kLocalTrainingSigma = 0.30;  ///< lognormal spread (stragglers)
+constexpr Duration kAggregationCompute = Duration::from_millis_f(180);
+
+}  // namespace
 
 FederatedRoundModel::FederatedRoundModel(LatencySampler network,
                                          Config config)
@@ -21,12 +29,10 @@ FederatedRoundModel::Report FederatedRoundModel::run() const {
   Report report;
   Rng rng{config_.seed};
   const stats::Lognormal training = stats::Lognormal::from_median(
-      config_.local_training_mean.sec(), config_.local_training_sigma);
+      kLocalTrainingMean.sec(), kLocalTrainingSigma);
 
-  const Duration upload =
-      config_.uplink_rate.transmission_time(config_.model_update);
-  const Duration download =
-      config_.downlink_rate.transmission_time(config_.model_update);
+  const Duration upload = config_.uplink_rate.transmission_time(kModelUpdate);
+  const Duration download = kDownlinkRate.transmission_time(kModelUpdate);
 
   double network_seconds = 0.0;
   double total_seconds = 0.0;
@@ -48,7 +54,7 @@ FederatedRoundModel::Report FederatedRoundModel::run() const {
     std::sort(client_done.begin(), client_done.end());
     const double slowest = client_done.back();
     const double median = client_done[client_done.size() / 2];
-    const double round_s = slowest + config_.aggregation_compute.sec();
+    const double round_s = slowest + kAggregationCompute.sec();
     report.round_seconds.add(round_s);
     report.straggler_wait_seconds.add(slowest - median);
     total_seconds += round_s * double(config_.clients);

@@ -24,14 +24,11 @@ class FederatedRoundModel {
   /// Samples one client's uplink/downlink one-way latency (network only).
   using LatencySampler = std::function<Duration(Rng&)>;
 
+  static constexpr Duration kLocalTrainingMean = Duration::seconds(4);
+
   struct Config {
     std::uint32_t clients = 32;
-    DataSize model_update = DataSize::megabytes(12);  ///< weight delta
     DataRate uplink_rate = DataRate::mbps(40);
-    DataRate downlink_rate = DataRate::mbps(150);
-    Duration local_training_mean = Duration::seconds(4);
-    double local_training_sigma = 0.30;  ///< lognormal spread (stragglers)
-    Duration aggregation_compute = Duration::from_millis_f(180);
     std::uint32_t rounds = 50;
     std::uint64_t seed = 0xfeda;
   };

@@ -43,6 +43,7 @@
 #include "slicing/reconfig.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/histogram.hpp"
+#include "stats/reservoir.hpp"
 #include "stats/summary.hpp"
 #include "topo/europe.hpp"
 #include "topo/traceroute.hpp"
@@ -778,9 +779,10 @@ ScenarioResult smartnic_upf(const RunContext& ctx) {
         core5g::Upf::Config{.name = row.name, .datapath = row.datapath}};
     (void)upf.rules().add_rule(core5g::PdrRule{1, 42, 1, 0});
     Rng rng{ctx.seed_for(99)};
+    constexpr std::size_t kDraws = 100000;
     stats::Summary lat_us;
-    stats::QuantileSample q;
-    for (int i = 0; i < 100000; ++i) {
+    stats::ReservoirQuantile q{kDraws};
+    for (std::size_t i = 0; i < kDraws; ++i) {
       const double us = upf.sample_packet_latency(42, rng).us();
       lat_us.add(us);
       q.add(us);
@@ -1397,8 +1399,8 @@ ScenarioResult energy_inference(const RunContext& ctx) {
     t.set_align(0, TextTable::Align::kLeft);
     t.set_align(5, TextTable::Align::kLeft);
     const edgeai::InferenceEnergyModel energy{
-        {planner.config().radio_energy, planner.config().uplink,
-         planner.config().downlink}};
+        {planner.config().uplink, planner.config().downlink}};
+    const auto edge_gpu = edgeai::AcceleratorProfile::edge_gpu();
     for (const auto& model : edgeai::ModelZoo::profiles()) {
       const auto device = planner.estimate(edgeai::ExecutionTier::kDevice,
                                            model, radio_rtt, edge_queue,
@@ -1417,9 +1419,8 @@ ScenarioResult energy_inference(const RunContext& ctx) {
           frugal = e;
       }
       SIXG_ASSERT(frugal != nullptr, "no feasible execution tier");
-      const auto edge_full = energy.offloaded(model, planner.config().edge,
-                                              edge.total,
-                                              planner.config().edge_batch);
+      const auto edge_full = energy.offloaded(
+          model, edge_gpu, edge.total, edgeai::OffloadPlanner::kEdgeBatch);
       t.add_row({model.name,
                  device.feasible ? TextTable::num(device.device_joules * 1e3, 2)
                                  : std::string("does not fit"),

@@ -1,11 +1,19 @@
 #include "core/whatif.hpp"
 
 #include "measurement/ping.hpp"
+#include "radio/conditions.hpp"
 #include "radio/link_model.hpp"
 #include "stats/summary.hpp"
 #include "topo/europe.hpp"
 
 namespace sixg::core {
+namespace {
+
+/// Radio conditions of the evaluation cell (moderate urban).
+constexpr radio::CellConditions kConditions{
+    .load = 0.35, .quality = 0.85, .bler = 0.05, .spike_rate = 0.01};
+
+}  // namespace
 
 std::vector<WhatIfResult> WhatIfEngine::local_peering() const {
   // Baseline: the measured world. Fixed: local breakout + local IX peering.
@@ -22,8 +30,7 @@ std::vector<WhatIfResult> WhatIfEngine::local_peering() const {
   // path the campaigns use.
   const auto measure = [&](const topo::EuropeTopology& world) {
     const meas::PingMeasurement ping{world.net, world.mobile_ue,
-                                     world.university_probe, nsa,
-                                     config_.conditions};
+                                     world.university_probe, nsa, kConditions};
     Rng rng{config_.seed};
     return ping.run(config_.samples, rng).summary_ms;
   };

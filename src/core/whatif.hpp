@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "radio/conditions.hpp"
-
 namespace sixg::core {
 
 /// Before/after value of one metric under the local-peering fix.
@@ -30,11 +28,6 @@ class WhatIfEngine {
   struct Config {
     std::uint32_t samples = 3000;
     std::uint64_t seed = 0xbee5;
-    /// Radio conditions of the evaluation cell (moderate urban).
-    radio::CellConditions conditions{.load = 0.35,
-                                     .quality = 0.85,
-                                     .bler = 0.05,
-                                     .spike_rate = 0.01};
   };
 
   explicit WhatIfEngine(Config config) : config_(config) {}

@@ -40,12 +40,12 @@ EnergyBreakdown InferenceEnergyModel::offloaded(const ModelProfile& model,
   EnergyBreakdown e;
   const Duration tx = uplink_airtime(model);
   const Duration rx = downlink_airtime(model);
-  e.uplink_j = config_.radio.tx_watts * tx.sec();
-  e.downlink_j = config_.radio.rx_watts * rx.sec();
+  e.uplink_j = kDeviceTxWatts * tx.sec();
+  e.downlink_j = kDeviceRxWatts * rx.sec();
   // The device idles for whatever part of the round trip it is not
   // actively transmitting or receiving.
   const double idle_sec = std::max(0.0, (round_trip - tx - rx).sec());
-  e.wait_j = config_.radio.idle_watts * idle_sec;
+  e.wait_j = kDeviceIdleWatts * idle_sec;
   e.server_compute_j = server.batch_joules(model, batch) / double(batch);
   return e;
 }

@@ -13,12 +13,11 @@
 
 namespace sixg::edgeai {
 
-/// UE radio power states during one offloaded inference.
-struct DeviceRadioEnergy {
-  double tx_watts = 2.2;    ///< uplink transmission burst
-  double rx_watts = 1.1;    ///< downlink reception
-  double idle_watts = 0.12; ///< connected-idle while awaiting the result
-};
+// UE radio power states during one offloaded inference.
+inline constexpr double kDeviceTxWatts = 2.2;  ///< uplink transmission burst
+inline constexpr double kDeviceRxWatts = 1.1;  ///< downlink reception
+/// Connected-idle while awaiting the result.
+inline constexpr double kDeviceIdleWatts = 0.12;
 
 /// Where the joules of one request went. Device-side terms
 /// (uplink/downlink/wait, plus compute when executing locally) drain the
@@ -45,7 +44,6 @@ struct EnergyBreakdown {
 class InferenceEnergyModel {
  public:
   struct Config {
-    DeviceRadioEnergy radio;
     DataRate uplink = DataRate::mbps(75);
     DataRate downlink = DataRate::mbps(300);
   };

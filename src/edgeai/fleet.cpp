@@ -85,6 +85,9 @@ constexpr std::uint64_t kClassSalt = 0xc1a5;
 /// completion sink route hedge copies without widening the payload word.
 constexpr std::uint64_t kHedgeTag = 0xff;
 
+/// kTierAffine spills to the next tier at this per-server load.
+constexpr std::uint32_t kTierSpillDepth = 16;
+
 /// dispatch() sentinel: no server is accepting (every candidate down).
 /// Only reachable when a fault schedule is active.
 constexpr std::uint32_t kNoServer = std::numeric_limits<std::uint32_t>::max();
@@ -201,9 +204,6 @@ struct FleetEngine {
   // configured every request runs the lifecycle's one-copy case.
   faults::FaultPlan fault_plan;
   faults::FaultInjector injector;
-  /// Radio outage window: uplinks launched before this instant defer to
-  /// it (the device cannot transmit). TimePoint{} = no outage.
-  TimePoint radio_down_until;
   /// Per-slot cancellable timers, grown with the slab in acquire_slot().
   /// Cancelling a handle that was never armed, already fired or was
   /// already cancelled is a no-op, so release_slot cancels both for
@@ -260,8 +260,8 @@ struct FleetEngine {
         class_rng(derive_seed(cfg.seed, kClassSalt)) {
     up_airtime = energy.uplink_airtime(cfg.model);
     down_airtime = energy.downlink_airtime(cfg.model);
-    uplink_j = cfg.energy.radio.tx_watts * up_airtime.sec();
-    downlink_j = cfg.energy.radio.rx_watts * down_airtime.sec();
+    uplink_j = kDeviceTxWatts * up_airtime.sec();
+    downlink_j = kDeviceRxWatts * down_airtime.sec();
     tx_rx_airtime = up_airtime + down_airtime;
     arrival_sec.resize(kBlock);
     arrival_next = kBlock;  // empty: first draw refills
@@ -436,7 +436,7 @@ struct FleetEngine {
                 tier_order.data() + group_begin,
                 tier_order.data() + group_end);
             if (pick != kNoServer &&
-                load_of(servers[pick]) < config.tier_spill_depth)
+                load_of(servers[pick]) < kTierSpillDepth)
               return pick;
           }
           group_begin = group_end;
@@ -493,11 +493,6 @@ struct FleetEngine {
   [[gnu::cold]] void on_retry(std::uint32_t slot, std::uint32_t epoch);
   /// AcceleratorServer failure sink: a crash lost this submission.
   [[gnu::cold]] void on_lost(std::uint32_t slot, std::uint64_t payload);
-  /// Uplink deferral while the pod's radio domain is down.
-  [[nodiscard]] Duration radio_defer() const {
-    return radio_down_until > sim.now() ? radio_down_until - sim.now()
-                                        : Duration{};
-  }
 
   // Remote-path handlers (sharded runs only).
   void dispatch_remote(std::uint32_t slot);
@@ -685,9 +680,8 @@ void FleetEngine::launch_copy(std::uint32_t slot, bool hedge) {
   }
   ServerState& target = servers[k];
   ++target.dispatched;
-  Duration up =
+  const Duration up =
       target.networked ? next_uplink(target) + up_airtime : Duration{};
-  if (!up.is_zero()) up = up + radio_defer();
   slab[slot].state = RequestSlab::State::kUplink;
   const std::uint8_t tag = hedge ? 1 : 0;
   if (up.is_zero()) {
@@ -726,8 +720,7 @@ void FleetEngine::dispatch_remote(std::uint32_t slot) {
   const std::uint32_t pick =
       std::uint32_t(remote_route_rng.uniform_int(shard_count - 1));
   const std::uint32_t dst = pick >= self ? pick + 1 : pick;
-  const Duration up =
-      (*remote_uplink)(remote_route_rng) + up_airtime + radio_defer();
+  const Duration up = (*remote_uplink)(remote_route_rng) + up_airtime;
   SIXG_ASSERT((std::uint64_t(up.ns()) >> kOriginShift) == 0,
               "remote uplink latency overflows the payload word");
   const std::uint8_t lane =
@@ -877,8 +870,8 @@ void FleetEngine::deliver(std::uint32_t slot, std::uint32_t batch,
   if (networked) {
     energy_sum.uplink_j += uplink_j;
     energy_sum.downlink_j += downlink_j;
-    energy_sum.wait_j += config.energy.radio.idle_watts *
-                         std::max(0.0, (e2e - tx_rx_airtime).sec());
+    energy_sum.wait_j +=
+        kDeviceIdleWatts * std::max(0.0, (e2e - tx_rx_airtime).sec());
     energy_sum.server_compute_j += compute_j;
   } else {
     energy_sum.device_compute_j += compute_j;
@@ -1111,10 +1104,6 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
     hooks.straggle_end = [owner](std::uint32_t s) {
       if (s < owner->servers.size())
         owner->servers[s].server->set_service_rate_multiplier(1.0);
-    };
-    hooks.radio_down = [owner](Duration outage) {
-      const TimePoint until = owner->sim.now() + outage;
-      if (until > owner->radio_down_until) owner->radio_down_until = until;
     };
     // Link fail/restore events have no fleet-level meaning (the fleet
     // models its network as NetLeg samplers, not topo links); scenarios

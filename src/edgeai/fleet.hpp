@@ -33,8 +33,8 @@ enum class DispatchPolicy : std::uint8_t {
   kJoinShortestQueue,  ///< least queued+executing work; ties -> lowest index
   /// Prefer the lowest-latency tier (edge, then cloud, then device):
   /// join-shortest-queue within the preferred tier, spilling to the next
-  /// tier once every server there has at least `tier_spill_depth`
-  /// requests queued or executing.
+  /// tier once every server there has at least 16 requests queued or
+  /// executing (`kTierSpillDepth` in fleet.cpp).
   kTierAffine,
 };
 
@@ -168,8 +168,6 @@ class FleetStudy {
     /// Latency SLO the report scores attainment against (exact count,
     /// not a histogram read).
     Duration slo = Duration::from_millis_f(20.0);
-    /// kTierAffine spills to the next tier at this per-server load.
-    std::uint32_t tier_spill_depth = 16;
     std::uint64_t seed = 1;
 
     /// Seed-derived fault schedule (docs/ARCHITECTURE.md "Fault model").

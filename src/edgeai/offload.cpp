@@ -5,6 +5,15 @@
 #include "common/assert.hpp"
 
 namespace sixg::edgeai {
+namespace {
+
+const AcceleratorProfile kDeviceAccelerator = AcceleratorProfile::device_npu();
+const AcceleratorProfile kEdgeAccelerator = AcceleratorProfile::edge_gpu();
+const AcceleratorProfile kCloudAccelerator = AcceleratorProfile::cloud_gpu();
+/// Typical batch the cloud tier amortises a request into.
+constexpr std::uint32_t kCloudBatch = 16;
+
+}  // namespace
 
 const char* to_string(ExecutionTier tier) {
   switch (tier) {
@@ -36,12 +45,7 @@ const char* to_string(OffloadPolicy policy) {
 
 OffloadPlanner::OffloadPlanner(Config config)
     : config_(std::move(config)),
-      energy_(InferenceEnergyModel::Config{config_.radio_energy,
-                                           config_.uplink,
-                                           config_.downlink}) {
-  SIXG_ASSERT(config_.edge_batch >= 1 && config_.cloud_batch >= 1,
-              "typical batch sizes must be positive");
-}
+      energy_(InferenceEnergyModel::Config{config_.uplink, config_.downlink}) {}
 
 TierEstimate OffloadPlanner::estimate(ExecutionTier tier,
                                       const ModelProfile& model,
@@ -51,20 +55,20 @@ TierEstimate OffloadPlanner::estimate(ExecutionTier tier,
   e.tier = tier;
   switch (tier) {
     case ExecutionTier::kDevice: {
-      e.feasible = config_.device.fits(model);
+      e.feasible = kDeviceAccelerator.fits(model);
       if (!e.feasible) break;
-      e.service = config_.device.service_time(model, 1);
+      e.service = kDeviceAccelerator.service_time(model, 1);
       e.total = e.service;
-      const EnergyBreakdown b = energy_.local(config_.device, model);
+      const EnergyBreakdown b = energy_.local(kDeviceAccelerator, model);
       e.device_joules = b.device_total();
       break;
     }
     case ExecutionTier::kEdge:
     case ExecutionTier::kCloud: {
       const bool cloud = tier == ExecutionTier::kCloud;
-      const AcceleratorProfile& acc = cloud ? config_.cloud : config_.edge;
-      const std::uint32_t batch =
-          cloud ? config_.cloud_batch : config_.edge_batch;
+      const AcceleratorProfile& acc =
+          cloud ? kCloudAccelerator : kEdgeAccelerator;
+      const std::uint32_t batch = cloud ? kCloudBatch : kEdgeBatch;
       e.feasible = acc.fits(model);
       if (!e.feasible) break;
       e.network = radio_rtt + energy_.uplink_airtime(model) +

@@ -52,22 +52,18 @@ struct TierEstimate {
 /// serves both analytic sweeps and closed-loop simulations.
 class OffloadPlanner {
  public:
+  /// Typical batch the edge tier amortises a request into.
+  static constexpr std::uint32_t kEdgeBatch = 4;
+
   struct Config {
-    AcceleratorProfile device = AcceleratorProfile::device_npu();
-    AcceleratorProfile edge = AcceleratorProfile::edge_gpu();
-    AcceleratorProfile cloud = AcceleratorProfile::cloud_gpu();
     /// Link budget of the access hop (serialisation of payloads).
     DataRate uplink = DataRate::mbps(75);
     DataRate downlink = DataRate::mbps(300);
     /// Wired round trip edge site <-> cloud (from the topo layer; the
     /// paper's detour makes this the dominant term of the cloud tier).
     Duration edge_cloud_rtt = Duration::from_millis_f(30.0);
-    /// Typical batch the shared tiers amortise a request into.
-    std::uint32_t edge_batch = 4;
-    std::uint32_t cloud_batch = 16;
     /// Deadline for the energy-aware policy (the AR budget by default).
     Duration latency_budget = Duration::from_millis_f(20.0);
-    DeviceRadioEnergy radio_energy;
   };
 
   explicit OffloadPlanner(Config config);

@@ -16,7 +16,6 @@ enum class Stream : std::uint64_t {
   kServerCrash = 1,
   kStraggler = 2,
   kLink = 3,
-  kRadio = 4,
 };
 
 [[nodiscard]] Rng stream_rng(std::uint64_t seed, Stream stream,
@@ -28,7 +27,7 @@ enum class Stream : std::uint64_t {
 [[nodiscard]] Duration sample_exp(Rng& rng, double mean_seconds) {
   // Inverse CDF on (0,1]: -mean * ln(1 - u) with u in [0,1) never takes
   // log(0). Clamped to >= 1ns so a window is never empty (a zero-length
-  // outage would make the begin/end pair a same-instant no-op).
+  // window would make the begin/end pair a same-instant no-op).
   const double s = -mean_seconds * std::log1p(-rng.uniform());
   const Duration d = Duration::from_seconds_f(s);
   return d.is_zero() ? Duration::nanos(1) : d;
@@ -61,28 +60,6 @@ void walk_stream(std::vector<FaultEvent>& out, Rng rng, double rate_per_s,
 }
 
 }  // namespace
-
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kServerCrash:
-      return "server-crash";
-    case FaultKind::kServerRecover:
-      return "server-recover";
-    case FaultKind::kLinkFail:
-      return "link-fail";
-    case FaultKind::kLinkRestore:
-      return "link-restore";
-    case FaultKind::kRadioOutageBegin:
-      return "radio-outage-begin";
-    case FaultKind::kRadioOutageEnd:
-      return "radio-outage-end";
-    case FaultKind::kStraggleBegin:
-      return "straggle-begin";
-    case FaultKind::kStraggleEnd:
-      return "straggle-end";
-  }
-  return "?";
-}
 
 FaultPlan FaultPlan::generate(const FaultConfig& config, std::uint64_t seed) {
   FaultPlan plan;
@@ -117,12 +94,6 @@ FaultPlan FaultPlan::generate(const FaultConfig& config, std::uint64_t seed) {
                   config.horizon, FaultKind::kLinkFail,
                   FaultKind::kLinkRestore, l, 1.0);
     }
-  }
-  if (config.radio_outage_rate_per_s > 0.0) {
-    walk_stream(plan.events, stream_rng(seed, Stream::kRadio, 0),
-                config.radio_outage_rate_per_s, config.radio_outage_mean,
-                config.horizon, FaultKind::kRadioOutageBegin,
-                FaultKind::kRadioOutageEnd, 0, 1.0);
   }
   // Stable: same-instant events keep generation order (scripted first),
   // making the schedule a pure function of (config, seed).

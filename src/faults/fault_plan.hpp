@@ -1,12 +1,12 @@
 /// @file fault_plan.hpp — seed-deterministic fault schedules.
 ///
 /// A FaultPlan is a *precomputed* list of fault events (server crashes
-/// and repairs, link cuts and restores, radio outage windows, straggler
-/// slow-down windows) derived purely from (FaultConfig, seed). The plan
-/// is generated before the simulation runs and executed by FaultInjector
-/// as ordinary kernel events, so a faulted run is exactly as
-/// deterministic as a fault-free one: same seed, same plan, same
-/// timeline — at any thread or worker count. Nothing in the plan depends
+/// and repairs, link cuts and restores, straggler slow-down windows)
+/// derived purely from (FaultConfig, seed). The plan is generated before
+/// the simulation runs and executed by FaultInjector as ordinary kernel
+/// events, so a faulted run is exactly as deterministic as a fault-free
+/// one: same seed, same plan, same timeline — at any thread or worker
+/// count. Nothing in the plan depends
 /// on simulation state; nothing in the simulation perturbs the plan.
 ///
 /// Draw-order contract (docs/ARCHITECTURE.md "Fault model"): each
@@ -29,17 +29,13 @@ namespace sixg::faults {
 inline constexpr std::uint64_t kFaultSalt = 0xfa17;
 
 enum class FaultKind : std::uint8_t {
-  kServerCrash,       ///< target = server index; duration = time to repair
-  kServerRecover,     ///< target = server index
-  kLinkFail,          ///< target = link index; duration = time to repair
-  kLinkRestore,       ///< target = link index
-  kRadioOutageBegin,  ///< duration = outage window (one shared radio domain)
-  kRadioOutageEnd,
-  kStraggleBegin,     ///< target = server index; factor = slow-down multiplier
+  kServerCrash,    ///< target = server index; duration = time to repair
+  kServerRecover,  ///< target = server index
+  kLinkFail,       ///< target = link index; duration = time to repair
+  kLinkRestore,    ///< target = link index
+  kStraggleBegin,  ///< target = server index; factor = slow-down multiplier
   kStraggleEnd,
 };
-
-[[nodiscard]] const char* to_string(FaultKind kind);
 
 /// One scheduled fault. `at` is the offset from run start (TimePoint{}).
 /// Begin-type events carry the window length in `duration` so handlers
@@ -47,7 +43,7 @@ enum class FaultKind : std::uint8_t {
 /// matching end-type event is always present in the plan.
 struct FaultEvent {
   Duration at;
-  Duration duration;       ///< repair/outage window (begin kinds only)
+  Duration duration;       ///< repair/slow-down window (begin kinds only)
   double factor = 1.0;     ///< straggle service-time multiplier
   FaultKind kind = FaultKind::kServerCrash;
   std::uint32_t target = 0;
@@ -58,7 +54,7 @@ struct FaultEvent {
 /// machinery stays completely cold (no events armed, no RNG drawn).
 ///
 /// Each stream is an alternating renewal process: exponential up-time
-/// with the given per-target rate, then an exponential repair/outage
+/// with the given per-target rate, then an exponential repair/slow-down
 /// window with the given mean. Windows never overlap within one stream;
 /// streams are independent.
 struct FaultConfig {
@@ -66,8 +62,6 @@ struct FaultConfig {
   Duration server_mttr = Duration::millis(50);
   double link_fail_rate_per_s = 0.0;     ///< per link
   Duration link_mttr = Duration::millis(50);
-  double radio_outage_rate_per_s = 0.0;  ///< one shared radio domain
-  Duration radio_outage_mean = Duration::millis(20);
   double straggler_rate_per_s = 0.0;     ///< per server
   Duration straggler_mean = Duration::millis(50);
   double straggler_factor = 4.0;         ///< service-time multiplier while on
@@ -91,13 +85,13 @@ struct FaultConfig {
     if (!scripted.empty()) return true;
     if (horizon.is_zero()) return false;
     return server_crash_rate_per_s > 0.0 || link_fail_rate_per_s > 0.0 ||
-           radio_outage_rate_per_s > 0.0 || straggler_rate_per_s > 0.0;
+           straggler_rate_per_s > 0.0;
   }
 };
 
 /// The materialised schedule: events sorted by time (stable, so
 /// same-instant events keep generation order — scripted first, then
-/// server crashes, stragglers, links, radio, each by ascending target).
+/// server crashes, stragglers, links, each by ascending target).
 struct FaultPlan {
   std::vector<FaultEvent> events;
 

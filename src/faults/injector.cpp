@@ -34,12 +34,6 @@ void FaultInjector::fire(std::uint32_t index) {
     case FaultKind::kLinkRestore:
       if (hooks_.link_up) hooks_.link_up(ev.target);
       return;
-    case FaultKind::kRadioOutageBegin:
-      if (hooks_.radio_down) hooks_.radio_down(ev.duration);
-      return;
-    case FaultKind::kRadioOutageEnd:
-      if (hooks_.radio_up) hooks_.radio_up();
-      return;
     case FaultKind::kStraggleBegin:
       if (hooks_.straggle_begin) hooks_.straggle_begin(ev.target, ev.factor);
       return;

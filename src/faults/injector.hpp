@@ -26,8 +26,6 @@ class FaultInjector {
     std::function<void(std::uint32_t server)> server_up;
     std::function<void(std::uint32_t link, Duration mttr)> link_down;
     std::function<void(std::uint32_t link)> link_up;
-    std::function<void(Duration window)> radio_down;
-    std::function<void()> radio_up;
     std::function<void(std::uint32_t server, double factor)> straggle_begin;
     std::function<void(std::uint32_t server)> straggle_end;
   };

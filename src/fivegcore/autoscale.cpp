@@ -21,15 +21,30 @@ const char* to_string(ScalingPolicy p) {
 }
 
 namespace {
-double diurnal_sessions(const UpfAutoscaleStudy::Params& p, std::uint32_t t) {
-  const double day = double(t) / double(p.horizon_steps);
+
+constexpr std::uint32_t kHorizonSteps = 1440;    ///< one step = one minute
+constexpr double kSessionsPerInstance = 1000.0;  ///< capacity of one UPF
+constexpr double kMeanSessions = 4200.0;         ///< diurnal mean offered
+constexpr double kDiurnalAmplitude = 0.8;        ///< peak swing vs mean
+constexpr double kNoise = 0.06;                  ///< relative load noise
+/// Flash crowds (events, outage fail-overs): sudden extra sessions.
+constexpr double kSurgeProbability = 0.004;  ///< onset per step
+constexpr double kSurgeMagnitude = 0.35;     ///< relative to mean
+constexpr std::uint32_t kSurgeDurationSteps = 25;
+constexpr std::uint32_t kSpinupSteps = 6;  ///< instance boot time
+constexpr double kTargetUtilization = 0.7;
+constexpr double kViolationUtilization = 0.95;  ///< SLA breach threshold
+
+double diurnal_sessions(std::uint32_t t) {
+  const double day = double(t) / double(kHorizonSteps);
   // Single broad daily peak (mobile core load follows the population's
   // waking hours).
   const double shape =
       0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * day));
-  return p.mean_sessions * (1.0 - p.diurnal_amplitude / 2.0 +
-                            p.diurnal_amplitude * shape);
+  return kMeanSessions *
+         (1.0 - kDiurnalAmplitude / 2.0 + kDiurnalAmplitude * shape);
 }
+
 }  // namespace
 
 UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
@@ -45,33 +60,33 @@ UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
   double util_sum = 0.0;
 
   // The scaling control loop ticks once per simulated minute on the
-  // kernel's timer wheel (horizon_steps of them); the per-step model is
+  // kernel's timer wheel (kHorizonSteps of them); the per-step model is
   // unchanged, so outcomes match the former plain loop exactly.
   netsim::Simulator sim;
   std::uint32_t t = 0;
   netsim::Simulator::TimerHandle tick;
   tick = sim.schedule_every(Duration{}, Duration::seconds(60), [&] {
-    if (surge_left == 0 && rng.chance(params.surge_probability))
-      surge_left = params.surge_duration_steps;
-    double sessions = diurnal_sessions(params, t) *
-                      (1.0 + params.noise * (2.0 * rng.uniform() - 1.0));
+    if (surge_left == 0 && rng.chance(kSurgeProbability))
+      surge_left = kSurgeDurationSteps;
+    double sessions =
+        diurnal_sessions(t) * (1.0 + kNoise * (2.0 * rng.uniform() - 1.0));
     if (surge_left > 0) {
-      sessions += params.mean_sessions * params.surge_magnitude;
+      sessions += kMeanSessions * kSurgeMagnitude;
       --surge_left;
     }
 
     if (pending_eta > 0 && --pending_eta == 0) instances = pending_instances;
 
-    const double capacity = instances * params.sessions_per_instance;
+    const double capacity = instances * kSessionsPerInstance;
     const double utilization = sessions / capacity;
-    if (utilization > params.violation_utilization) ++out.violation_steps;
+    if (utilization > kViolationUtilization) ++out.violation_steps;
     util_sum += std::min(utilization, 1.5);
     out.instance_hours += instances / 60.0;
 
     const auto scale_to = [&](double needed_sessions) {
       const double target = std::max(
-          1.0, std::ceil(needed_sessions / params.sessions_per_instance /
-                         params.target_utilization));
+          1.0, std::ceil(needed_sessions / kSessionsPerInstance /
+                         kTargetUtilization));
       if (pending_eta == 0 && target != instances) {
         pending_instances = target;
         // Scale-down applies immediately (draining), scale-up waits for
@@ -80,7 +95,7 @@ UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
           instances = target;
           pending_eta = 0;
         } else {
-          pending_eta = params.spinup_steps;
+          pending_eta = kSpinupSteps;
         }
         ++out.scale_actions;
       }
@@ -94,20 +109,19 @@ UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
         break;
       case ScalingPolicy::kPredictive: {
         const double forecast =
-            diurnal_sessions(params, t + params.spinup_steps + 3) *
-            (1.0 + params.noise);
+            diurnal_sessions(t + kSpinupSteps + 3) * (1.0 + kNoise);
         const double future_util =
-            forecast / (instances * params.sessions_per_instance);
+            forecast / (instances * kSessionsPerInstance);
         if (future_util > 0.85 || future_util < 0.45) scale_to(forecast);
         break;
       }
     }
 
-    if (++t == params.horizon_steps) tick.cancel();
+    if (++t == kHorizonSteps) tick.cancel();
   });
-  if (params.horizon_steps > 0) sim.run();
+  sim.run();
 
-  out.mean_utilization = util_sum / double(params.horizon_steps);
+  out.mean_utilization = util_sum / double(kHorizonSteps);
   return out;
 }
 

@@ -26,18 +26,6 @@ enum class ScalingPolicy : std::uint8_t {
 class UpfAutoscaleStudy {
  public:
   struct Params {
-    std::uint32_t horizon_steps = 1440;      ///< one step = one minute
-    double sessions_per_instance = 1000.0;   ///< capacity of one UPF
-    double mean_sessions = 4200.0;           ///< diurnal mean offered
-    double diurnal_amplitude = 0.8;          ///< peak swing vs mean
-    double noise = 0.06;                     ///< relative load noise
-    /// Flash crowds (events, outage fail-overs): sudden extra sessions.
-    double surge_probability = 0.004;        ///< onset per step
-    double surge_magnitude = 0.35;           ///< relative to mean
-    std::uint32_t surge_duration_steps = 25;
-    std::uint32_t spinup_steps = 6;          ///< instance boot time
-    double target_utilization = 0.7;
-    double violation_utilization = 0.95;     ///< SLA breach threshold
     std::uint32_t static_instances = 6;
     std::uint64_t seed = 0x5ca1e;
   };

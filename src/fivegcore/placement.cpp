@@ -2,10 +2,21 @@
 
 #include "common/assert.hpp"
 #include "geo/coords.hpp"
-#include "stats/histogram.hpp"
+#include "radio/conditions.hpp"
+#include "stats/reservoir.hpp"
 #include "stats/summary.hpp"
 
 namespace sixg::core5g {
+namespace {
+
+constexpr radio::CellConditions kConditions{
+    .load = 0.40, .quality = 0.85, .bler = 0.05, .spike_rate = 0.002};
+constexpr UpfDatapath kDatapath = UpfDatapath::kHostCpu;
+/// GTP tunnels run over the carrier transport network, which is not a
+/// great-circle fibre run; stretch accounts for the routed detour.
+constexpr double kTunnelStretch = 1.25;
+
+}  // namespace
 
 const char* to_string(UpfPlacement placement) {
   switch (placement) {
@@ -56,7 +67,7 @@ UpfPlacementStudy::AnchorLeg UpfPlacementStudy::anchor_leg(
       break;
     }
   }
-  leg.distance_km *= config_.tunnel_stretch;
+  leg.distance_km *= kTunnelStretch;
   return leg;
 }
 
@@ -67,7 +78,7 @@ PlacementResult UpfPlacementStudy::evaluate(
                                         std::uint64_t(profile.name.size()))};
 
   Upf upf{Upf::Config{.name = std::string("upf-") + to_string(placement),
-                      .datapath = config_.datapath}};
+                      .datapath = kDatapath}};
   // Session table with the studied flow in the worst scan position.
   for (std::uint32_t i = 0; i < 32; ++i)
     (void)upf.rules().add_rule(PdrRule{i, 1000 + i, i / 4, int(i)});
@@ -88,9 +99,9 @@ PlacementResult UpfPlacementStudy::evaluate(
   }
 
   stats::Summary rtt_ms;
-  stats::QuantileSample quantiles;
+  stats::ReservoirQuantile quantiles{config_.samples};
   for (std::uint32_t i = 0; i < config_.samples; ++i) {
-    Duration sample = radio_model.sample_rtt(config_.conditions, rng);
+    Duration sample = radio_model.sample_rtt(kConditions, rng);
     if (detour_path) {
       sample += detour_path->sample_rtt(rng);
     } else {

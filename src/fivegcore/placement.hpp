@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "fivegcore/upf.hpp"
-#include "radio/conditions.hpp"
 #include "radio/link_model.hpp"
 #include "topo/europe.hpp"
 
@@ -46,14 +45,6 @@ class UpfPlacementStudy {
   struct Config {
     std::uint32_t samples = 4000;
     std::uint64_t seed = 0x0f5e;
-    radio::CellConditions conditions{.load = 0.40,
-                                     .quality = 0.85,
-                                     .bler = 0.05,
-                                     .spike_rate = 0.002};
-    UpfDatapath datapath = UpfDatapath::kHostCpu;
-    /// GTP tunnels run over the carrier transport network, which is not a
-    /// great-circle fibre run; stretch accounts for the routed detour.
-    double tunnel_stretch = 1.25;
   };
 
   explicit UpfPlacementStudy(const topo::EuropeTopology& europe,

@@ -2,18 +2,6 @@
 
 namespace sixg::core5g {
 
-const char* to_string(FlowClass c) {
-  switch (c) {
-    case FlowClass::kLatencyCritical:
-      return "latency-critical";
-    case FlowClass::kInteractive:
-      return "interactive";
-    case FlowClass::kBulk:
-      return "bulk";
-  }
-  return "?";
-}
-
 std::vector<DynamicUpfSelector::Assignment> DynamicUpfSelector::assign(
     const std::vector<FlowRequest>& flows) {
   edge_left_ = config_.edge_capacity_units;

@@ -16,8 +16,6 @@ enum class FlowClass : std::uint8_t {
   kBulk,             ///< uploads, backups, model-weight syncs
 };
 
-[[nodiscard]] const char* to_string(FlowClass c);
-
 /// A flow requesting user-plane anchoring.
 struct FlowRequest {
   std::uint64_t id = 0;

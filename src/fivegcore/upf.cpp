@@ -6,26 +6,36 @@
 #include "stats/distributions.hpp"
 
 namespace sixg::core5g {
+namespace {
+
+constexpr RuleTable::Mode kTableMode = RuleTable::Mode::kLinearScan;
+constexpr std::uint32_t kHotCapacity = 64;
+/// Host-path baseline constants.
+constexpr Duration kHostProcessingMean = Duration::micros(9);
+constexpr double kHostThroughputMpps = 3.1;
+/// Relative SmartNIC factors from [32]/[33].
+constexpr double kSmartnicLatencyFactor = 3.75;
+constexpr double kSmartnicThroughputFactor = 2.0;
+
+}  // namespace
 
 Upf::Upf(Config config)
-    : config_(std::move(config)),
-      rules_(config_.table_mode, config_.hot_capacity) {
+    : config_(std::move(config)), rules_(kTableMode, kHotCapacity) {
   SIXG_ASSERT(config_.offered_load >= 0.0 && config_.offered_load < 1.0,
               "offered load must be in [0,1)");
 }
 
 double Upf::max_throughput_mpps() const {
-  const double base = config_.host_throughput_mpps;
   return config_.datapath == UpfDatapath::kSmartNic
-             ? base * config_.smartnic_throughput_factor
-             : base;
+             ? kHostThroughputMpps * kSmartnicThroughputFactor
+             : kHostThroughputMpps;
 }
 
 Duration Upf::mean_pipeline_latency() const {
   const double factor = config_.datapath == UpfDatapath::kSmartNic
-                            ? 1.0 / config_.smartnic_latency_factor
+                            ? 1.0 / kSmartnicLatencyFactor
                             : 1.0;
-  return config_.host_processing_mean * factor;
+  return kHostProcessingMean * factor;
 }
 
 Duration Upf::sample_packet_latency(std::uint64_t flow_key, Rng& rng) {

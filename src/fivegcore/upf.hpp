@@ -27,14 +27,6 @@ class Upf {
   struct Config {
     std::string name = "upf";
     UpfDatapath datapath = UpfDatapath::kHostCpu;
-    RuleTable::Mode table_mode = RuleTable::Mode::kLinearScan;
-    std::uint32_t hot_capacity = 64;
-    /// Host-path baseline constants.
-    Duration host_processing_mean = Duration::micros(9);
-    double host_throughput_mpps = 3.1;
-    /// Relative SmartNIC factors from [32]/[33].
-    double smartnic_latency_factor = 3.75;
-    double smartnic_throughput_factor = 2.0;
     /// Current offered load as a fraction of capacity (queueing driver).
     double offered_load = 0.4;
   };

@@ -39,19 +39,13 @@ PingMeasurement::Result PingMeasurement::run(std::uint32_t count,
       const std::uint32_t n =
           std::min<std::uint32_t>(256, count - done);
       compiled_.sample_rtt_into({chunk, n}, rng, scratch);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        result.summary_ms.add(chunk[i]);
-        result.quantiles_ms.add(chunk[i]);
-      }
+      for (std::uint32_t i = 0; i < n; ++i) result.summary_ms.add(chunk[i]);
       done += n;
     }
     return result;
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const double ms = sample_ms(rng);
-    result.summary_ms.add(ms);
-    result.quantiles_ms.add(ms);
-  }
+  for (std::uint32_t i = 0; i < count; ++i)
+    result.summary_ms.add(sample_ms(rng));
   return result;
 }
 

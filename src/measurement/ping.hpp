@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "radio/conditions.hpp"
 #include "radio/link_model.hpp"
-#include "stats/histogram.hpp"
 #include "stats/summary.hpp"
 #include "topo/network.hpp"
 
@@ -36,10 +35,9 @@ class PingMeasurement {
   /// One RTT sample in milliseconds.
   [[nodiscard]] double sample_ms(Rng& rng) const;
 
-  /// Collect `count` samples into summary + retained quantile sample.
+  /// Collect `count` samples into a summary.
   struct Result {
     stats::Summary summary_ms;
-    stats::QuantileSample quantiles_ms;
   };
   [[nodiscard]] Result run(std::uint32_t count, Rng& rng) const;
 

@@ -7,6 +7,21 @@
 #include "common/assert.hpp"
 
 namespace sixg::mobility {
+namespace {
+
+constexpr double kSpeedKmhMin = 18.0;     ///< urban crawl
+constexpr double kSpeedKmhMax = 50.0;     ///< urban limit
+constexpr double kStopProbability = 0.4;  ///< traffic light / congestion stop
+constexpr Duration kStopMin = Duration::seconds(10);
+constexpr Duration kStopMax = Duration::seconds(90);
+/// Neighbour-cell selection weight is density^bias; higher bias makes
+/// the walk hug the urban core harder.
+constexpr double kDensityBias = 1.3;
+/// Cells below this density carry no through-roads for the walk
+/// (corner cells of the sector are farmland/forest).
+constexpr double kMinDrivableDensity = 200.0;
+
+}  // namespace
 
 DrivePlan DrivePlan::manhattan(const geo::SectorGrid& grid,
                                const geo::PopulationRaster& pop,
@@ -24,20 +39,18 @@ DrivePlan DrivePlan::manhattan(const geo::SectorGrid& grid,
       current = c;
     }
   }
-  SIXG_ASSERT(best >= params.min_drivable_density,
-              "no drivable cell in the sector");
+  SIXG_ASSERT(best >= kMinDrivableDensity, "no drivable cell in the sector");
 
   TimePoint clock;
   const TimePoint end = TimePoint{} + params.total_duration;
   while (clock < end) {
     // Dwell: cross the cell at urban speed, possibly held up by lights.
-    const double speed =
-        rng.uniform(params.speed_kmh_min, params.speed_kmh_max);
+    const double speed = rng.uniform(kSpeedKmhMin, kSpeedKmhMax);
     Duration dwell =
         Duration::from_seconds_f(grid.cell_size_km() / speed * 3600.0);
-    if (rng.chance(params.stop_probability)) {
-      const double extra = rng.uniform(double(params.stop_min.ns()),
-                                       double(params.stop_max.ns()));
+    if (rng.chance(kStopProbability)) {
+      const double extra =
+          rng.uniform(double(kStopMin.ns()), double(kStopMax.ns()));
       dwell += Duration::nanos(std::int64_t(extra));
     }
     plan.visits_.push_back(CellVisit{current, clock, dwell});
@@ -53,8 +66,8 @@ DrivePlan DrivePlan::manhattan(const geo::SectorGrid& grid,
                                 current.col + kMoves[m].second};
       if (!grid.contains(next)) continue;
       const double d = pop.density(next);
-      if (d < params.min_drivable_density) continue;
-      weight[m] = std::pow(d, params.density_bias);
+      if (d < kMinDrivableDensity) continue;
+      weight[m] = std::pow(d, kDensityBias);
       total_weight += weight[m];
     }
     if (total_weight <= 0.0) break;  // boxed in (cannot happen on real maps)

@@ -26,17 +26,6 @@ class DrivePlan {
  public:
   struct Params {
     Duration total_duration = Duration::seconds(3 * 3600);
-    double speed_kmh_min = 18.0;   ///< urban crawl
-    double speed_kmh_max = 50.0;   ///< urban limit
-    double stop_probability = 0.4; ///< traffic light / congestion stop
-    Duration stop_min = Duration::seconds(10);
-    Duration stop_max = Duration::seconds(90);
-    /// Neighbour-cell selection weight is density^bias; higher bias makes
-    /// the walk hug the urban core harder.
-    double density_bias = 1.3;
-    /// Cells below this density carry no through-roads for the walk
-    /// (corner cells of the sector are farmland/forest).
-    double min_drivable_density = 200.0;
   };
 
   /// Generate a plan with a walk starting at the densest drivable cell.

@@ -146,8 +146,6 @@ std::vector<TraceEvent> Scope::take_trace() {
   return std::move(trace_);
 }
 
-Scope* current_scope() { return tl_scope; }
-
 ScopeBind::ScopeBind(Scope* scope) {
   if (scope == nullptr) return;
   prev_ = tl_scope;

@@ -108,15 +108,13 @@ extern std::atomic<std::uint8_t> g_flags;  // defined in obs.cpp
 
 class Scope;
 
-/// The thread's bound metric/trace slot; probes write here and nowhere
-/// else. Null (probes no-op) until something binds a scope:
+/// RAII binding of the thread's metric/trace slot; probes write there
+/// and nowhere else. Null (probes no-op) until something binds a scope:
 /// Runtime::configure binds the calling thread to the main scope,
 /// ShardedSimulator binds shard scopes around shard execution, and
-/// ParallelRunner binds per-worker scopes.
-[[nodiscard]] Scope* current_scope();
-
-/// RAII scope binding. Binding nullptr is a no-op (the previous binding
-/// stays), so call sites can write `ScopeBind b(enabled ? s : nullptr)`.
+/// ParallelRunner binds per-worker scopes. Binding nullptr is a no-op
+/// (the previous binding stays), so call sites can write
+/// `ScopeBind b(enabled ? s : nullptr)`.
 class ScopeBind {
  public:
   explicit ScopeBind(Scope* scope);

@@ -5,6 +5,19 @@
 #include "stats/distributions.hpp"
 
 namespace sixg::oran {
+namespace {
+
+constexpr Duration kMeasurementReport = Duration::from_millis_f(2.0);
+constexpr Duration kBackhaulToCore = Duration::from_millis_f(6.5);  ///< one way
+constexpr Duration kCoreProcessing = Duration::from_millis_f(3.0);  ///< AMF+SMF
+constexpr Duration kPathSwitch = Duration::from_millis_f(4.0);
+constexpr Duration kGnbProcessing = Duration::from_millis_f(1.2);
+constexpr Duration kRachAccess = Duration::from_millis_f(2.5);
+/// Control events the core (or RIC) processes per second.
+constexpr double kCoreCapacityPerSec = 1500.0;
+constexpr double kRicCapacityPerSec = 3000.0;
+
+}  // namespace
 
 const char* to_string(HandoverArchitecture a) {
   switch (a) {
@@ -30,32 +43,32 @@ Duration HandoverModel::sample_interruption(HandoverArchitecture arch,
     return d * stats::Lognormal::from_median(1.0, 0.15).sample(rng);
   };
 
-  Duration total = jitter(config_.measurement_report);
+  Duration total = jitter(kMeasurementReport);
   switch (arch) {
     case HandoverArchitecture::kCoreAnchored:
       // gNB -> core -> decision -> path switch -> target gNB, then RACH.
-      total += jitter(config_.backhaul_to_core) * 2;
-      total += jitter(config_.core_processing);
-      total += queueing(config_.core_capacity_per_sec);
-      total += jitter(config_.path_switch);
-      total += jitter(config_.gnb_processing);
-      total += jitter(config_.rach_access);
+      total += jitter(kBackhaulToCore) * 2;
+      total += jitter(kCoreProcessing);
+      total += queueing(kCoreCapacityPerSec);
+      total += jitter(kPathSwitch);
+      total += jitter(kGnbProcessing);
+      total += jitter(kRachAccess);
       break;
     case HandoverArchitecture::kRicConverged: {
       // Everything stays at the edge: RIC decision + local path update.
       const Duration edge_leg = Duration::from_millis_f(0.9);
       total += jitter(edge_leg) * 2;
-      total += queueing(config_.ric_capacity_per_sec);
-      total += jitter(config_.gnb_processing);
-      total += jitter(config_.rach_access);
+      total += queueing(kRicCapacityPerSec);
+      total += jitter(kGnbProcessing);
+      total += jitter(kRachAccess);
       break;
     }
     case HandoverArchitecture::kHybrid:
       // gNB executes break-before-make immediately; the RIC confirms the
       // policy asynchronously, so only local costs block the user plane.
-      total += jitter(config_.gnb_processing) * 2;
-      total += jitter(config_.rach_access);
-      total += queueing(config_.ric_capacity_per_sec) * 0.25;  // async share
+      total += jitter(kGnbProcessing) * 2;
+      total += jitter(kRachAccess);
+      total += queueing(kRicCapacityPerSec) * 0.25;  // async share
       break;
   }
   return total;

@@ -26,21 +26,6 @@ enum class HandoverArchitecture : std::uint8_t {
 /// conditions: a tram of phones crossing a cell edge).
 class HandoverModel {
  public:
-  struct Config {
-    Duration measurement_report = Duration::from_millis_f(2.0);
-    Duration backhaul_to_core = Duration::from_millis_f(6.5);  ///< one way
-    Duration core_processing = Duration::from_millis_f(3.0);   ///< AMF+SMF
-    Duration path_switch = Duration::from_millis_f(4.0);
-    Duration gnb_processing = Duration::from_millis_f(1.2);
-    Duration rach_access = Duration::from_millis_f(2.5);
-    /// Control events the core (or RIC) processes per second.
-    double core_capacity_per_sec = 1500.0;
-    double ric_capacity_per_sec = 3000.0;
-  };
-
-  explicit HandoverModel(Config config) : config_(config) {}
-  HandoverModel() : HandoverModel(Config{}) {}
-
   /// Sample the user-plane interruption of one handover at the given
   /// handover rate (events/s across the control plane).
   [[nodiscard]] Duration sample_interruption(HandoverArchitecture arch,
@@ -56,9 +41,6 @@ class HandoverModel {
   [[nodiscard]] TextTable storm_table(const std::vector<double>& rates,
                                       std::uint32_t count,
                                       std::uint64_t seed) const;
-
- private:
-  Config config_;
 };
 
 }  // namespace sixg::oran

@@ -8,6 +8,9 @@
 namespace sixg::oran {
 
 namespace {
+
+constexpr double kZipfS = 1.1;  ///< activity skew across flows
+
 /// Sample a flow index from a Zipf distribution over [0, n) via inverse
 /// CDF on precomputed cumulative weights.
 class ZipfSampler {
@@ -64,7 +67,7 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
   for (const std::uint64_t key : active_keys) table.prioritise_flow(key);
   out.prioritised_ues = table.prioritised_ue_count();
 
-  const ZipfSampler zipf{params.active_flows, params.zipf_s};
+  const ZipfSampler zipf{params.active_flows, kZipfS};
   Rng rng{params.seed};
   for (std::uint32_t i = 0; i < params.lookups; ++i) {
     const std::uint64_t key = active_keys[zipf.sample(rng)];

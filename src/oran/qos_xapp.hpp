@@ -21,7 +21,6 @@ class QosXApp {
     std::uint32_t total_rules = 2000;   ///< installed PDR/QER entries
     std::uint32_t active_flows = 48;    ///< flows with live traffic
     std::uint32_t flows_per_ue = 3;     ///< multi-flow UEs (video+haptic+ctl)
-    double zipf_s = 1.1;                ///< activity skew across flows
     std::uint32_t lookups = 200000;
     std::uint64_t seed = 0x90a5;
   };

@@ -10,15 +10,11 @@ namespace sixg::oran {
 class NearRtRic {
  public:
   struct Config {
-    Duration e2_transport = Duration::from_millis_f(1.8);  ///< one way
-    Duration xapp_inference = Duration::from_millis_f(2.5);
-    /// Decisions the RIC can process per second (shared across cells).
-    double decision_capacity_per_sec = 4000.0;
     /// Current offered decision rate (drives queueing).
     double offered_rate_per_sec = 800.0;
   };
 
-  explicit NearRtRic(Config config);
+  explicit NearRtRic(Config config) : config_(config) {}
 
   [[nodiscard]] const Config& config() const { return config_; }
 

@@ -7,19 +7,25 @@
 #include "common/assert.hpp"
 
 namespace sixg::radio {
+namespace {
+
+constexpr double kMaxPaWatts = 1100.0;        ///< PA at full PRB utilisation
+constexpr double kSleepWatts = 120.0;         ///< deep micro-sleep floor
+constexpr double kSleepEntryOverhead = 0.08;  ///< fraction of idle unusable
+
+}  // namespace
 
 double GnbEnergyModel::average_watts(double load) const {
   SIXG_ASSERT(load >= 0.0 && load <= 1.0, "load must be in [0,1]");
   const double active_share = load;
   const double idle_share = 1.0 - load;
-  const double pa = params_.max_pa_watts * load;
+  const double pa = kMaxPaWatts * load;
   if (!params_.micro_sleep) return params_.static_watts + pa;
   // Micro-sleep: the idle fraction (minus wake/sleep transitions) draws
   // the sleep floor instead of full static power.
-  const double sleepable =
-      std::max(0.0, idle_share - params_.sleep_entry_overhead);
+  const double sleepable = std::max(0.0, idle_share - kSleepEntryOverhead);
   const double awake = 1.0 - sleepable;
-  return awake * params_.static_watts + sleepable * params_.sleep_watts +
+  return awake * params_.static_watts + sleepable * kSleepWatts +
          pa * (active_share > 0 ? 1.0 : 0.0);
 }
 

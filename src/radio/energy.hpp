@@ -19,11 +19,8 @@ class GnbEnergyModel {
  public:
   struct Params {
     std::string name = "gNB";
-    double static_watts = 780.0;       ///< rectifier, baseband, fans
-    double max_pa_watts = 1100.0;      ///< PA at full PRB utilisation
-    double sleep_watts = 120.0;        ///< deep micro-sleep floor
-    bool micro_sleep = false;          ///< sleep in unused slots?
-    double sleep_entry_overhead = 0.08;  ///< fraction of idle unusable
+    double static_watts = 780.0;  ///< rectifier, baseband, fans
+    bool micro_sleep = false;     ///< sleep in unused slots?
     DataRate cell_peak_rate = DataRate::gbps(1);
   };
 

@@ -3,10 +3,21 @@
 #include "stats/distributions.hpp"
 
 namespace sixg::radio {
+namespace {
+
+constexpr Duration kSlot = Duration::micros(125);  ///< numerology-3 slot
+constexpr Duration kTrackingLo = Duration::from_millis_f(0.8);
+constexpr Duration kTrackingHi = Duration::from_millis_f(3.2);
+/// Lognormal body of the realignment penalty.
+constexpr double kRealignMedianMs = 5.0;
+constexpr double kRealignSigma = 0.45;
+constexpr Duration kHarqRtt = Duration::micros(500);
+
+}  // namespace
 
 Duration MmWavePhyModel::sample_one_way(Rng& rng) const {
   // Slot alignment + one transmission.
-  Duration d = params_.slot * rng.uniform() + params_.slot;
+  Duration d = kSlot * rng.uniform() + kSlot;
 
   // Beam state decides the dominating term.
   const double roll = rng.uniform();
@@ -14,18 +25,17 @@ Duration MmWavePhyModel::sample_one_way(Rng& rng) const {
     // Serving beam is current: nothing to add.
   } else if (roll < params_.p_aligned + params_.p_tracking) {
     d += Duration::from_millis_f(
-        rng.uniform(params_.tracking_lo.ms(), params_.tracking_hi.ms()));
+        rng.uniform(kTrackingLo.ms(), kTrackingHi.ms()));
   } else {
     d += Duration::from_millis_f(
-        stats::Lognormal::from_median(params_.realign_median_ms,
-                                      params_.realign_sigma)
+        stats::Lognormal::from_median(kRealignMedianMs, kRealignSigma)
             .sample(rng));
   }
 
   // HARQ at mmWave speed.
   int retx = 0;
   while (retx < 4 && rng.chance(params_.bler)) ++retx;
-  d += params_.harq_rtt * retx;
+  d += kHarqRtt * retx;
   return d;
 }
 

@@ -18,16 +18,9 @@ namespace sixg::radio {
 class MmWavePhyModel {
  public:
   struct Params {
-    Duration slot = Duration::micros(125);  ///< numerology-3 slot
     double p_aligned = 0.05;
-    double p_tracking = 0.17;               ///< remainder: realigning
-    Duration tracking_lo = Duration::from_millis_f(0.8);
-    Duration tracking_hi = Duration::from_millis_f(3.2);
-    /// Lognormal body of the realignment penalty.
-    double realign_median_ms = 5.0;
-    double realign_sigma = 0.45;
+    double p_tracking = 0.17;  ///< remainder: realigning
     double bler = 0.10;
-    Duration harq_rtt = Duration::micros(500);
   };
 
   MmWavePhyModel() : MmWavePhyModel(Params{}) {}

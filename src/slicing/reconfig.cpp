@@ -17,18 +17,35 @@ const char* to_string(ReconfigPolicy p) {
 }
 
 namespace {
+
+constexpr std::uint32_t kHorizonSteps = 1440;  ///< one step = one minute, 24 h
+constexpr double kBaseLoad = 0.40;  ///< of initially allocated capacity
+constexpr double kDiurnalAmplitude = 0.75;  ///< predictable peak on top of base
+constexpr double kSurgeProbability = 0.006;  ///< per-step surprise-surge onset
+constexpr double kSurgeMagnitude = 0.35;
+constexpr std::uint32_t kSurgeDurationSteps = 20;
+constexpr double kViolationThreshold = 0.95;  ///< load/capacity ratio
+/// Time to apply a new allocation.
+constexpr std::uint32_t kRescaleDelaySteps = 8;
+constexpr double kHeadroomTarget = 0.70;  ///< desired post-rescale ratio
+/// Predictive policy forecasting margin beyond the rescale delay.
+constexpr std::uint32_t kForecastSteps = 4;
+constexpr double kEwmaAlpha = 0.25;
+
 /// The predictable part of the slice load: a diurnal curve with a morning
 /// and an evening peak, as hypervisor-placement traces show. Both policies
 /// face it; only the predictive one exploits knowing its shape.
-double diurnal(double base, double amplitude, std::uint32_t t,
-               std::uint32_t horizon) {
-  const double day = double(t) / double(horizon);  // one horizon = one day
+double diurnal(std::uint32_t t) {
+  // One horizon = one day.
+  const double day = double(t) / double(kHorizonSteps);
   const double main_peak =
       std::exp(-std::pow((day - 0.40) / 0.10, 2.0));  // morning
   const double evening_peak =
       std::exp(-std::pow((day - 0.80) / 0.07, 2.0));
-  return base + amplitude * std::max(main_peak, 0.85 * evening_peak);
+  return kBaseLoad +
+         kDiurnalAmplitude * std::max(main_peak, 0.85 * evening_peak);
 }
+
 }  // namespace
 
 ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
@@ -46,16 +63,14 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
   double alloc_sum = 0.0;
   double util_sum = 0.0;
 
-  for (std::uint32_t t = 0; t < params.horizon_steps; ++t) {
+  for (std::uint32_t t = 0; t < kHorizonSteps; ++t) {
     // --- offered load -----------------------------------------------------
-    const double predictable = diurnal(params.base_load,
-                                       params.diurnal_amplitude, t,
-                                       params.horizon_steps);
-    if (surge_left == 0 && rng.chance(params.surge_probability))
-      surge_left = params.surge_duration_steps;
+    const double predictable = diurnal(t);
+    if (surge_left == 0 && rng.chance(kSurgeProbability))
+      surge_left = kSurgeDurationSteps;
     double load = predictable;
     if (surge_left > 0) {
-      load += params.surge_magnitude;
+      load += kSurgeMagnitude;
       --surge_left;
     }
     load *= 1.0 + 0.05 * (rng.uniform() - 0.5);
@@ -66,19 +81,19 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
     }
 
     const double utilization = load / capacity;
-    if (utilization > params.violation_threshold) ++out.violations;
+    if (utilization > kViolationThreshold) ++out.violations;
 
-    residual_ewma = params.ewma_alpha * (load - predictable) +
-                    (1.0 - params.ewma_alpha) * residual_ewma;
+    residual_ewma = kEwmaAlpha * (load - predictable) +
+                    (1.0 - kEwmaAlpha) * residual_ewma;
 
     // --- control ------------------------------------------------------------
     const auto want_rescale_to = [&](double target_load) {
       const double target_capacity =
-          std::max(1.0, target_load / params.headroom_target);
+          std::max(1.0, target_load / kHeadroomTarget);
       if (pending_eta == 0 &&
           std::fabs(target_capacity - capacity) / capacity > 0.10) {
         pending_capacity = target_capacity;
-        pending_eta = params.rescale_delay_steps;
+        pending_eta = kRescaleDelaySteps;
         ++out.reconfigurations;
       }
     };
@@ -88,7 +103,7 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
         // Acts only on what it currently sees; pays the rescale delay in
         // violation time whenever the (predictable!) ramp crosses the
         // threshold.
-        if (utilization > params.violation_threshold)
+        if (utilization > kViolationThreshold)
           want_rescale_to(load);
         else if (utilization < 0.35)
           want_rescale_to(load);
@@ -98,17 +113,13 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
         // the instantaneous residual (surge detector) plus a safety
         // margin. Falls back to reacting when a surprise surge lands
         // anyway — prediction augments reaction, it does not replace it.
-        const std::uint32_t ahead =
-            t + params.rescale_delay_steps + params.forecast_steps;
+        const std::uint32_t ahead = t + kRescaleDelaySteps + kForecastSteps;
         const double residual =
             std::max({0.0, residual_ewma, load - predictable});
-        const double forecast =
-            diurnal(params.base_load, params.diurnal_amplitude, ahead,
-                    params.horizon_steps) +
-            residual + 0.04;
-        if (utilization > params.violation_threshold)
+        const double forecast = diurnal(ahead) + residual + 0.04;
+        if (utilization > kViolationThreshold)
           want_rescale_to(std::max(load, forecast));
-        else if (forecast / capacity > 0.90 * params.violation_threshold ||
+        else if (forecast / capacity > 0.90 * kViolationThreshold ||
                  forecast / capacity < 0.35)
           want_rescale_to(forecast);
         break;
@@ -121,7 +132,7 @@ ReconfigStudy::Outcome ReconfigStudy::run(ReconfigPolicy policy,
     out.peak_utilization = std::max(out.peak_utilization, utilization);
   }
 
-  out.mean_utilization = util_sum / double(params.horizon_steps);
+  out.mean_utilization = util_sum / double(kHorizonSteps);
   out.overprovision_factor = alloc_sum / load_sum;
   return out;
 }

@@ -27,18 +27,6 @@ enum class ReconfigPolicy : std::uint8_t {
 class ReconfigStudy {
  public:
   struct Params {
-    std::uint32_t horizon_steps = 1440;  ///< one step = one minute, 24 h
-    double base_load = 0.40;             ///< of initially allocated capacity
-    double diurnal_amplitude = 0.75;     ///< predictable peak on top of base
-    double surge_probability = 0.006;    ///< per-step surprise-surge onset
-    double surge_magnitude = 0.35;
-    std::uint32_t surge_duration_steps = 20;
-    double violation_threshold = 0.95;   ///< load/capacity ratio
-    std::uint32_t rescale_delay_steps = 8;  ///< time to apply a new allocation
-    double headroom_target = 0.70;       ///< desired post-rescale ratio
-    /// Predictive policy forecasting margin beyond the rescale delay.
-    std::uint32_t forecast_steps = 4;
-    double ewma_alpha = 0.25;
     std::uint64_t seed = 0x51ce;
   };
 

@@ -96,11 +96,6 @@ void Histogram::to_json(std::string& out) const {
   out += "]}";
 }
 
-void QuantileSample::merge(const QuantileSample& other) {
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-  sorted_ = false;
-}
-
 double sorted_quantile(const std::vector<double>& sorted, double q) {
   SIXG_ASSERT(!sorted.empty(), "quantile of empty sample");
   SIXG_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
@@ -110,14 +105,6 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - double(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double QuantileSample::quantile(double q) const {
-  if (!sorted_) {
-    std::sort(data_.begin(), data_.end());
-    sorted_ = true;
-  }
-  return sorted_quantile(data_, q);
 }
 
 }  // namespace sixg::stats

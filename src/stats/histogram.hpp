@@ -44,32 +44,9 @@ class Histogram {
 };
 
 /// q in [0,1] over an already-sorted, non-empty sample: linear
-/// interpolation between order statistics. The ONE interpolation rule
-/// shared by QuantileSample and ReservoirQuantile — the streaming
-/// migration's "exact below cap" contract is bit-equality of the two,
-/// so they must evaluate the same expression.
+/// interpolation between order statistics. ReservoirQuantile's exact
+/// (below-cap) quantiles are this expression over every value added.
 [[nodiscard]] double sorted_quantile(const std::vector<double>& sorted,
                                      double q);
-
-/// Exact empirical quantiles from a retained sample vector. The campaign
-/// sizes in this project (1e3..1e6 samples) fit comfortably in memory, so
-/// we prefer exact quantiles over sketches.
-class QuantileSample {
- public:
-  void add(double x) {
-    data_.push_back(x);
-    sorted_ = false;
-  }
-  void merge(const QuantileSample& other);
-
-  [[nodiscard]] std::size_t count() const { return data_.size(); }
-  /// q in [0,1]; linear interpolation between order statistics.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-
- private:
-  mutable std::vector<double> data_;
-  mutable bool sorted_ = false;
-};
 
 }  // namespace sixg::stats

@@ -99,8 +99,6 @@ double ReservoirQuantile::quantile(double q) const {
     std::sort(data_.begin(), data_.end());
     sorted_ = true;
   }
-  // Shared interpolation rule: bit-equality with QuantileSample below
-  // the cap is a contract, not a coincidence.
   return sorted_quantile(data_, q);
 }
 

@@ -14,10 +14,9 @@ namespace sixg::stats {
 
 /// Streaming quantile estimator over a capped sample buffer.
 ///
-/// Below the cap it is bit-identical to the retain-everything
-/// QuantileSample (same storage order, same interpolation), which is what
-/// keeps small serving runs byte-stable across the streaming-report
-/// migration. Past the cap each new value replaces a uniformly random
+/// Below the cap it retains every value and its quantiles are exact:
+/// sorted_quantile over the whole sample, so a cap of at least the
+/// sample count makes it an exact quantile sink. Past the cap each new value replaces a uniformly random
 /// resident with probability cap/seen — the classic reservoir — using a
 /// private generator, so adding samples never perturbs any other
 /// deterministic stream.

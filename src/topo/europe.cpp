@@ -7,6 +7,15 @@
 namespace sixg::topo {
 
 namespace {
+
+/// Mean utilisation of long-haul links (drives queueing jitter).
+constexpr double kCoreUtilization = 0.35;
+/// Extra one-way latency of the CGNAT/anchor gateway (address
+/// translation, traffic inspection, tunnel termination).
+constexpr Duration kCgnatExtra = Duration::from_millis_f(2.4);
+/// Extra one-way latency of wired residential access (GPON/DOCSIS).
+constexpr Duration kWiredAccessExtra = Duration::from_millis_f(4.2);
+
 geo::LatLon city(std::string_view name) {
   const auto c = geo::Gazetteer::central_europe().find(name);
   SIXG_ASSERT(c.has_value(), "city missing from gazetteer");
@@ -99,14 +108,14 @@ EuropeTopology build_europe(const EuropeOptions& opt) {
 
   // --- links ---------------------------------------------------------------
   Network::LinkOptions core;
-  core.utilization = opt.core_utilization;
+  core.utilization = kCoreUtilization;
 
   // Carrier backhaul: the UE's user plane is hauled to the Vienna anchor
   // (GTP tunnel over the carrier's transport network). The CGNAT adds
   // processing latency on top of the fibre run.
   {
     Network::LinkOptions backhaul = core;
-    backhaul.extra_latency = opt.cgnat_extra;
+    backhaul.extra_latency = kCgnatExtra;
     backhaul.utilization = 0.45;  // carrier aggregation runs hotter
     net.add_link(t.mobile_ue, t.mobile_gw_vienna, LinkRelation::kIntraAs,
                  backhaul);
@@ -136,7 +145,7 @@ EuropeTopology build_europe(const EuropeOptions& opt) {
   // Wired residential access in the sector (GPON/DOCSIS tail).
   {
     Network::LinkOptions access = core;
-    access.extra_latency = opt.wired_access_extra;
+    access.extra_latency = kWiredAccessExtra;
     access.utilization = 0.25;
     net.add_link(t.wired_host, ascus_klu, LinkRelation::kIntraAs, access);
   }

@@ -26,13 +26,6 @@ struct EuropeOptions {
   /// peering port is unreachable from the UE side — exactly the
   /// interdependence the paper points out.
   bool local_peering = false;
-  /// Mean utilisation of long-haul links (drives queueing jitter).
-  double core_utilization = 0.35;
-  /// Extra one-way latency of the CGNAT/anchor gateway (address
-  /// translation, traffic inspection, tunnel termination).
-  Duration cgnat_extra = Duration::from_millis_f(2.4);
-  /// Extra one-way latency of wired residential access (GPON/DOCSIS).
-  Duration wired_access_extra = Duration::from_millis_f(4.2);
 };
 
 /// Handles to the interesting endpoints of the scenario.

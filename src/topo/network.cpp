@@ -56,8 +56,7 @@ LinkId Network::add_link(NodeId a, NodeId b, LinkRelation relation,
   l.capacity = options.capacity;
   l.extra_latency = options.extra_latency;
   l.utilization = options.utilization;
-  l.length_km = options.length_km_override.value_or(
-      geo::distance_km(na.position, nb.position));
+  l.length_km = geo::distance_km(na.position, nb.position);
   links_.push_back(l);
   link_alive_.push_back(true);
   adjacency_[a.value()].push_back(id);

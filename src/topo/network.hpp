@@ -85,8 +85,6 @@ class Network {
     DataRate capacity = DataRate::gbps(10);
     Duration extra_latency;
     double utilization = 0.3;
-    /// Override geometric length (e.g. non-great-circle fibre runs).
-    std::optional<double> length_km_override;
   };
   /// Relation is from a's perspective; kIntraAs requires both nodes in the
   /// same AS, the other relations require different ASes.

@@ -116,7 +116,7 @@ TEST(ArGame, ThrowRateMatchesConfig) {
   const ArGameSession session{
       [](Rng&) { return Duration::from_millis_f(5.0); }, config};
   const auto report = session.run();
-  const double seconds = config.frames / config.frame_rate_hz;
+  const double seconds = config.frames / ArGameSession::kFrameRateHz;
   EXPECT_NEAR(report.throws / seconds, 1.2, 0.12);
 }
 

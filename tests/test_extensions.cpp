@@ -67,7 +67,7 @@ TEST(Federated, RoundTimeGatedByStragglers) {
   // Round time must exceed median training + transfer: the max over 16
   // lognormal draws sits well above the median.
   EXPECT_GT(report.round_seconds.mean(),
-            config.local_training_mean.sec() + 1.0);
+            apps::FederatedRoundModel::kLocalTrainingMean.sec() + 1.0);
   EXPECT_GT(report.straggler_wait_seconds.mean(), 0.5);
 }
 

@@ -11,6 +11,7 @@
 ///      worker count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -122,6 +123,51 @@ TEST(FaultPlan, StreamsAreIndependentPerKindAndTarget) {
       EXPECT_EQ(crashes[i].kind, base.events[i].kind) << i;
       EXPECT_EQ(crashes[i].target, base.events[i].target) << i;
     }
+  }
+}
+
+TEST(FaultPlan, GeneratedScheduleIsPinnedPerKind) {
+  // Pinned values: each kind's events of one crash + straggler + link
+  // plan, digested in plan order. The relative checks above cannot see a
+  // change that moves every stream alike; a shifted stream id, another
+  // draw order or another generation order moves these digests.
+  FaultConfig config = crashy_config();
+  config.straggler_rate_per_s = 3.0;
+  config.straggler_mean = Duration::millis(30);
+  config.link_fail_rate_per_s = 1.5;
+  config.link_mttr = Duration::millis(70);
+  config.links = 3;
+  const auto plan = FaultPlan::generate(config, 13);
+  struct Pin {
+    FaultKind kind;
+    std::size_t events;
+    std::uint64_t digest;
+  };
+  for (const Pin pin :
+       {Pin{FaultKind::kServerCrash, 44, 0xaec0f5e086ef45e7ULL},
+        Pin{FaultKind::kServerRecover, 44, 0x86bae201a318c007ULL},
+        Pin{FaultKind::kLinkFail, 18, 0x5824453944ec9978ULL},
+        Pin{FaultKind::kLinkRestore, 18, 0xc173d37ecb97cc06ULL},
+        Pin{FaultKind::kStraggleBegin, 56, 0xbe3154c34f37ea28ULL},
+        Pin{FaultKind::kStraggleEnd, 56, 0x9c2dde38060ae1ecULL}}) {
+    std::size_t events = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit
+    const auto mix = [&digest](std::uint64_t word) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (word >> (8 * byte)) & 0xff;
+        digest *= 0x100000001b3ULL;
+      }
+    };
+    for (const FaultEvent& e : plan.events) {
+      if (e.kind != pin.kind) continue;
+      ++events;
+      mix(std::uint64_t(e.at.ns()));
+      mix(std::uint64_t(e.duration.ns()));
+      mix(std::bit_cast<std::uint64_t>(e.factor));
+      mix(e.target);
+    }
+    EXPECT_EQ(events, pin.events) << int(pin.kind);
+    EXPECT_EQ(digest, pin.digest) << int(pin.kind);
   }
 }
 

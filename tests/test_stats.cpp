@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -141,25 +142,6 @@ TEST(Histogram, MergeAddsCounts) {
   EXPECT_EQ(a.bin(5), 1u);
 }
 
-TEST(QuantileSample, ExactQuantiles) {
-  QuantileSample q;
-  for (int i = 1; i <= 100; ++i) q.add(double(i));
-  EXPECT_NEAR(q.median(), 50.5, 1e-9);
-  EXPECT_NEAR(q.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(q.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(q.quantile(0.25), 25.75, 1e-9);
-}
-
-TEST(QuantileSample, MergeCombines) {
-  QuantileSample a;
-  QuantileSample b;
-  for (int i = 1; i <= 50; ++i) a.add(double(i));
-  for (int i = 51; i <= 100; ++i) b.add(double(i));
-  a.merge(b);
-  EXPECT_EQ(a.count(), 100u);
-  EXPECT_NEAR(a.median(), 50.5, 1e-9);
-}
-
 // ------------------------------------------------------------ distributions
 
 TEST(Distributions, NormalMoments) {
@@ -183,7 +165,7 @@ TEST_P(LognormalProperty, MedianAndMeanMatchTheory) {
   EXPECT_NEAR(dist.median(), param.median, 1e-9);
 
   Rng rng{17};
-  QuantileSample q;
+  ReservoirQuantile q{100000};
   Summary s;
   for (int i = 0; i < 100000; ++i) {
     const double x = dist.sample(rng);
@@ -289,23 +271,55 @@ TEST(FastLog, SpecialValuesMatchLibmSemantics) {
 
 // ---------------------------------------------------------- reservoir
 
-TEST(ReservoirQuantile, ExactBelowCapMatchesRetainedSample) {
-  // Below the cap the reservoir IS the retain-everything sampler: same
-  // storage order, same interpolation, bit-identical quantiles.
+/// Reference for the exact mode: sort every value, then interpolate
+/// linearly between the order statistics around q * (n - 1).
+double sort_and_interpolate(std::vector<double> sample, double q) {
+  std::sort(sample.begin(), sample.end());
+  const double pos = q * double(sample.size() - 1);
+  const auto lo = std::size_t(pos);
+  const auto hi = std::min(lo + 1, sample.size() - 1);
+  const double frac = pos - double(lo);
+  return sample[lo] * (1.0 - frac) + sample[hi] * frac;
+}
+
+TEST(ReservoirQuantile, ExactBelowCapMatchesSortAndInterpolate) {
+  // Below the cap the reservoir retains every value: its quantiles are
+  // the sorted sample's, bit for bit.
   ReservoirQuantile r{256, 1};
-  QuantileSample exact;
+  std::vector<double> values;
   Rng rng{9};
   for (int i = 0; i < 200; ++i) {
     const double x = rng.uniform(0.0, 50.0);
     r.add(x);
-    exact.add(x);
+    values.push_back(x);
   }
   EXPECT_TRUE(r.exact());
   EXPECT_EQ(r.count(), 200u);
   EXPECT_EQ(r.sample_count(), 200u);
   for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(r.quantile(q), exact.quantile(q)) << q;
+    EXPECT_EQ(r.quantile(q), sort_and_interpolate(values, q)) << q;
   }
+}
+
+TEST(ReservoirQuantile, ExactQuantilesAtCapEqualToSampleCount) {
+  ReservoirQuantile q{100};
+  for (int i = 1; i <= 100; ++i) q.add(double(i));
+  EXPECT_TRUE(q.exact());
+  EXPECT_NEAR(q.median(), 50.5, 1e-9);
+  EXPECT_NEAR(q.quantile(0.0), 1.0, 1e-9);
+  EXPECT_NEAR(q.quantile(1.0), 100.0, 1e-9);
+  EXPECT_NEAR(q.quantile(0.25), 25.75, 1e-9);
+}
+
+TEST(ReservoirQuantile, ExactMergeCombines) {
+  ReservoirQuantile a{100};
+  ReservoirQuantile b{50};
+  for (int i = 1; i <= 50; ++i) a.add(double(i));
+  for (int i = 51; i <= 100; ++i) b.add(double(i));
+  a.merge(b);
+  EXPECT_TRUE(a.exact());
+  EXPECT_EQ(a.count(), 100u);
+  EXPECT_NEAR(a.median(), 50.5, 1e-9);
 }
 
 TEST(ReservoirQuantile, CappedStreamStaysBoundedAndAccurate) {
