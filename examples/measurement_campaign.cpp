@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("Measurement counts per cell ('-' = not traversed):\n%s\n",
               report.count_table().str().c_str());
   std::printf("Mean round-trip latency per cell, ms (0.0 = <%u samples):\n%s\n",
-              report.min_samples(), report.mean_table().str().c_str());
+              meas::GridReport::kMinSamples, report.mean_table().str().c_str());
   std::printf("Std deviation per cell, ms:\n%s\n",
               report.stddev_table().str().c_str());
 
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const auto max_sd = report.max_stddev();
   std::printf("traversed cells: %d of %d, suppressed (<%u samples): %d\n",
               report.traversed_count(), grid.cell_count(),
-              report.min_samples(), report.suppressed_count());
+              meas::GridReport::kMinSamples, report.suppressed_count());
   std::printf("mean RTL range: %.1f ms (%s) .. %.1f ms (%s)\n", min_mean.value,
               min_mean.label.c_str(), max_mean.value, max_mean.label.c_str());
   std::printf("stddev range:  %.1f ms (%s) .. %.1f ms (%s)\n", min_sd.value,

@@ -19,8 +19,7 @@ int main() {
   const topo::EuropeTopology europe = topo::build_europe(options);
 
   // 1. End-to-end slice admission between the UE and the university edge.
-  slicing::SliceAdmission admission{europe.net,
-                                    slicing::SliceAdmission::Config{}};
+  slicing::SliceAdmission admission{europe.net};
   const auto specs = std::vector<slicing::SliceSpec>{
       slicing::SliceSpec::ar_gaming(1),
       slicing::SliceSpec::remote_surgery(2),

@@ -16,8 +16,7 @@ int main() {
   const topo::EuropeTopology europe = topo::build_europe(options);
 
   // Placement x access sweep.
-  const core5g::UpfPlacementStudy study{europe,
-                                        core5g::UpfPlacementStudy::Config{}};
+  const core5g::UpfPlacementStudy study{europe};
   const auto rows = study.sweep();
   std::printf("UPF placement study (service colocated with the anchor):\n%s\n",
               core5g::UpfPlacementStudy::table(rows).str().c_str());
@@ -28,7 +27,7 @@ int main() {
       /*count=*/400, /*latency_critical_share=*/0.15,
       /*interactive_share=*/0.35, rng);
 
-  core5g::DynamicUpfSelector selector{core5g::DynamicUpfSelector::Config{}};
+  core5g::DynamicUpfSelector selector;
   const auto assignments = selector.assign(flows);
 
   int at_edge = 0;

@@ -22,7 +22,7 @@ ArGameSession::Report ArGameSession::run() const {
   Report report;
   Rng rng{config_.seed};
   const Duration frame_interval = Duration::from_seconds_f(1.0 / kFrameRateHz);
-  const double throws_per_frame = config_.throws_per_second / kFrameRateHz;
+  const double throws_per_frame = kThrowsPerSecond / kFrameRateHz;
 
   // The session is paced by the kernel's timer wheel: one periodic frame
   // clock that disarms itself after the configured frame budget. The

@@ -32,10 +32,10 @@ class ArGameSession {
   using RttSampler = std::function<Duration(Rng&)>;
 
   static constexpr double kFrameRateHz = 60.0;
+  static constexpr double kThrowsPerSecond = 0.8;  ///< controller events
 
   struct Config {
-    double throws_per_second = 0.8;  ///< controller event rate
-    std::uint32_t frames = 36000;    ///< 10 minutes at 60 FPS
+    std::uint32_t frames = 36000;  ///< 10 minutes at 60 FPS
     std::uint64_t seed = 0xa59a;
 
     /// Optional inference-backed frame loop (edge AI): each frame's scene

@@ -15,6 +15,10 @@ constexpr DataSize kModelUpdate = DataSize::megabytes(12);  ///< weight delta
 constexpr DataRate kDownlinkRate = DataRate::mbps(150);
 constexpr double kLocalTrainingSigma = 0.30;  ///< lognormal spread (stragglers)
 constexpr Duration kAggregationCompute = Duration::from_millis_f(180);
+constexpr std::uint32_t kClients = 32;
+constexpr std::uint32_t kRounds = 50;
+static_assert(kClients > 0, "at least one client");
+static_assert(kRounds > 0, "at least one round");
 
 }  // namespace
 
@@ -22,7 +26,6 @@ FederatedRoundModel::FederatedRoundModel(LatencySampler network,
                                          Config config)
     : network_(std::move(network)), config_(config) {
   SIXG_ASSERT(network_ != nullptr, "latency sampler required");
-  SIXG_ASSERT(config_.clients > 0, "at least one client");
 }
 
 FederatedRoundModel::Report FederatedRoundModel::run() const {
@@ -36,14 +39,14 @@ FederatedRoundModel::Report FederatedRoundModel::run() const {
 
   double network_seconds = 0.0;
   double total_seconds = 0.0;
-  std::vector<double> client_done(config_.clients);
+  std::vector<double> client_done(kClients);
 
   // Synchronous FedAvg as a kernel event chain: each aggregation event
   // computes its round and schedules the next one at the round's actual
   // completion time, so the simulated clock tracks wall-progress of the
   // training job. The per-round model (and its RNG order) is unchanged.
   const auto one_round = [&]() -> double {
-    for (std::uint32_t c = 0; c < config_.clients; ++c) {
+    for (std::uint32_t c = 0; c < kClients; ++c) {
       const double train_s = training.sample(rng);
       // Model dissemination + upload, each with a network one-way leg.
       const Duration down_leg = network_(rng) + download;
@@ -57,7 +60,7 @@ FederatedRoundModel::Report FederatedRoundModel::run() const {
     const double round_s = slowest + kAggregationCompute.sec();
     report.round_seconds.add(round_s);
     report.straggler_wait_seconds.add(slowest - median);
-    total_seconds += round_s * double(config_.clients);
+    total_seconds += round_s * double(kClients);
     return round_s;
   };
 
@@ -67,18 +70,14 @@ FederatedRoundModel::Report FederatedRoundModel::run() const {
     netsim::Simulator* sim;
     const decltype(one_round)* body;
     std::uint32_t* round;
-    std::uint32_t rounds;
     void operator()() const {
       const double round_s = (*body)();
-      if (++*round < rounds)
+      if (++*round < kRounds)
         sim->schedule_after(Duration::from_seconds_f(round_s), Step{*this});
     }
   };
-  if (config_.rounds > 0) {
-    sim.schedule_at(TimePoint{}, Step{&sim, &one_round, &round,
-                                      config_.rounds});
-    sim.run();
-  }
+  sim.schedule_at(TimePoint{}, Step{&sim, &one_round, &round});
+  sim.run();
 
   report.network_share =
       total_seconds > 0.0 ? network_seconds / total_seconds : 0.0;

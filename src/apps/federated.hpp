@@ -27,9 +27,7 @@ class FederatedRoundModel {
   static constexpr Duration kLocalTrainingMean = Duration::seconds(4);
 
   struct Config {
-    std::uint32_t clients = 32;
     DataRate uplink_rate = DataRate::mbps(40);
-    std::uint32_t rounds = 50;
     std::uint64_t seed = 0xfeda;
   };
 

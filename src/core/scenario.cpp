@@ -5,20 +5,21 @@
 namespace sixg::core {
 
 KlagenfurtStudy::KlagenfurtStudy(const Options& options)
-    : options_(options),
-      grid_(geo::SectorGrid::klagenfurt_sector()),
+    : grid_(geo::SectorGrid::klagenfurt_sector()),
       population_(geo::PopulationRaster::klagenfurt(grid_)),
       rem_(radio::RadioEnvironmentMap::klagenfurt(grid_, population_)),
       europe_(topo::build_europe(options.europe)) {}
 
-meas::GridReport KlagenfurtStudy::run_campaign() const {
-  const meas::GridCampaign campaign{
-      grid_,          population_,
-      rem_,           europe_.net,
-      europe_.mobile_ue, europe_.university_probe,
-      access_profile(), options_.campaign};
-  const netsim::ParallelRunner runner;
-  return campaign.run(runner);
+meas::GridCampaign KlagenfurtStudy::campaign(
+    const radio::AccessProfile& profile, std::uint64_t seed) const {
+  return meas::GridCampaign{grid_,
+                            population_,
+                            rem_,
+                            europe_.net,
+                            europe_.mobile_ue,
+                            europe_.university_probe,
+                            profile,
+                            meas::GridCampaign::Config{.seed = seed}};
 }
 
 stats::Summary KlagenfurtStudy::wired_baseline(std::uint32_t samples,

@@ -61,28 +61,9 @@ namespace {
   return buf;
 }
 
-/// The drive-test campaign of `study` under `profile`, seeded from the
-/// context. All grid scenarios build their campaign here so they share
-/// one determinism story (fig1 also lists plans() off the same object).
-meas::GridCampaign make_campaign(const KlagenfurtStudy& study,
-                                 const radio::AccessProfile& profile,
-                                 const RunContext& ctx) {
-  meas::GridCampaign::Config config = study.campaign_config();
-  config.seed = ctx.seed_for(0x9a24);
-  return meas::GridCampaign{
-      study.grid(),           study.population(),
-      study.rem(),            study.europe().net,
-      study.europe().mobile_ue, study.europe().university_probe,
-      profile,                config};
-}
-
-/// Run the campaign, honouring the context's thread count.
-meas::GridReport run_grid_campaign(const KlagenfurtStudy& study,
-                                   const radio::AccessProfile& profile,
-                                   const RunContext& ctx) {
-  const auto runner = ctx.runner();
-  return make_campaign(study, profile, ctx).run(runner);
-}
+/// The campaign seed every grid scenario derives from its context, so
+/// they share one determinism story.
+constexpr std::uint64_t kCampaignSalt = 0x9a24;
 
 /// The wired-population baseline both fig2 and gap-analysis anchor their
 /// mobile/wired ratio on — defined once so the two always agree.
@@ -136,7 +117,8 @@ ScenarioResult fig1(const RunContext& ctx) {
 
   // One campaign for both the trace listing and the count table, so the
   // plans shown are exactly the drives the report measured.
-  const auto campaign = make_campaign(study, study.access_profile(), ctx);
+  const auto campaign =
+      study.campaign(study.access_profile(), ctx.seed_for(kCampaignSalt));
   const auto plans = campaign.plans();
   r.add_note(strf("Drive traces (%zu mobile nodes):", plans.size()));
   for (std::size_t n = 0; n < plans.size(); ++n) {
@@ -159,12 +141,14 @@ ScenarioResult fig1(const RunContext& ctx) {
 ScenarioResult fig2(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), ctx.seed_for(kCampaignSalt))
+          .run(ctx.runner());
 
   r.add_table(report.mean_table());
   r.add_note(strf("(0.0 = traversed but fewer than %u measurements; '-' = "
                   "not traversed)",
-                  report.min_samples()));
+                  meas::GridReport::kMinSamples));
 
   const auto min_mean = report.min_mean();
   const auto max_mean = report.max_mean();
@@ -183,7 +167,9 @@ ScenarioResult fig2(const RunContext& ctx) {
 ScenarioResult fig3(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), ctx.seed_for(kCampaignSalt))
+          .run(ctx.runner());
 
   r.add_table(report.stddev_table());
 
@@ -266,9 +252,10 @@ ScenarioResult table1(const RunContext& ctx) {
 
 ScenarioResult fig2_6g(const RunContext& ctx) {
   ScenarioResult r;
+  const std::uint64_t seed = ctx.seed_for(kCampaignSalt);
   const KlagenfurtStudy measured;
   const auto measured_report =
-      run_grid_campaign(measured, measured.access_profile(), ctx);
+      measured.campaign(measured.access_profile(), seed).run(ctx.runner());
 
   KlagenfurtStudy::Options options;
   options.europe.local_breakout = true;
@@ -276,9 +263,10 @@ ScenarioResult fig2_6g(const RunContext& ctx) {
   const KlagenfurtStudy fixed{options};
 
   const auto sa_report =
-      run_grid_campaign(fixed, radio::AccessProfile::fiveg_sa_urllc(), ctx);
+      fixed.campaign(radio::AccessProfile::fiveg_sa_urllc(), seed)
+          .run(ctx.runner());
   const auto sixg_report =
-      run_grid_campaign(fixed, radio::AccessProfile::sixg(), ctx);
+      fixed.campaign(radio::AccessProfile::sixg(), seed).run(ctx.runner());
 
   r.add_table(sa_report.mean_table(),
               "5G-SA URLLC + local peering, mean RTL per cell (ms):");
@@ -338,7 +326,9 @@ ScenarioResult requirements(const RunContext&) {
 ScenarioResult gap_analysis(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), ctx.seed_for(kCampaignSalt))
+          .run(ctx.runner());
   const auto wired = wired_baseline(study, ctx);
 
   const GapAnalysis gap{
@@ -508,8 +498,7 @@ ScenarioResult ablation_upf(const RunContext& ctx) {
   topo::EuropeOptions options;
   options.local_breakout = true;
   const auto europe = topo::build_europe(options);
-  const core5g::UpfPlacementStudy study{europe,
-                                        core5g::UpfPlacementStudy::Config{}};
+  const core5g::UpfPlacementStudy study{europe};
   const auto rows = study.sweep();
   r.add_table(core5g::UpfPlacementStudy::table(rows));
 
@@ -542,7 +531,7 @@ ScenarioResult ablation_upf(const RunContext& ctx) {
 
   Rng rng{ctx.seed_for(2024)};
   const auto flows = core5g::synthesize_flows(400, 0.15, 0.35, rng);
-  core5g::DynamicUpfSelector selector{core5g::DynamicUpfSelector::Config{}};
+  core5g::DynamicUpfSelector selector;
   const auto assignments = selector.assign(flows);
   int critical_total = 0;
   int critical_edge = 0;
@@ -597,8 +586,8 @@ ScenarioResult ablation_cpf(const RunContext& ctx) {
     r.add_table(oran::QosXApp::comparison(linear, context),
                 strf("Context-aware PDR/QER handling (%u rules, %u active "
                      "flows, %u flows/UE):",
-                     params.total_rules, params.active_flows,
-                     params.flows_per_ue));
+                     oran::QosXApp::kTotalRules, oran::QosXApp::kActiveFlows,
+                     oran::QosXApp::kFlowsPerUe));
     r.add_anchor("lookup latency reduction",
                  linear.lookup_ns.mean() / context.lookup_ns.mean(),
                  "reduced lookup latency [32]");
@@ -613,7 +602,7 @@ ScenarioResult ablation_cpf(const RunContext& ctx) {
         "Handover interruption vs control-plane load:");
   }
   {
-    const oran::NearRtRic ric{oran::NearRtRic::Config{}};
+    const oran::NearRtRic ric;
     r.add_anchor("Near-RT RIC control loop mean (ms)",
                  ric.expected_control_loop().ms(), "10 ms - 1 s near-RT band");
   }
@@ -678,8 +667,7 @@ ScenarioResult ablation_slicing(const RunContext& ctx) {
     options.local_breakout = peered;
     options.local_peering = peered;
     const auto world = topo::build_europe(options);
-    slicing::SliceAdmission admission{world.net,
-                                      slicing::SliceAdmission::Config{}};
+    slicing::SliceAdmission admission{world.net};
     int admitted = 0;
     const std::vector<slicing::SliceSpec> specs{
         slicing::SliceSpec::ar_gaming(1), slicing::SliceSpec::remote_surgery(2),
@@ -709,13 +697,8 @@ ScenarioResult ablation_energy(const RunContext&) {
   ScenarioResult r;
   r.add_table(radio::GnbEnergyModel::comparison_table());
 
-  radio::GnbEnergyModel::Params fiveg;
-  const radio::GnbEnergyModel a{fiveg};
-  radio::GnbEnergyModel::Params sixg;
-  sixg.micro_sleep = true;
-  sixg.static_watts = 650.0;
-  sixg.cell_peak_rate = DataRate::gbps(10);
-  const radio::GnbEnergyModel b{sixg};
+  const auto a = radio::GnbEnergyModel::fiveg_macro();
+  const auto b = radio::GnbEnergyModel::sixg_micro_sleep();
 
   r.add_note("Daily energy at 20 % mean load (diurnal 3:1 swing):");
   r.add_note(strf("  5G macro:          %.1f kWh", a.daily_kwh(0.20)));
@@ -775,8 +758,7 @@ ScenarioResult smartnic_upf(const RunContext& ctx) {
   double host_tput = 0.0;
   double nic_tput = 0.0;
   for (const auto& row : datapaths) {
-    core5g::Upf upf{
-        core5g::Upf::Config{.name = row.name, .datapath = row.datapath}};
+    core5g::Upf upf{core5g::Upf::Config{.datapath = row.datapath}};
     (void)upf.rules().add_rule(core5g::PdrRule{1, 42, 1, 0});
     Rng rng{ctx.seed_for(99)};
     constexpr std::size_t kDraws = 100000;
@@ -978,10 +960,7 @@ ScenarioResult atlas_design(const RunContext& ctx) {
   const auto probe = fleet.add_mobile_probe(
       "drive-probe", europe.mobile_ue, nsa,
       study.rem().at(*study.grid().parse_label("C2")));
-  meas::AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(15);
-  options.loss_rate = 0.02;
-  fleet.schedule_ping(probe, europe.university_probe, options);
+  fleet.schedule_ping(probe, europe.university_probe);
   const auto results = fleet.run(Duration::seconds(3600), ctx.seed_for(99));
   r.add_note(strf("One hour at 15 s cadence: %llu scheduled, %llu lost, "
                   "mean %.1f ms (sd %.1f)",

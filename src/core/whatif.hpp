@@ -2,7 +2,6 @@
 /// scenario before and after local breakout with local IX peering.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,20 +24,9 @@ struct WhatIfResult {
 /// `ablation-peering` scenario renders these rows.
 class WhatIfEngine {
  public:
-  struct Config {
-    std::uint32_t samples = 3000;
-    std::uint64_t seed = 0xbee5;
-  };
-
-  explicit WhatIfEngine(Config config) : config_(config) {}
-  WhatIfEngine() : WhatIfEngine(Config{}) {}
-
   /// Rebuild the topology with local breakout + local peering and
   /// compare hops, routed distance and RTT of the UE -> probe path.
   [[nodiscard]] std::vector<WhatIfResult> local_peering() const;
-
- private:
-  Config config_;
 };
 
 }  // namespace sixg::core

@@ -50,8 +50,6 @@ class InferenceEnergyModel {
 
   explicit InferenceEnergyModel(Config config) : config_(config) {}
 
-  [[nodiscard]] const Config& config() const { return config_; }
-
   /// Local execution on the device accelerator: compute only, no radio.
   [[nodiscard]] EnergyBreakdown local(const AcceleratorProfile& device,
                                       const ModelProfile& model) const;

@@ -31,7 +31,8 @@ constexpr double kNoise = 0.06;                  ///< relative load noise
 constexpr double kSurgeProbability = 0.004;  ///< onset per step
 constexpr double kSurgeMagnitude = 0.35;     ///< relative to mean
 constexpr std::uint32_t kSurgeDurationSteps = 25;
-constexpr std::uint32_t kSpinupSteps = 6;  ///< instance boot time
+constexpr std::uint32_t kSpinupSteps = 6;      ///< instance boot time
+constexpr std::uint32_t kStaticInstances = 6;  ///< kStatic pool size
 constexpr double kTargetUtilization = 0.7;
 constexpr double kViolationUtilization = 0.95;  ///< SLA breach threshold
 
@@ -53,7 +54,7 @@ UpfAutoscaleStudy::Outcome UpfAutoscaleStudy::run(ScalingPolicy policy,
   out.policy = policy;
   Rng rng{params.seed};
 
-  double instances = double(params.static_instances);
+  double instances = double(kStaticInstances);
   double pending_instances = 0.0;
   std::uint32_t pending_eta = 0;
   std::uint32_t surge_left = 0;

@@ -26,7 +26,6 @@ enum class ScalingPolicy : std::uint8_t {
 class UpfAutoscaleStudy {
  public:
   struct Params {
-    std::uint32_t static_instances = 6;
     std::uint64_t seed = 0x5ca1e;
   };
 

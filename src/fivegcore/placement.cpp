@@ -15,6 +15,9 @@ constexpr UpfDatapath kDatapath = UpfDatapath::kHostCpu;
 /// GTP tunnels run over the carrier transport network, which is not a
 /// great-circle fibre run; stretch accounts for the routed detour.
 constexpr double kTunnelStretch = 1.25;
+/// RTT draws per evaluated placement.
+constexpr std::uint32_t kSamples = 4000;
+constexpr std::uint64_t kSeed = 0x0f5e;
 
 }  // namespace
 
@@ -31,10 +34,6 @@ const char* to_string(UpfPlacement placement) {
   }
   return "?";
 }
-
-UpfPlacementStudy::UpfPlacementStudy(const topo::EuropeTopology& europe,
-                                     Config config)
-    : europe_(&europe), config_(config) {}
 
 UpfPlacementStudy::AnchorLeg UpfPlacementStudy::anchor_leg(
     UpfPlacement placement) const {
@@ -74,18 +73,17 @@ UpfPlacementStudy::AnchorLeg UpfPlacementStudy::anchor_leg(
 PlacementResult UpfPlacementStudy::evaluate(
     UpfPlacement placement, const radio::AccessProfile& profile) const {
   const radio::RadioLinkModel radio_model{profile};
-  Rng rng{derive_seed(config_.seed, std::uint64_t(placement) * 131 +
-                                        std::uint64_t(profile.name.size()))};
+  Rng rng{derive_seed(kSeed, std::uint64_t(placement) * 131 +
+                                std::uint64_t(profile.name.size()))};
 
-  Upf upf{Upf::Config{.name = std::string("upf-") + to_string(placement),
-                      .datapath = kDatapath}};
+  Upf upf{Upf::Config{.datapath = kDatapath}};
   // Session table with the studied flow in the worst scan position.
   for (std::uint32_t i = 0; i < 32; ++i)
     (void)upf.rules().add_rule(PdrRule{i, 1000 + i, i / 4, int(i)});
   const std::uint64_t flow = 7777;
   (void)upf.rules().add_rule(PdrRule{99, flow, 99, 40});
 
-  // The detour is sampled config_.samples times: compile it once and
+  // The detour is sampled kSamples times: compile it once and
   // draw from the flattened parameters instead of re-resolving links.
   std::optional<topo::CompiledPath> detour_path;
   std::optional<AnchorLeg> leg;
@@ -99,8 +97,8 @@ PlacementResult UpfPlacementStudy::evaluate(
   }
 
   stats::Summary rtt_ms;
-  stats::ReservoirQuantile quantiles{config_.samples};
-  for (std::uint32_t i = 0; i < config_.samples; ++i) {
+  stats::ReservoirQuantile quantiles{kSamples};
+  for (std::uint32_t i = 0; i < kSamples; ++i) {
     Duration sample = radio_model.sample_rtt(kConditions, rng);
     if (detour_path) {
       sample += detour_path->sample_rtt(rng);

@@ -42,13 +42,8 @@ struct PlacementResult {
 /// (~90 % reduction) once the access layer cooperates.
 class UpfPlacementStudy {
  public:
-  struct Config {
-    std::uint32_t samples = 4000;
-    std::uint64_t seed = 0x0f5e;
-  };
-
-  explicit UpfPlacementStudy(const topo::EuropeTopology& europe,
-                             Config config);
+  explicit UpfPlacementStudy(const topo::EuropeTopology& europe)
+      : europe_(&europe) {}
 
   /// Evaluate one placement under one access profile.
   [[nodiscard]] PlacementResult evaluate(
@@ -69,7 +64,6 @@ class UpfPlacementStudy {
   [[nodiscard]] AnchorLeg anchor_leg(UpfPlacement placement) const;
 
   const topo::EuropeTopology* europe_;
-  Config config_;
 };
 
 }  // namespace sixg::core5g

@@ -1,35 +1,38 @@
 #include "fivegcore/selector.hpp"
 
 namespace sixg::core5g {
+namespace {
+
+constexpr double kMetroCapacityUnits = 400.0;
+
+}  // namespace
 
 std::vector<DynamicUpfSelector::Assignment> DynamicUpfSelector::assign(
     const std::vector<FlowRequest>& flows) {
-  edge_left_ = config_.edge_capacity_units;
-  metro_left_ = config_.metro_capacity_units;
+  edge_left_ = kEdgeCapacityUnits;
+  metro_left_ = kMetroCapacityUnits;
   std::vector<Assignment> out;
   out.reserve(flows.size());
   for (const FlowRequest& f : flows) {
     Assignment a{f.id, f.flow_class, UpfPlacement::kCloud};
-    if (!config_.cloud_only) {
-      switch (f.flow_class) {
-        case FlowClass::kLatencyCritical:
-          if (edge_left_ >= f.demand_units) {
-            a.anchor = UpfPlacement::kEdge;
-            edge_left_ -= f.demand_units;
-          } else if (metro_left_ >= f.demand_units) {
-            a.anchor = UpfPlacement::kMetro;  // graceful degradation
-            metro_left_ -= f.demand_units;
-          }
-          break;
-        case FlowClass::kInteractive:
-          if (metro_left_ >= f.demand_units) {
-            a.anchor = UpfPlacement::kMetro;
-            metro_left_ -= f.demand_units;
-          }
-          break;
-        case FlowClass::kBulk:
-          break;  // centralised cloud UPF by policy
-      }
+    switch (f.flow_class) {
+      case FlowClass::kLatencyCritical:
+        if (edge_left_ >= f.demand_units) {
+          a.anchor = UpfPlacement::kEdge;
+          edge_left_ -= f.demand_units;
+        } else if (metro_left_ >= f.demand_units) {
+          a.anchor = UpfPlacement::kMetro;  // graceful degradation
+          metro_left_ -= f.demand_units;
+        }
+        break;
+      case FlowClass::kInteractive:
+        if (metro_left_ >= f.demand_units) {
+          a.anchor = UpfPlacement::kMetro;
+          metro_left_ -= f.demand_units;
+        }
+        break;
+      case FlowClass::kBulk:
+        break;  // centralised cloud UPF by policy
     }
     out.push_back(a);
   }

@@ -30,15 +30,8 @@ struct FlowRequest {
 /// policy knob.
 class DynamicUpfSelector {
  public:
-  struct Config {
-    double edge_capacity_units = 40.0;
-    double metro_capacity_units = 400.0;
-    /// Static policy for comparison: anchor everything at the cloud
-    /// (the pre-integration world).
-    bool cloud_only = false;
-  };
-
-  explicit DynamicUpfSelector(Config config) : config_(config) {}
+  /// Flow demand the edge site can anchor.
+  static constexpr double kEdgeCapacityUnits = 40.0;
 
   struct Assignment {
     std::uint64_t flow_id = 0;
@@ -54,7 +47,6 @@ class DynamicUpfSelector {
   [[nodiscard]] double edge_capacity_left() const { return edge_left_; }
 
  private:
-  Config config_;
   double edge_left_ = 0.0;
   double metro_left_ = 0.0;
 };

@@ -1,8 +1,5 @@
 #include "fivegcore/upf.hpp"
 
-#include <algorithm>
-
-#include "common/assert.hpp"
 #include "stats/distributions.hpp"
 
 namespace sixg::core5g {
@@ -16,14 +13,15 @@ constexpr double kHostThroughputMpps = 3.1;
 /// Relative SmartNIC factors from [32]/[33].
 constexpr double kSmartnicLatencyFactor = 3.75;
 constexpr double kSmartnicThroughputFactor = 2.0;
+/// Current offered load as a fraction of capacity (queueing driver).
+constexpr double kOfferedLoad = 0.4;
+static_assert(kOfferedLoad >= 0.0 && kOfferedLoad <= 0.97,
+              "offered load must keep the M/M/1 pipeline queue stable");
 
 }  // namespace
 
 Upf::Upf(Config config)
-    : config_(std::move(config)), rules_(kTableMode, kHotCapacity) {
-  SIXG_ASSERT(config_.offered_load >= 0.0 && config_.offered_load < 1.0,
-              "offered load must be in [0,1)");
-}
+    : config_(config), rules_(kTableMode, kHotCapacity) {}
 
 double Upf::max_throughput_mpps() const {
   return config_.datapath == UpfDatapath::kSmartNic
@@ -52,10 +50,10 @@ Duration Upf::sample_packet_latency(std::uint64_t flow_key, Rng& rng) {
   // Rule lookup (shared table model).
   d += rules_.lookup(flow_key).latency;
 
-  // Queueing: M/M/1 on the packet pipeline at the configured load.
-  const double load = std::clamp(config_.offered_load, 0.0, 0.97);
+  // Queueing: M/M/1 on the packet pipeline at the offered load.
   const double service_us = 1.0 / max_throughput_mpps();  // us per packet
-  const double mean_wait_us = service_us * load / (1.0 - load);
+  const double mean_wait_us =
+      service_us * kOfferedLoad / (1.0 - kOfferedLoad);
   d += Duration::from_micros_f(
       stats::ShiftedExponential{0.0, mean_wait_us}.sample(rng));
   return d;

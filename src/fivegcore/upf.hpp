@@ -1,8 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <string>
-
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -25,15 +22,11 @@ enum class UpfDatapath : std::uint8_t {
 class Upf {
  public:
   struct Config {
-    std::string name = "upf";
     UpfDatapath datapath = UpfDatapath::kHostCpu;
-    /// Current offered load as a fraction of capacity (queueing driver).
-    double offered_load = 0.4;
   };
 
   explicit Upf(Config config);
 
-  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] RuleTable& rules() { return rules_; }
   [[nodiscard]] const RuleTable& rules() const { return rules_; }
 

@@ -13,25 +13,9 @@ namespace sixg::geo {
 /// that dataset matters to the study: border cells of the evaluation sector
 /// fall below 1000 inhabitants/km^2 and therefore yield fewer than ten
 /// measurements (rendered as 0.0 in Fig. 2/3). We reproduce that mechanism
-/// with a radial urban-density model around a configurable centre.
+/// with a radial urban-density model around two centres.
 class PopulationRaster {
  public:
-  /// One radially decaying density contribution.
-  struct Center {
-    CellIndex cell;
-    double peak_density = 4200.0;  ///< inhabitants per km^2 at the centre
-    double decay_per_km = 0.55;    ///< exponential falloff rate
-  };
-
-  struct Params {
-    std::vector<Center> centers{{CellIndex{3, 3}, 4200.0, 0.55}};
-    double floor_density = 120.0;  ///< rural background density
-    std::uint64_t noise_seed = 7;  ///< lognormal cell-to-cell texture
-    double noise_sigma = 0.18;
-  };
-
-  PopulationRaster(const SectorGrid& grid, const Params& params);
-
   /// Klagenfurt-like raster: dense core around the D4/D5 area, university
   /// district elevated, sparse border strip (< 1000 /km^2).
   [[nodiscard]] static PopulationRaster klagenfurt(const SectorGrid& grid);
@@ -45,6 +29,8 @@ class PopulationRaster {
   [[nodiscard]] double total_population() const;
 
  private:
+  explicit PopulationRaster(const SectorGrid& grid);
+
   const SectorGrid* grid_;
   std::vector<double> density_;  // row-major, cell_count() entries
 };

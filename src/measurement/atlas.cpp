@@ -4,6 +4,8 @@
 
 namespace sixg::meas {
 
+static_assert(AtlasFleet::kPeriod > Duration{}, "period must be positive");
+
 AtlasFleet::AtlasFleet(const topo::Network& net) : net_(&net) {}
 
 ProbeId AtlasFleet::add_probe(std::string name, topo::NodeId node) {
@@ -20,11 +22,9 @@ ProbeId AtlasFleet::add_mobile_probe(std::string name, topo::NodeId node,
   return id;
 }
 
-void AtlasFleet::schedule_ping(ProbeId probe, topo::NodeId target,
-                               const ScheduleOptions& options) {
+void AtlasFleet::schedule_ping(ProbeId probe, topo::NodeId target) {
   SIXG_ASSERT(probe.value() < probes_.size(), "unknown probe");
-  SIXG_ASSERT(options.period > Duration{}, "period must be positive");
-  schedules_.push_back(Schedule{probe, target, options});
+  schedules_.push_back(Schedule{probe, target});
 }
 
 std::vector<AtlasFleet::ProbeResult> AtlasFleet::run(Duration duration,
@@ -60,21 +60,15 @@ std::vector<AtlasFleet::ProbeResult> AtlasFleet::run(Duration duration,
     const Schedule& schedule = schedules_[s];
     const PingMeasurement* ping = &pings[s];
     ProbeResult* result = &results[schedule.probe.value()];
-    const double loss = schedule.options.loss_rate;
-    const Duration offset =
-        schedule.options.spread_start
-            ? schedule.options.period * sim.rng().uniform()
-            : Duration{};
-    sim.schedule_every(offset, schedule.options.period,
-                       [sim_ptr = &sim, ping, result, loss] {
-                         ++result->scheduled;
-                         if (loss > 0.0 && sim_ptr->rng().chance(loss)) {
-                           ++result->lost;
-                         } else {
-                           result->rtt_ms.add(
-                               ping->sample_ms(sim_ptr->rng()));
-                         }
-                       });
+    const Duration offset = kPeriod * sim.rng().uniform();
+    sim.schedule_every(offset, kPeriod, [sim_ptr = &sim, ping, result] {
+      ++result->scheduled;
+      if (sim_ptr->rng().chance(kLossRate)) {
+        ++result->lost;
+      } else {
+        result->rtt_ms.add(ping->sample_ms(sim_ptr->rng()));
+      }
+    });
   }
 
   sim.run_until(TimePoint{} + duration);

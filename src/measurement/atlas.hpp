@@ -29,14 +29,12 @@ class AtlasFleet {
  public:
   explicit AtlasFleet(const topo::Network& net);
 
-  struct ScheduleOptions {
-    Duration period = Duration::seconds(60);
-    /// Random start offset within one period avoids fleet-wide bursts
-    /// (Atlas "spread"); drawn from the simulator RNG.
-    bool spread_start = true;
-    /// Probability that a single measurement is lost (no sample).
-    double loss_rate = 0.0;
-  };
+  /// Every schedule pings once per period. Its first ping falls at a
+  /// random offset within one period, drawn from the simulator RNG, so
+  /// the fleet does not fire in bursts (Atlas "spread").
+  static constexpr Duration kPeriod = Duration::seconds(15);
+  /// Probability that a single measurement is lost (no sample).
+  static constexpr double kLossRate = 0.02;
 
   /// Register a probe at `node`. Optional radio leg for mobile probes.
   ProbeId add_probe(std::string name, topo::NodeId node);
@@ -45,8 +43,7 @@ class AtlasFleet {
                            radio::CellConditions conditions);
 
   /// Schedule a periodic ping from `probe` to `target`.
-  void schedule_ping(ProbeId probe, topo::NodeId target,
-                     const ScheduleOptions& options);
+  void schedule_ping(ProbeId probe, topo::NodeId target);
 
   /// Run the whole fleet for `duration` on a fresh simulator.
   struct ProbeResult {
@@ -69,7 +66,6 @@ class AtlasFleet {
   struct Schedule {
     ProbeId probe;
     topo::NodeId target;
-    ScheduleOptions options;
   };
 
   const topo::Network* net_;

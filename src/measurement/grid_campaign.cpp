@@ -5,15 +5,20 @@
 #include "common/assert.hpp"
 
 namespace sixg::meas {
+namespace {
+
+/// Ping cadence while a node dwells in a cell.
+constexpr Duration kMeasurementInterval = Duration::seconds(13);
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // GridReport
 // ---------------------------------------------------------------------------
 
 GridReport::GridReport(const geo::SectorGrid& grid,
-                       std::vector<CellResult> cells,
-                       std::uint32_t min_samples)
-    : grid_(&grid), cells_(std::move(cells)), min_samples_(min_samples) {
+                       std::vector<CellResult> cells)
+    : grid_(&grid), cells_(std::move(cells)) {
   SIXG_ASSERT(cells_.size() == std::size_t(grid.cell_count()),
               "one result per cell required");
 }
@@ -25,7 +30,7 @@ const CellResult& GridReport::at(geo::CellIndex c) const {
 
 bool GridReport::reports(geo::CellIndex c) const {
   const CellResult& r = at(c);
-  return r.traversed && r.sample_count >= min_samples_;
+  return r.traversed && r.sample_count >= kMinSamples;
 }
 
 int GridReport::traversed_count() const {
@@ -34,10 +39,9 @@ int GridReport::traversed_count() const {
 }
 
 int GridReport::suppressed_count() const {
-  std::uint32_t min = min_samples_;
   return int(std::count_if(cells_.begin(), cells_.end(),
-                           [min](const CellResult& r) {
-                             return r.traversed && r.sample_count < min;
+                           [](const CellResult& r) {
+                             return r.traversed && r.sample_count < kMinSamples;
                            }));
 }
 
@@ -154,14 +158,14 @@ GridCampaign::GridCampaign(const geo::SectorGrid& grid,
       mobile_ue_(mobile_ue),
       reference_(reference),
       radio_model_(std::move(profile)),
-      config_(std::move(config)) {}
+      config_(config) {}
 
 std::vector<mobility::DrivePlan> GridCampaign::plans() const {
   std::vector<mobility::DrivePlan> plans;
-  plans.reserve(config_.mobile_nodes);
-  for (std::uint32_t node = 0; node < config_.mobile_nodes; ++node) {
+  plans.reserve(kMobileNodes);
+  for (std::uint32_t node = 0; node < kMobileNodes; ++node) {
     plans.push_back(mobility::DrivePlan::manhattan(
-        *grid_, *pop_, config_.drive, derive_seed(config_.seed, node)));
+        *grid_, *pop_, derive_seed(config_.seed, node)));
   }
   return plans;
 }
@@ -176,8 +180,8 @@ GridReport GridCampaign::run(const netsim::ParallelRunner& runner) const {
     for (const mobility::CellVisit& visit : plan.visits()) {
       const auto idx = std::size_t(grid_->flat(visit.cell));
       traversed[idx] = true;
-      samples[idx] += std::uint64_t(visit.dwell.ns() /
-                                    config_.measurement_interval.ns());
+      samples[idx] +=
+          std::uint64_t(visit.dwell.ns() / kMeasurementInterval.ns());
     }
   }
 
@@ -201,7 +205,7 @@ GridReport GridCampaign::run(const netsim::ParallelRunner& runner) const {
       r.rtt_ms.add(ping.sample_ms(rng));
   });
 
-  return GridReport{*grid_, std::move(results), config_.min_samples};
+  return GridReport{*grid_, std::move(results)};
 }
 
 }  // namespace sixg::meas

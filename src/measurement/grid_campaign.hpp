@@ -25,15 +25,16 @@ struct CellResult {
 /// Aggregated campaign outcome with the paper's rendering rules.
 class GridReport {
  public:
-  GridReport(const geo::SectorGrid& grid, std::vector<CellResult> cells,
-             std::uint32_t min_samples);
+  /// The paper's reporting threshold: samples a cell needs to report.
+  static constexpr std::uint32_t kMinSamples = 10;
+
+  GridReport(const geo::SectorGrid& grid, std::vector<CellResult> cells);
 
   [[nodiscard]] const CellResult& at(geo::CellIndex c) const;
   [[nodiscard]] const geo::SectorGrid& grid() const { return *grid_; }
-  [[nodiscard]] std::uint32_t min_samples() const { return min_samples_; }
 
   /// A cell "reports" when it was traversed and collected at least
-  /// min_samples samples; otherwise Fig. 2/3 show 0.0.
+  /// kMinSamples samples; otherwise Fig. 2/3 show 0.0.
   [[nodiscard]] bool reports(geo::CellIndex c) const;
 
   [[nodiscard]] int traversed_count() const;
@@ -67,7 +68,6 @@ class GridReport {
 
   const geo::SectorGrid* grid_;
   std::vector<CellResult> cells_;
-  std::uint32_t min_samples_;
 };
 
 /// The paper's measurement campaign (Section IV-B): several mobile nodes
@@ -76,11 +76,10 @@ class GridReport {
 /// public-Internet path.
 class GridCampaign {
  public:
+  /// Concurrent measurement drives, one DrivePlan each.
+  static constexpr std::uint32_t kMobileNodes = 6;
+
   struct Config {
-    std::uint32_t mobile_nodes = 6;        ///< concurrent measurement drives
-    Duration measurement_interval = Duration::seconds(13);
-    std::uint32_t min_samples = 10;        ///< paper's reporting threshold
-    mobility::DrivePlan::Params drive;     ///< per-node drive parameters
     std::uint64_t seed = 0x9a24;
   };
 

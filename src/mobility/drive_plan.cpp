@@ -25,7 +25,7 @@ constexpr double kMinDrivableDensity = 200.0;
 
 DrivePlan DrivePlan::manhattan(const geo::SectorGrid& grid,
                                const geo::PopulationRaster& pop,
-                               const Params& params, std::uint64_t seed) {
+                               std::uint64_t seed) {
   DrivePlan plan;
   Rng rng{seed};
 
@@ -42,7 +42,7 @@ DrivePlan DrivePlan::manhattan(const geo::SectorGrid& grid,
   SIXG_ASSERT(best >= kMinDrivableDensity, "no drivable cell in the sector");
 
   TimePoint clock;
-  const TimePoint end = TimePoint{} + params.total_duration;
+  const TimePoint end = TimePoint{} + kTotalDuration;
   while (clock < end) {
     // Dwell: cross the cell at urban speed, possibly held up by lights.
     const double speed = rng.uniform(kSpeedKmhMin, kSpeedKmhMax);

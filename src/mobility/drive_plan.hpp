@@ -24,14 +24,12 @@ struct CellVisit {
 /// vary with traffic flow and that sparse border cells stay under-sampled.
 class DrivePlan {
  public:
-  struct Params {
-    Duration total_duration = Duration::seconds(3 * 3600);
-  };
+  /// Drive length; the walk ends with the visit that crosses it.
+  static constexpr Duration kTotalDuration = Duration::seconds(3 * 3600);
 
   /// Generate a plan with a walk starting at the densest drivable cell.
   [[nodiscard]] static DrivePlan manhattan(const geo::SectorGrid& grid,
                                            const geo::PopulationRaster& pop,
-                                           const Params& params,
                                            std::uint64_t seed);
 
   [[nodiscard]] const std::vector<CellVisit>& visits() const {

@@ -10,6 +10,8 @@ namespace sixg::oran {
 namespace {
 
 constexpr double kZipfS = 1.1;  ///< activity skew across flows
+static_assert(QosXApp::kActiveFlows <= QosXApp::kTotalRules,
+              "active flows must have rules installed");
 
 /// Sample a flow index from a Zipf distribution over [0, n) via inverse
 /// CDF on precomputed cumulative weights.
@@ -37,29 +39,26 @@ class ZipfSampler {
 
 QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
                                       const WorkloadParams& params) {
-  SIXG_ASSERT(params.active_flows <= params.total_rules,
-              "active flows must have rules installed");
   Evaluation out;
   out.mode = mode;
 
-  core5g::RuleTable table{mode, /*hot_capacity=*/params.active_flows};
+  core5g::RuleTable table{mode, /*hot_capacity=*/kActiveFlows};
 
   // Install the full rule population. Active flows sit at the *end* of the
   // precedence order — the realistic worst case: long-lived default rules
   // precede recently added application flows.
-  const std::uint32_t inactive = params.total_rules - params.active_flows;
+  const std::uint32_t inactive = kTotalRules - kActiveFlows;
   for (std::uint32_t i = 0; i < inactive; ++i) {
     (void)table.add_rule(core5g::PdrRule{i, 0x100000ULL + i,
                                          /*ue_id=*/i / 8,
                                          /*precedence=*/int(i)});
   }
   std::vector<std::uint64_t> active_keys;
-  for (std::uint32_t i = 0; i < params.active_flows; ++i) {
+  for (std::uint32_t i = 0; i < kActiveFlows; ++i) {
     const std::uint64_t key = 0x900000ULL + i;
     active_keys.push_back(key);
     (void)table.add_rule(core5g::PdrRule{inactive + i, key,
-                                         /*ue_id=*/100000 + i /
-                                             params.flows_per_ue,
+                                         /*ue_id=*/100000 + i / kFlowsPerUe,
                                          int(inactive + i)});
   }
 
@@ -67,9 +66,9 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
   for (const std::uint64_t key : active_keys) table.prioritise_flow(key);
   out.prioritised_ues = table.prioritised_ue_count();
 
-  const ZipfSampler zipf{params.active_flows, kZipfS};
+  const ZipfSampler zipf{kActiveFlows, kZipfS};
   Rng rng{params.seed};
-  for (std::uint32_t i = 0; i < params.lookups; ++i) {
+  for (std::uint32_t i = 0; i < WorkloadParams::lookups; ++i) {
     const std::uint64_t key = active_keys[zipf.sample(rng)];
     const auto outcome = table.lookup(key);
     SIXG_ASSERT(outcome.matched, "active flow must have a rule");

@@ -17,11 +17,15 @@ namespace sixg::oran {
 /// per UE can be prioritised simultaneously.
 class QosXApp {
  public:
+  static constexpr std::uint32_t kTotalRules = 2000;  ///< installed PDR/QER
+  static constexpr std::uint32_t kActiveFlows = 48;   ///< flows with traffic
+  /// Multi-flow UEs (video + haptic + control).
+  static constexpr std::uint32_t kFlowsPerUe = 3;
+
   struct WorkloadParams {
-    std::uint32_t total_rules = 2000;   ///< installed PDR/QER entries
-    std::uint32_t active_flows = 48;    ///< flows with live traffic
-    std::uint32_t flows_per_ue = 3;     ///< multi-flow UEs (video+haptic+ctl)
-    std::uint32_t lookups = 200000;
+    /// Lookups per evaluation; named like a field because sixg_e2ebench
+    /// reads it as `params.lookups`.
+    static constexpr std::uint32_t lookups = 200000;
     std::uint64_t seed = 0x90a5;
   };
 

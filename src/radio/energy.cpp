@@ -15,6 +15,16 @@ constexpr double kSleepEntryOverhead = 0.08;  ///< fraction of idle unusable
 
 }  // namespace
 
+GnbEnergyModel GnbEnergyModel::fiveg_macro() {
+  return GnbEnergyModel{Params{}};
+}
+
+GnbEnergyModel GnbEnergyModel::sixg_micro_sleep() {
+  return GnbEnergyModel{Params{.static_watts = 650.0,
+                               .micro_sleep = true,
+                               .cell_peak_rate = DataRate::gbps(10)}};
+}
+
 double GnbEnergyModel::average_watts(double load) const {
   SIXG_ASSERT(load >= 0.0 && load <= 1.0, "load must be in [0,1]");
   const double active_share = load;
@@ -52,16 +62,8 @@ double GnbEnergyModel::daily_kwh(double mean_load,
 }
 
 TextTable GnbEnergyModel::comparison_table() {
-  // 5G macro cell vs a 6G cell with micro-sleep and a 10x peak rate.
-  GnbEnergyModel::Params fiveg;
-  fiveg.name = "5G macro";
-  GnbEnergyModel::Params sixg;
-  sixg.name = "6G (micro-sleep)";
-  sixg.micro_sleep = true;
-  sixg.static_watts = 650.0;  // denser integration
-  sixg.cell_peak_rate = DataRate::gbps(10);
-  const GnbEnergyModel a{fiveg};
-  const GnbEnergyModel b{sixg};
+  const GnbEnergyModel a = fiveg_macro();
+  const GnbEnergyModel b = sixg_micro_sleep();
 
   TextTable t{{"Load", "5G avg W", "6G avg W", "5G nJ/bit", "6G nJ/bit",
                "energy/bit gain"}};

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/table.hpp"
 #include "common/time.hpp"
@@ -18,13 +17,18 @@ namespace sixg::radio {
 class GnbEnergyModel {
  public:
   struct Params {
-    std::string name = "gNB";
     double static_watts = 780.0;  ///< rectifier, baseband, fans
     bool micro_sleep = false;     ///< sleep in unused slots?
     DataRate cell_peak_rate = DataRate::gbps(1);
   };
 
   explicit GnbEnergyModel(Params params) : params_(params) {}
+
+  /// The two cells the energy study compares: a 5G macro cell (the
+  /// Params defaults) and a 6G cell with denser integration (650 W
+  /// static), micro-sleep and a 10x peak rate.
+  [[nodiscard]] static GnbEnergyModel fiveg_macro();
+  [[nodiscard]] static GnbEnergyModel sixg_micro_sleep();
 
   /// Average power draw at a given PRB load (0..1).
   [[nodiscard]] double average_watts(double load) const;

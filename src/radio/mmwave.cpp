@@ -12,6 +12,10 @@ constexpr Duration kTrackingHi = Duration::from_millis_f(3.2);
 constexpr double kRealignMedianMs = 5.0;
 constexpr double kRealignSigma = 0.45;
 constexpr Duration kHarqRtt = Duration::micros(500);
+/// Beam-state shares; the remainder is realigning.
+constexpr double kPAligned = 0.05;
+constexpr double kPTracking = 0.17;
+constexpr double kBler = 0.10;
 
 }  // namespace
 
@@ -21,9 +25,9 @@ Duration MmWavePhyModel::sample_one_way(Rng& rng) const {
 
   // Beam state decides the dominating term.
   const double roll = rng.uniform();
-  if (roll < params_.p_aligned) {
+  if (roll < kPAligned) {
     // Serving beam is current: nothing to add.
-  } else if (roll < params_.p_aligned + params_.p_tracking) {
+  } else if (roll < kPAligned + kPTracking) {
     d += Duration::from_millis_f(
         rng.uniform(kTrackingLo.ms(), kTrackingHi.ms()));
   } else {
@@ -34,7 +38,7 @@ Duration MmWavePhyModel::sample_one_way(Rng& rng) const {
 
   // HARQ at mmWave speed.
   int retx = 0;
-  while (retx < 4 && rng.chance(params_.bler)) ++retx;
+  while (retx < 4 && rng.chance(kBler)) ++retx;
   d += kHarqRtt * retx;
   return d;
 }

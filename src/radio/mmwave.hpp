@@ -17,22 +17,8 @@ namespace sixg::radio {
 ///  * realigning — beam sweep / blockage recovery dominates (3-15 ms).
 class MmWavePhyModel {
  public:
-  struct Params {
-    double p_aligned = 0.05;
-    double p_tracking = 0.17;  ///< remainder: realigning
-    double bler = 0.10;
-  };
-
-  MmWavePhyModel() : MmWavePhyModel(Params{}) {}
-  explicit MmWavePhyModel(Params params) : params_(params) {}
-
-  [[nodiscard]] const Params& params() const { return params_; }
-
   /// One-way PHY latency of one packet.
   [[nodiscard]] Duration sample_one_way(Rng& rng) const;
-
- private:
-  Params params_;
 };
 
 }  // namespace sixg::radio

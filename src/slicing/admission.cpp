@@ -2,16 +2,11 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace sixg::slicing {
 
-SliceAdmission::SliceAdmission(const topo::Network& net, Config config)
-    : net_(&net), config_(config) {
-  SIXG_ASSERT(config_.reservable_share > 0.0 &&
-                  config_.reservable_share <= 1.0,
+static_assert(SliceAdmission::kReservableShare > 0.0 &&
+                  SliceAdmission::kReservableShare <= 1.0,
               "reservable share must be in (0,1]");
-}
 
 std::optional<SliceAdmission::Admitted> SliceAdmission::admit(
     const SliceSpec& spec, topo::NodeId from, topo::NodeId to) {
@@ -29,7 +24,7 @@ std::optional<SliceAdmission::Admitted> SliceAdmission::admit(
     const auto idx = std::size_t(link.value());
     if (reserved_bps_.size() <= idx) reserved_bps_.resize(idx + 1, 0);
     const double limit = double(net_->link(link).capacity.bits_per_second()) *
-                         config_.reservable_share;
+                         kReservableShare;
     if (double(reserved_bps_[idx] + spec.guaranteed_rate.bits_per_second()) >
         limit)
       return std::nullopt;

@@ -15,13 +15,11 @@ namespace sixg::slicing {
 /// "end-to-end network slicing" [39].
 class SliceAdmission {
  public:
-  struct Config {
-    /// Fraction of each link's capacity available for guaranteed slices
-    /// (the rest is best effort).
-    double reservable_share = 0.6;
-  };
+  /// Fraction of each link's capacity available for guaranteed slices
+  /// (the rest is best effort).
+  static constexpr double kReservableShare = 0.6;
 
-  SliceAdmission(const topo::Network& net, Config config);
+  explicit SliceAdmission(const topo::Network& net) : net_(&net) {}
 
   struct Admitted {
     std::uint32_t slice_id = 0;
@@ -42,7 +40,6 @@ class SliceAdmission {
 
  private:
   const topo::Network* net_;
-  Config config_;
   std::vector<std::int64_t> reserved_bps_;  // by link id value
   std::vector<Admitted> admitted_;
 };

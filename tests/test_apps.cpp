@@ -109,15 +109,15 @@ TEST(ArGame, FrameAgeIncludesPipelineAndPacing) {
   EXPECT_NEAR(report.frame_age_ms.mean(), 16.5, 0.5);
 }
 
-TEST(ArGame, ThrowRateMatchesConfig) {
+TEST(ArGame, ThrowRateMatchesConstant) {
   ArGameSession::Config config = fast_config();
   config.frames = 60000;
-  config.throws_per_second = 1.2;
   const ArGameSession session{
       [](Rng&) { return Duration::from_millis_f(5.0); }, config};
   const auto report = session.run();
   const double seconds = config.frames / ArGameSession::kFrameRateHz;
-  EXPECT_NEAR(report.throws / seconds, 1.2, 0.12);
+  EXPECT_NEAR(report.throws / seconds, ArGameSession::kThrowsPerSecond,
+              0.1 * ArGameSession::kThrowsPerSecond);
 }
 
 TEST(ArGame, DeterministicPerSeed) {

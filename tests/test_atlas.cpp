@@ -26,45 +26,36 @@ topo::EuropeTopology* AtlasFixture::world_ = nullptr;
 TEST_F(AtlasFixture, PeriodicScheduleProducesExpectedSampleCount) {
   AtlasFleet fleet{world_->net};
   const ProbeId probe = fleet.add_probe("wired", world_->wired_host);
-  AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(60);
-  options.spread_start = false;
-  fleet.schedule_ping(probe, world_->university_probe, options);
-  const auto results = fleet.run(Duration::seconds(3600), 1);
+  fleet.schedule_ping(probe, world_->university_probe);
+  const auto results = fleet.run(AtlasFleet::kPeriod * 240, 1);
   ASSERT_EQ(results.size(), 1u);
-  // First firing at t=0, then every 60 s. The horizon is half-open:
-  // the firing at exactly t=3600 is NOT run (kernel run_until contract),
-  // so one hour holds 60 pings.
-  EXPECT_EQ(results[0].scheduled, 60u);
-  EXPECT_EQ(results[0].lost, 0u);
-  EXPECT_EQ(results[0].rtt_ms.count(), 60u);
+  // One firing per period from the start offset in [0, kPeriod). The
+  // horizon is half-open (kernel run_until contract), so a run of 240
+  // periods holds exactly 240 pings whatever the offset.
+  EXPECT_EQ(results[0].scheduled, 240u);
+  EXPECT_EQ(results[0].rtt_ms.count() + results[0].lost,
+            results[0].scheduled);
 }
 
 TEST_F(AtlasFixture, SpreadStartStaggersWithinOnePeriod) {
   AtlasFleet fleet{world_->net};
   const ProbeId probe = fleet.add_probe("wired", world_->wired_host);
-  AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(60);
-  options.spread_start = true;
-  fleet.schedule_ping(probe, world_->university_probe, options);
-  const auto results = fleet.run(Duration::seconds(3600), 2);
-  // Offset in (0, 60) s: either 60 or 61 firings fit the hour.
-  EXPECT_GE(results[0].scheduled, 60u);
-  EXPECT_LE(results[0].scheduled, 61u);
+  fleet.schedule_ping(probe, world_->university_probe);
+  const auto results =
+      fleet.run(AtlasFleet::kPeriod * 240 + AtlasFleet::kPeriod / 2, 2);
+  // Offset in [0, kPeriod): either 240 or 241 firings fit the run.
+  EXPECT_GE(results[0].scheduled, 240u);
+  EXPECT_LE(results[0].scheduled, 241u);
 }
 
 TEST_F(AtlasFixture, LossRateDropsSamplesButCountsSchedules) {
   AtlasFleet fleet{world_->net};
   const ProbeId probe = fleet.add_probe("wired", world_->wired_host);
-  AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(1);
-  options.spread_start = false;
-  options.loss_rate = 0.5;
-  fleet.schedule_ping(probe, world_->university_probe, options);
-  const auto results = fleet.run(Duration::seconds(4000), 3);
-  EXPECT_EQ(results[0].scheduled, 4000u);  // t=0..3999; t=4000 is discarded
-  EXPECT_NEAR(double(results[0].lost) / double(results[0].scheduled), 0.5,
-              0.05);
+  fleet.schedule_ping(probe, world_->university_probe);
+  const auto results = fleet.run(AtlasFleet::kPeriod * 40000, 3);
+  EXPECT_EQ(results[0].scheduled, 40000u);
+  EXPECT_NEAR(double(results[0].lost) / double(results[0].scheduled),
+              AtlasFleet::kLossRate, 0.004);  // ~6 sd at 40,000 pings
   EXPECT_EQ(results[0].rtt_ms.count() + results[0].lost,
             results[0].scheduled);
 }
@@ -77,10 +68,8 @@ TEST_F(AtlasFixture, MobileProbeMeasuresHigherThanWired) {
   const ProbeId wired = fleet.add_probe("wired", world_->wired_host);
   const ProbeId mobile = fleet.add_mobile_probe("mobile", world_->mobile_ue,
                                                 nsa, conditions);
-  AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(30);
-  fleet.schedule_ping(wired, world_->university_probe, options);
-  fleet.schedule_ping(mobile, world_->university_probe, options);
+  fleet.schedule_ping(wired, world_->university_probe);
+  fleet.schedule_ping(mobile, world_->university_probe);
   const auto results = fleet.run(Duration::seconds(7200), 4);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_GT(results[1].rtt_ms.mean(), 4.0 * results[0].rtt_ms.mean());
@@ -89,28 +78,24 @@ TEST_F(AtlasFixture, MobileProbeMeasuresHigherThanWired) {
 TEST_F(AtlasFixture, MultipleSchedulesPerProbeAccumulate) {
   AtlasFleet fleet{world_->net};
   const ProbeId probe = fleet.add_probe("wired", world_->wired_host);
-  AtlasFleet::ScheduleOptions options;
-  options.period = Duration::seconds(100);
-  options.spread_start = false;
-  fleet.schedule_ping(probe, world_->university_probe, options);
-  fleet.schedule_ping(probe, world_->cloud_vienna, options);
-  const auto results = fleet.run(Duration::seconds(1000), 5);
-  EXPECT_EQ(results[0].scheduled, 20u);  // 10 per schedule (t=0..900)
+  fleet.schedule_ping(probe, world_->university_probe);
+  fleet.schedule_ping(probe, world_->cloud_vienna);
+  const auto results = fleet.run(AtlasFleet::kPeriod * 10, 5);
+  EXPECT_EQ(results[0].scheduled, 20u);  // 10 per schedule
 }
 
 TEST_F(AtlasFixture, DeterministicPerSeed) {
   const auto run_fleet = [&] {
     AtlasFleet fleet{world_->net};
     const ProbeId probe = fleet.add_probe("wired", world_->wired_host);
-    AtlasFleet::ScheduleOptions options;
-    options.period = Duration::seconds(10);
-    fleet.schedule_ping(probe, world_->university_probe, options);
+    fleet.schedule_ping(probe, world_->university_probe);
     return fleet.run(Duration::seconds(600), 42);
   };
   const auto a = run_fleet();
   const auto b = run_fleet();
   EXPECT_DOUBLE_EQ(a[0].rtt_ms.mean(), b[0].rtt_ms.mean());
   EXPECT_EQ(a[0].scheduled, b[0].scheduled);
+  EXPECT_EQ(a[0].lost, b[0].lost);
 }
 
 }  // namespace

@@ -31,18 +31,6 @@ TEST(UpfAutoscale, ElasticPoliciesReduceViolations) {
   EXPECT_LE(predictive.violation_steps, reactive.violation_steps);
 }
 
-TEST(UpfAutoscale, ElasticityCostsFewInstanceHoursThanPeakProvisioning) {
-  UpfAutoscaleStudy::Params params;
-  // A static pool sized for the peak never violates but burns hours.
-  params.static_instances = 9;
-  const auto peak_static =
-      UpfAutoscaleStudy::run(ScalingPolicy::kStatic, params);
-  const auto predictive =
-      UpfAutoscaleStudy::run(ScalingPolicy::kPredictive, params);
-  EXPECT_EQ(peak_static.violation_steps, 0u);
-  EXPECT_LT(predictive.instance_hours, peak_static.instance_hours);
-}
-
 TEST(UpfAutoscale, Deterministic) {
   const UpfAutoscaleStudy::Params params;
   const auto a = UpfAutoscaleStudy::run(ScalingPolicy::kPredictive, params);

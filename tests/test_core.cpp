@@ -57,7 +57,9 @@ class CampaignShape : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     study_ = new KlagenfurtStudy();
-    report_ = new meas::GridReport(study_->run_campaign());
+    report_ = new meas::GridReport(
+        study_->campaign(study_->access_profile(), 0x9a24)
+            .run(netsim::ParallelRunner{}));
     wired_ = new stats::Summary(study_->wired_baseline());
   }
   static void TearDownTestSuite() {
@@ -112,7 +114,7 @@ TEST_F(CampaignShape, AFewBorderCellsSuppressed) {
   // observes.
   for (const auto cell : study_->grid().all_cells()) {
     const auto& r = report_->at(cell);
-    if (r.traversed && r.sample_count < report_->min_samples()) {
+    if (r.traversed && r.sample_count < meas::GridReport::kMinSamples) {
       EXPECT_TRUE(study_->population().sparse(cell))
           << study_->grid().label(cell);
     }
@@ -151,15 +153,6 @@ TEST_F(CampaignShape, GapAnalysisFindsThe270PercentExcess) {
 
 class WhatIfFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    WhatIfEngine::Config config;
-    config.samples = 1200;
-    engine_ = new WhatIfEngine(config);
-  }
-  static void TearDownTestSuite() {
-    delete engine_;
-    engine_ = nullptr;
-  }
   static const WhatIfResult& find(const std::vector<WhatIfResult>& rows,
                                   const std::string& metric) {
     for (const auto& r : rows)
@@ -167,13 +160,11 @@ class WhatIfFixture : public ::testing::Test {
     ADD_FAILURE() << "metric not found: " << metric;
     return rows.front();
   }
-  static WhatIfEngine* engine_;
+  const WhatIfEngine engine_{};
 };
 
-WhatIfEngine* WhatIfFixture::engine_ = nullptr;
-
 TEST_F(WhatIfFixture, LocalPeeringCollapsesHopsAndDistance) {
-  const auto rows = engine_->local_peering();
+  const auto rows = engine_.local_peering();
   const auto& hops = find(rows, "UE->probe network hops");
   EXPECT_DOUBLE_EQ(hops.before, 10.0);
   EXPECT_LE(hops.after, 3.0);
@@ -183,7 +174,7 @@ TEST_F(WhatIfFixture, LocalPeeringCollapsesHopsAndDistance) {
 }
 
 TEST_F(WhatIfFixture, LocalPeeringReducesRtlButRadioRemains) {
-  const auto rows = engine_->local_peering();
+  const auto rows = engine_.local_peering();
   const auto& rtl = find(rows, "mean RTL (5G access)");
   EXPECT_GT(rtl.before, rtl.after);
   // The radio leg still dominates: 5G access keeps the peered RTL well

@@ -140,8 +140,8 @@ TEST(RuleTable, HitsAccounting) {
 // ---------------------------------------------------------------- Upf
 
 TEST(Upf, SmartNicFactorsMatchJainEtAl) {
-  Upf host{Upf::Config{.name = "host"}};
-  Upf nic{Upf::Config{.name = "nic", .datapath = UpfDatapath::kSmartNic}};
+  Upf host{Upf::Config{}};
+  Upf nic{Upf::Config{.datapath = UpfDatapath::kSmartNic}};
   EXPECT_DOUBLE_EQ(
       host.mean_pipeline_latency().us() / nic.mean_pipeline_latency().us(),
       3.75);
@@ -162,22 +162,6 @@ TEST(Upf, PacketLatencySampling) {
   EXPECT_LT(s.mean(), 20.0);
 }
 
-TEST(Upf, LoadRaisesLatency) {
-  Upf idle{Upf::Config{.offered_load = 0.05}};
-  Upf busy{Upf::Config{.offered_load = 0.95}};
-  (void)idle.rules().add_rule(PdrRule{1, 42, 1, 0});
-  (void)busy.rules().add_rule(PdrRule{1, 42, 1, 0});
-  Rng rng_a{5};
-  Rng rng_b{5};
-  stats::Summary a;
-  stats::Summary b;
-  for (int i = 0; i < 30000; ++i) {
-    a.add(idle.sample_packet_latency(42, rng_a).us());
-    b.add(busy.sample_packet_latency(42, rng_b).us());
-  }
-  EXPECT_GT(b.mean(), a.mean());
-}
-
 // ---------------------------------------------------------------- placement
 
 class PlacementFixture : public ::testing::Test {
@@ -186,9 +170,7 @@ class PlacementFixture : public ::testing::Test {
     topo::EuropeOptions options;
     options.local_breakout = true;
     world_ = new topo::EuropeTopology(topo::build_europe(options));
-    UpfPlacementStudy::Config config;
-    config.samples = 1500;
-    study_ = new UpfPlacementStudy(*world_, config);
+    study_ = new UpfPlacementStudy(*world_);
     rows_ = new std::vector<PlacementResult>(study_->sweep());
   }
   static void TearDownTestSuite() {
@@ -291,31 +273,26 @@ TEST(SessionSetup, SbiOverheadOnlyOnServiceInterfaces) {
 // ---------------------------------------------------------------- selector
 
 TEST(Selector, CriticalFlowsGoToEdgeUntilFull) {
-  DynamicUpfSelector selector{DynamicUpfSelector::Config{
-      .edge_capacity_units = 2.0, .metro_capacity_units = 100.0}};
+  // One-unit flows: the edge takes kEdgeCapacityUnits of them.
+  const auto edge_slots =
+      std::uint64_t(DynamicUpfSelector::kEdgeCapacityUnits);
+  DynamicUpfSelector selector;
   std::vector<FlowRequest> flows;
-  for (std::uint64_t i = 0; i < 5; ++i)
+  for (std::uint64_t i = 0; i < edge_slots + 3; ++i)
     flows.push_back(FlowRequest{i, FlowClass::kLatencyCritical, 1.0});
   const auto assignments = selector.assign(flows);
   EXPECT_EQ(assignments[0].anchor, UpfPlacement::kEdge);
-  EXPECT_EQ(assignments[1].anchor, UpfPlacement::kEdge);
+  EXPECT_EQ(assignments[edge_slots - 1].anchor, UpfPlacement::kEdge);
+  EXPECT_DOUBLE_EQ(selector.edge_capacity_left(), 0.0);
   // Edge full: graceful degradation to metro, never cloud for critical.
-  EXPECT_EQ(assignments[2].anchor, UpfPlacement::kMetro);
-  EXPECT_EQ(assignments[4].anchor, UpfPlacement::kMetro);
+  EXPECT_EQ(assignments[edge_slots].anchor, UpfPlacement::kMetro);
+  EXPECT_EQ(assignments[edge_slots + 2].anchor, UpfPlacement::kMetro);
 }
 
 TEST(Selector, BulkStaysInCloud) {
-  DynamicUpfSelector selector{DynamicUpfSelector::Config{}};
+  DynamicUpfSelector selector;
   const auto assignments = selector.assign(
       {FlowRequest{1, FlowClass::kBulk, 1.0}});
-  EXPECT_EQ(assignments[0].anchor, UpfPlacement::kCloud);
-}
-
-TEST(Selector, CloudOnlyPolicyDisablesEdge) {
-  DynamicUpfSelector selector{
-      DynamicUpfSelector::Config{.cloud_only = true}};
-  const auto assignments = selector.assign(
-      {FlowRequest{1, FlowClass::kLatencyCritical, 1.0}});
   EXPECT_EQ(assignments[0].anchor, UpfPlacement::kCloud);
 }
 

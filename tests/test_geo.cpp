@@ -165,19 +165,6 @@ TEST(Population, TotalPopulationPlausible) {
   EXPECT_LT(pop.total_population(), 200000.0);
 }
 
-TEST(Population, MultiCenterSumsContributions) {
-  const SectorGrid grid = SectorGrid::klagenfurt_sector();
-  PopulationRaster::Params one_center;
-  one_center.centers = {{CellIndex{3, 3}, 4000.0, 0.6}};
-  one_center.noise_sigma = 0.0;
-  PopulationRaster::Params two_centers = one_center;
-  two_centers.centers.push_back({CellIndex{2, 1}, 2000.0, 0.8});
-  const PopulationRaster a{grid, one_center};
-  const PopulationRaster b{grid, two_centers};
-  for (const CellIndex c : grid.all_cells())
-    EXPECT_GE(b.density(c) + 1e-9, a.density(c)) << grid.label(c);
-}
-
 // ---------------------------------------------------------------- gazetteer
 
 TEST(Gazetteer, FindsPaperCities) {

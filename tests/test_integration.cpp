@@ -21,20 +21,19 @@ namespace {
 TEST(Integration, FullPipelineEndToEnd) {
   // 1. Build the calibrated world and run the measurement campaign.
   const core::KlagenfurtStudy study;
-  const auto report = study.run_campaign();
+  const auto report = study.campaign(study.access_profile(), 0x9a24)
+                          .run(netsim::ParallelRunner{});
   ASSERT_GT(report.traversed_count(), 20);
 
   // 2. Gap analysis must find the paper's story: a large excess over the
   //    binding requirement.
   const core::GapAnalysis gap{
-      study.run_campaign(), study.wired_baseline(),
+      report, study.wired_baseline(),
       core::RequirementsRegistry::paper_registry().binding_requirement()};
   EXPECT_GT(gap.findings().requirement_excess_percent, 150.0);
 
   // 3. The recommendation engine must show each fix helping.
-  core::WhatIfEngine::Config config;
-  config.samples = 800;
-  const core::WhatIfEngine engine{config};
+  const core::WhatIfEngine engine;
   for (const auto& r : engine.local_peering())
     EXPECT_GE(r.before, r.after) << r.metric;
 
@@ -60,7 +59,8 @@ TEST(Integration, FullPipelineEndToEnd) {
 TEST(Integration, WholeStackIsDeterministic) {
   const auto run_once = [] {
     const core::KlagenfurtStudy study;
-    const auto report = study.run_campaign();
+    const auto report = study.campaign(study.access_profile(), 0x9a24)
+                            .run(netsim::ParallelRunner{});
     const auto min_mean = report.min_mean();
     const auto max_sd = report.max_stddev();
     return std::make_tuple(min_mean.label, min_mean.value, max_sd.label,
@@ -88,14 +88,13 @@ TEST(Integration, PlacementStudyConsistentWithCampaign) {
   // The placement study's kNone baseline measures the same world as the
   // campaign: its mean must sit inside the campaign's cell-mean range.
   const core::KlagenfurtStudy study;
-  const auto report = study.run_campaign();
+  const auto report = study.campaign(study.access_profile(), 0x9a24)
+                          .run(netsim::ParallelRunner{});
 
   topo::EuropeOptions options;
   options.local_breakout = true;
   const auto world = topo::build_europe(options);
-  core5g::UpfPlacementStudy::Config config;
-  config.samples = 2000;
-  const core5g::UpfPlacementStudy placement{world, config};
+  const core5g::UpfPlacementStudy placement{world};
   const auto baseline = placement.evaluate(core5g::UpfPlacement::kNone,
                                            radio::AccessProfile::fiveg_nsa());
   EXPECT_GT(baseline.mean_rtt_ms, report.min_mean().value - 10.0);
@@ -110,8 +109,7 @@ TEST(Integration, SlicingVerdictFollowsTopologyFix) {
     options.local_breakout = fixed;
     options.local_peering = fixed;
     const auto world = topo::build_europe(options);
-    slicing::SliceAdmission admission{world.net,
-                                      slicing::SliceAdmission::Config{}};
+    slicing::SliceAdmission admission{world.net};
     int admitted = 0;
     for (std::uint32_t i = 1; i <= 3; ++i) {
       const auto spec = slicing::SliceSpec::vehicle_coordination(i);
@@ -128,12 +126,11 @@ TEST(Integration, CampaignSeedSweepKeepsShape) {
   // The paper-shape conclusions are not a one-seed accident: across
   // campaign seeds, mobile stays several times slower than wired and the
   // per-cell extremes stay in the published order of magnitude.
+  const core::KlagenfurtStudy study;
+  const auto wired = study.wired_baseline();
   for (const std::uint64_t seed : {0x9a24ull, 0x1111ull, 0xdeadull}) {
-    core::KlagenfurtStudy::Options options;
-    options.campaign.seed = seed;
-    const core::KlagenfurtStudy study{options};
-    const auto report = study.run_campaign();
-    const auto wired = study.wired_baseline();
+    const auto report = study.campaign(study.access_profile(), seed)
+                            .run(netsim::ParallelRunner{});
     const double ratio =
         report.mean_of_cell_means().mean() / wired.mean();
     EXPECT_GT(ratio, 5.0) << seed;

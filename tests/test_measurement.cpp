@@ -32,14 +32,7 @@ class MeasurementFixture : public ::testing::Test {
     grid_ = nullptr;
   }
 
-  static GridCampaign::Config small_config() {
-    GridCampaign::Config config;
-    config.mobile_nodes = 2;
-    config.drive.total_duration = Duration::seconds(3600);
-    return config;
-  }
-
-  static GridCampaign make_campaign(const GridCampaign::Config& config) {
+  static GridCampaign make_campaign(const GridCampaign::Config& config = {}) {
     return GridCampaign{*grid_,
                         *pop_,
                         *rem_,
@@ -102,7 +95,7 @@ TEST_F(MeasurementFixture, PingDeterministicPerSeed) {
 // ---------------------------------------------------------------- campaign
 
 TEST_F(MeasurementFixture, CampaignParallelEqualsSerial) {
-  const auto campaign = make_campaign(small_config());
+  const auto campaign = make_campaign();
   const netsim::ParallelRunner serial{1};
   const netsim::ParallelRunner parallel{4};
   const GridReport a = campaign.run(serial);
@@ -115,7 +108,7 @@ TEST_F(MeasurementFixture, CampaignParallelEqualsSerial) {
 }
 
 TEST_F(MeasurementFixture, CampaignDeterministicPerSeed) {
-  const auto campaign = make_campaign(small_config());
+  const auto campaign = make_campaign();
   const netsim::ParallelRunner runner;
   const GridReport a = campaign.run(runner);
   const GridReport b = campaign.run(runner);
@@ -125,9 +118,8 @@ TEST_F(MeasurementFixture, CampaignDeterministicPerSeed) {
 }
 
 TEST_F(MeasurementFixture, DifferentSeedsChangeTheDrive) {
-  GridCampaign::Config a_config = small_config();
-  GridCampaign::Config b_config = small_config();
-  b_config.seed = a_config.seed + 1;
+  const GridCampaign::Config a_config;
+  const GridCampaign::Config b_config{.seed = a_config.seed + 1};
   const netsim::ParallelRunner runner;
   const GridReport a = make_campaign(a_config).run(runner);
   const GridReport b = make_campaign(b_config).run(runner);
@@ -138,15 +130,13 @@ TEST_F(MeasurementFixture, DifferentSeedsChangeTheDrive) {
 }
 
 TEST_F(MeasurementFixture, SuppressionRuleHonoursMinSamples) {
-  GridCampaign::Config config = small_config();
-  config.min_samples = 10;
   const netsim::ParallelRunner runner;
-  const GridReport report = make_campaign(config).run(runner);
+  const GridReport report = make_campaign().run(runner);
   for (const auto cell : grid_->all_cells()) {
     const auto& r = report.at(cell);
     if (!r.traversed) {
       EXPECT_FALSE(report.reports(cell));
-    } else if (r.sample_count < 10) {
+    } else if (r.sample_count < GridReport::kMinSamples) {
       EXPECT_FALSE(report.reports(cell));
     } else {
       EXPECT_TRUE(report.reports(cell));
@@ -156,7 +146,7 @@ TEST_F(MeasurementFixture, SuppressionRuleHonoursMinSamples) {
 
 TEST_F(MeasurementFixture, ReportTablesHaveGridShape) {
   const netsim::ParallelRunner runner;
-  const GridReport report = make_campaign(small_config()).run(runner);
+  const GridReport report = make_campaign().run(runner);
   EXPECT_EQ(report.mean_table().row_count(), std::size_t(grid_->rows()));
   EXPECT_EQ(report.stddev_table().row_count(), std::size_t(grid_->rows()));
   EXPECT_EQ(report.count_table().row_count(), std::size_t(grid_->rows()));
@@ -164,7 +154,7 @@ TEST_F(MeasurementFixture, ReportTablesHaveGridShape) {
 
 TEST_F(MeasurementFixture, ExtremesComeFromReportingCells) {
   const netsim::ParallelRunner runner;
-  const GridReport report = make_campaign(small_config()).run(runner);
+  const GridReport report = make_campaign().run(runner);
   const auto min_mean = report.min_mean();
   const auto max_mean = report.max_mean();
   ASSERT_FALSE(min_mean.label.empty());
@@ -175,28 +165,8 @@ TEST_F(MeasurementFixture, ExtremesComeFromReportingCells) {
   EXPECT_TRUE(report.reports(*min_cell));
 }
 
-TEST_F(MeasurementFixture, SampleCountsScaleWithCadence) {
-  GridCampaign::Config slow = small_config();
-  slow.measurement_interval = Duration::seconds(30);
-  GridCampaign::Config fast = small_config();
-  fast.measurement_interval = Duration::seconds(5);
-  const netsim::ParallelRunner runner;
-  const GridReport a = make_campaign(slow).run(runner);
-  const GridReport b = make_campaign(fast).run(runner);
-  std::uint64_t slow_total = 0;
-  std::uint64_t fast_total = 0;
-  for (const auto cell : grid_->all_cells()) {
-    slow_total += a.at(cell).sample_count;
-    fast_total += b.at(cell).sample_count;
-  }
-  EXPECT_GT(fast_total, 4 * slow_total);
-}
-
-TEST_F(MeasurementFixture, PlansMatchConfiguredNodeCount) {
-  GridCampaign::Config config = small_config();
-  config.mobile_nodes = 3;
-  const auto plans = make_campaign(config).plans();
-  EXPECT_EQ(plans.size(), 3u);
+TEST_F(MeasurementFixture, OnePlanPerMobileNode) {
+  EXPECT_EQ(make_campaign().plans().size(), GridCampaign::kMobileNodes);
 }
 
 }  // namespace

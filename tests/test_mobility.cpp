@@ -16,7 +16,7 @@ class DrivePlanFixture : public ::testing::Test {
         pop_(geo::PopulationRaster::klagenfurt(grid_)) {}
 
   DrivePlan make(std::uint64_t seed) const {
-    return DrivePlan::manhattan(grid_, pop_, DrivePlan::Params{}, seed);
+    return DrivePlan::manhattan(grid_, pop_, seed);
   }
 
   geo::SectorGrid grid_;
@@ -98,13 +98,11 @@ TEST_F(DrivePlanFixture, TraversedCountMatchesPaperScale) {
 }
 
 TEST_F(DrivePlanFixture, RespectsTotalDuration) {
-  DrivePlan::Params params;
-  params.total_duration = Duration::seconds(1800);
-  const DrivePlan plan =
-      DrivePlan::manhattan(grid_, pop_, params, 10);
+  const DrivePlan plan = make(10);
   // The walk stops at the first visit that crosses the horizon.
-  EXPECT_GE(plan.total_duration().sec(), 1800.0);
-  EXPECT_LT(plan.total_duration().sec(), 1800.0 + 300.0);
+  const double horizon_s = DrivePlan::kTotalDuration.sec();
+  EXPECT_GE(plan.total_duration().sec(), horizon_s);
+  EXPECT_LT(plan.total_duration().sec(), horizon_s + 300.0);
 }
 
 }  // namespace

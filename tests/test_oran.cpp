@@ -10,18 +10,11 @@ namespace {
 // ---------------------------------------------------------------- RIC
 
 TEST(NearRtRic, LoopLatencyInNearRtBand) {
-  const NearRtRic ric{NearRtRic::Config{}};
+  const NearRtRic ric;
   const double ms = ric.expected_control_loop().ms();
   // O-RAN Near-RT control loops: 10 ms - 1 s.
   EXPECT_GT(ms, 1.0);
   EXPECT_LT(ms, 1000.0);
-}
-
-TEST(NearRtRic, QueueingGrowsWithOfferedRate) {
-  NearRtRic idle{NearRtRic::Config{.offered_rate_per_sec = 100.0}};
-  NearRtRic busy{NearRtRic::Config{.offered_rate_per_sec = 3900.0}};
-  EXPECT_GT(busy.expected_control_loop().ms(),
-            idle.expected_control_loop().ms());
 }
 
 // ---------------------------------------------------------------- handover
@@ -74,9 +67,7 @@ TEST(Handover, StormTableShape) {
 // ---------------------------------------------------------------- QoS xApp
 
 TEST(QosXApp, ContextAwareBeatsLinearScan) {
-  QosXApp::WorkloadParams params;
-  params.total_rules = 1000;
-  params.lookups = 20000;
+  const QosXApp::WorkloadParams params;
   const auto linear =
       QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, params);
   const auto ctx =
@@ -85,33 +76,11 @@ TEST(QosXApp, ContextAwareBeatsLinearScan) {
   EXPECT_GT(linear.update_ns.mean(), ctx.update_ns.mean());
 }
 
-TEST(QosXApp, ContextAwareLatencyIndependentOfTableSize) {
-  QosXApp::WorkloadParams small;
-  small.total_rules = 500;
-  small.lookups = 20000;
-  QosXApp::WorkloadParams large = small;
-  large.total_rules = 5000;
-  const auto s =
-      QosXApp::evaluate(core5g::RuleTable::Mode::kContextAware, small);
-  const auto l =
-      QosXApp::evaluate(core5g::RuleTable::Mode::kContextAware, large);
-  EXPECT_NEAR(l.lookup_ns.mean() / s.lookup_ns.mean(), 1.0, 0.1);
-  // Whereas linear scan scales with the table.
-  const auto s_lin =
-      QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, small);
-  const auto l_lin =
-      QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, large);
-  EXPECT_GT(l_lin.lookup_ns.mean(), 5.0 * s_lin.lookup_ns.mean());
-}
-
 TEST(QosXApp, MultipleUesPrioritisedSimultaneously) {
-  QosXApp::WorkloadParams params;
-  params.active_flows = 48;
-  params.flows_per_ue = 3;
-  params.lookups = 1000;
-  const auto ctx =
-      QosXApp::evaluate(core5g::RuleTable::Mode::kContextAware, params);
-  EXPECT_EQ(ctx.prioritised_ues, 16u);  // 48 flows / 3 per UE
+  const auto ctx = QosXApp::evaluate(core5g::RuleTable::Mode::kContextAware,
+                                     QosXApp::WorkloadParams{});
+  EXPECT_EQ(ctx.prioritised_ues,
+            QosXApp::kActiveFlows / QosXApp::kFlowsPerUe);  // 48 / 3
 }
 
 }  // namespace

@@ -42,8 +42,8 @@ class AdmissionFixture : public ::testing::Test {
 TEST_F(AdmissionFixture, UrllcNeedsTheLocalPath) {
   // V2X demands a 5 ms budget: feasible over the peered local fabric,
   // impossible over the continental detour (propagation alone kills it).
-  SliceAdmission local{peered_->net, SliceAdmission::Config{}};
-  SliceAdmission remote{detour_->net, SliceAdmission::Config{}};
+  SliceAdmission local{peered_->net};
+  SliceAdmission remote{detour_->net};
   const auto spec = SliceSpec::vehicle_coordination(1);
   EXPECT_TRUE(local.admit(spec, peered_->mobile_ue,
                           peered_->university_probe).has_value());
@@ -51,29 +51,36 @@ TEST_F(AdmissionFixture, UrllcNeedsTheLocalPath) {
                             detour_->university_probe).has_value());
 }
 
+/// Guaranteed rate the path's 10 Gbps bottleneck link can reserve.
+constexpr double kReservableMbps = SliceAdmission::kReservableShare * 10000.0;
+
 TEST_F(AdmissionFixture, CapacityExhaustionRejects) {
-  SliceAdmission admission{peered_->net, SliceAdmission::Config{
-                               .reservable_share = 0.01}};  // 100 Mbps share
-  SliceSpec big = SliceSpec::video_streaming(1);  // 400 Mbps guaranteed
+  SliceAdmission admission{peered_->net};
+  // AR slices (80 Mbps each) fill the share up to the last 80 Mbps.
+  const auto ar_slices = std::uint32_t(kReservableMbps / 80.0) - 1;
+  for (std::uint32_t i = 0; i < ar_slices; ++i) {
+    ASSERT_TRUE(admission.admit(SliceSpec::ar_gaming(i), peered_->mobile_ue,
+                                peered_->university_probe).has_value());
+  }
+  SliceSpec big = SliceSpec::video_streaming(1000);  // 400 Mbps guaranteed
   EXPECT_FALSE(admission.admit(big, peered_->mobile_ue,
                                peered_->university_probe).has_value());
-  SliceSpec small = SliceSpec::sensor_swarm(2);  // 5 Mbps
+  SliceSpec small = SliceSpec::sensor_swarm(1001);  // 5 Mbps
   EXPECT_TRUE(admission.admit(small, peered_->mobile_ue,
                               peered_->university_probe).has_value());
 }
 
 TEST_F(AdmissionFixture, ManySmallSlicesUntilFull) {
-  SliceAdmission admission{peered_->net, SliceAdmission::Config{
-                               .reservable_share = 0.05}};  // 500 Mbps
+  SliceAdmission admission{peered_->net};
   int admitted = 0;
-  for (std::uint32_t i = 0; i < 20; ++i) {
+  for (std::uint32_t i = 0; i < 100; ++i) {
     SliceSpec spec = SliceSpec::ar_gaming(i);  // 80 Mbps each
     if (admission.admit(spec, peered_->mobile_ue,
                         peered_->university_probe))
       ++admitted;
   }
-  EXPECT_EQ(admitted, 6);  // floor(500/80)
-  EXPECT_EQ(admission.admitted_count(), 6u);
+  EXPECT_EQ(admitted, int(kReservableMbps / 80.0));  // 6000 / 80 = 75
+  EXPECT_EQ(admission.admitted_count(), std::size_t(admitted));
 }
 
 // -------------------------------------------------------------- hypervisor
