@@ -1,26 +1,22 @@
-// google-benchmark suite for the vectorized batch-sampling lane
-// (stats::fast_log_batch, Rng::fill, ShiftedExponential::sample_into,
-// CompiledPath::sample_rtt_into, edgeai::NetLeg::sample_into). The
-// committed baseline (bench/sample_baseline.json) is a capture of this
-// same binary with SIXG_SIMD=scalar — the batch entry points pinned to
-// the one-at-a-time reference tier, i.e. the PR 4 scalar sampling
-// arithmetic — so the joined BENCH_sample.json isolates exactly the
-// vectorization win. The *ScalarLoop benchmarks run the per-draw PR 4
-// call sequence unconditionally in both captures: their speedup is the
-// ~1x control that proves the comparison measures the lane, not the box.
+// google-benchmark suite for the batch sampling lane (Rng::fill,
+// ShiftedExponential::sample_into, CompiledPath::sample_rtt_into,
+// edgeai::NetLeg::sample_into) against the per-draw loops it replaces.
+// Every log on both sides is the one scalar kernel,
+// stats::fast_log_positive_normal; what the batch rows buy is the
+// two-phase split of a draw into sequential RNG staging and an
+// order-free evaluation loop, plus block RNG draws.
 //
-// Measured outcome (best-of-3 interleaved, committed in
-// BENCH_sample.json): the log kernel itself vectorizes 2.0x, arrival
-// pre-draw 1.4x, full RTT draws 1.25x. The full-draw number is
-// Amdahl-capped, not a lane defect: the replay contract mandates two
-// *sequential* xoshiro words per hop (queueing + spike chance), ~2.8 ns
-// of the ~6.9 ns scalar draw on the capture box, so even a free log
-// kernel tops out around 1.8x. The lane vectorizes everything the
-// contract leaves order-free.
+// The committed baseline (bench/sample_baseline.json) is an older
+// capture in which the batch entry points were pinned to that same
+// scalar kernel, one element at a time. The build now runs that
+// arithmetic, so a joined BENCH_sample.json row measures the box, not
+// the code; the per-draw control rows, whose code never changed, show
+// how far the box moved. The in-run *ScalarLoop rows are the per-draw
+// denominators of the batch rows.
 //
 // main() refuses to run any timing until the batched lane reproduces the
 // scalar sampler bit-for-bit on the bench's own path: a benchmark of a
-// kernel that broke the replay contract would be a number about nothing.
+// lane that broke the replay contract would be a number about nothing.
 
 #include <benchmark/benchmark.h>
 
@@ -72,24 +68,8 @@ CompiledPath compile_chain(const Network& net, int hops) {
 
 // --------------------------------------------------------- fast_log core
 
-// The batch log kernel on sampler-shaped inputs x = 1 - u, at the
-// dispatched tier (scalar in the baseline capture, widest here).
-void BM_FastLogBatch(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(0));
-  std::vector<double> x(n), out(n);
-  Rng rng{42};
-  for (double& v : x) v = 1.0 - rng.uniform();
-  for (auto _ : state) {
-    stats::fast_log_batch(x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(n));
-  state.SetLabel(stats::simd_tier_name(stats::simd_tier()));
-}
-BENCHMARK(BM_FastLogBatch)->Arg(256)->Arg(4096);
-
-// Per-draw scalar kernel calls over the same buffer — the PR 4 call
-// sequence, identical in both captures (the ~1x control).
+// Per-draw scalar kernel calls over a buffer of sampler-shaped inputs
+// x = 1 - u: the log kernel alone.
 void BM_FastLogScalarLoop(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
   std::vector<double> x(n), out(n);
@@ -133,7 +113,7 @@ BENCHMARK(BM_RngScalarWords)->Arg(256);
 // ------------------------------------------------- exponential arrivals
 
 // The arrival pre-draw of the serving engines: block interarrival
-// sampling through Rng::fill + fast_log_batch.
+// sampling through Rng::fill and the scalar log kernel.
 void BM_ExpSampleInto(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
   const stats::ShiftedExponential dist{0.0, 1.0 / 4000.0};
@@ -163,7 +143,7 @@ BENCHMARK(BM_ExpSampleLoop)->Arg(256);
 // ------------------------------------------------------ path RTT draws
 
 // The headline metric: batched networked RTT sampling (256 draws per
-// refill through the two-phase lane) vs the per-draw PR 4 loop below.
+// refill through the two-phase lane) vs the per-draw loop below.
 void BM_SampleRttBatch(benchmark::State& state) {
   constexpr std::size_t kBatch = 256;
   const int hops = int(state.range(0));
@@ -177,12 +157,11 @@ void BM_SampleRttBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(kBatch));
-  state.SetLabel(stats::simd_tier_name(stats::simd_tier()));
 }
 BENCHMARK(BM_SampleRttBatch)->Arg(4)->Arg(8)->Arg(16);
 
-// The PR 4 scalar path: one sample_rtt call per draw (identical in both
-// captures; also the direct in-run denominator for the batch rows).
+// The per-draw path: one sample_rtt call per draw (the in-run
+// denominator for the batch rows).
 void BM_SampleRttScalarLoop(benchmark::State& state) {
   constexpr std::size_t kBatch = 256;
   const int hops = int(state.range(0));
@@ -257,9 +236,8 @@ BENCHMARK(BM_NetLegRadioScalarLoop)->Arg(8);
 
 // ------------------------------------------------------ per-draw samplers
 
-// One draw at a time, outside the tier dispatch, so like the *ScalarLoop
-// rows they run the same code in both captures: the lognormal behind the
-// model-level jitters, and a loaded 5G NSA cell's radio RTT.
+// One draw at a time: the lognormal behind the model-level jitters, and
+// a loaded 5G NSA cell's radio RTT.
 void BM_LognormalSample(benchmark::State& state) {
   const stats::Lognormal dist = stats::Lognormal::from_median(10.0, 0.4);
   Rng rng{3};
@@ -284,9 +262,9 @@ BENCHMARK(BM_RadioRttSample);
 
 // ------------------------------------------------------ bit-equality gate
 
-// Abort before timing anything if the dispatched tier's batched RTT
-// sampler diverges from the scalar sampler by a single bit anywhere in a
-// 4096-draw sweep of the bench path.
+// Abort before timing anything if the batched RTT sampler diverges from
+// the scalar sampler by a single bit anywhere in a 4096-draw sweep of the
+// bench path.
 void verify_bit_equality_or_die() {
   const Network net = make_chain(8);
   const CompiledPath path = compile_chain(net, 8);
@@ -302,17 +280,17 @@ void verify_bit_equality_or_die() {
     std::memcpy(&b, &ref, 8);
     if (a != b) {
       std::fprintf(stderr,
-                   "bench_sample_batch: tier %s diverges from scalar at draw "
-                   "%zu (%a != %a); refusing to benchmark a broken lane\n",
-                   stats::simd_tier_name(stats::simd_tier()), i, out[i], ref);
+                   "bench_sample_batch: the batch lane diverges from scalar "
+                   "at draw %zu (%a != %a); refusing to benchmark a broken "
+                   "lane\n",
+                   i, out[i], ref);
       std::abort();
     }
   }
   if (batch_rng() != scalar_rng()) {
     std::fprintf(stderr,
-                 "bench_sample_batch: tier %s consumed a different number of "
-                 "RNG words than the scalar sampler\n",
-                 stats::simd_tier_name(stats::simd_tier()));
+                 "bench_sample_batch: the batch lane consumed a different "
+                 "number of RNG words than the scalar sampler\n");
     std::abort();
   }
 }

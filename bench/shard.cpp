@@ -25,11 +25,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <map>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "edgeai/fleet.hpp"
 #include "stats/distributions.hpp"
@@ -126,11 +124,12 @@ void BM_ShardedCityServing(benchmark::State& state) {
   static std::map<std::uint32_t, std::uint64_t> reference;
   const auto [it, first] = reference.emplace(per_shard, digest);
   if (!first && it->second != digest) {
-    SIXG_ERROR("bench.shard")
-        << "BM_ShardedCityServing: report digest diverged at workers="
-        << effective << " (" << std::hex << std::setfill('0')
-        << std::setw(16) << digest << " != " << std::setw(16) << it->second
-        << ") — the scaling curve is inadmissible";
+    std::fprintf(stderr,
+                 "bench_shard: BM_ShardedCityServing: report digest diverged "
+                 "at workers=%u (%016llx != %016llx) — the scaling curve is "
+                 "inadmissible\n",
+                 effective, static_cast<unsigned long long>(digest),
+                 static_cast<unsigned long long>(it->second));
     std::abort();
   }
   state.counters["requests_total"] = double(per_shard) * double(kShards);

@@ -10,7 +10,6 @@
 #include <iostream>
 #include <string>
 
-#include "common/log.hpp"
 #include "core/registry.hpp"
 #include "core/scenarios.hpp"
 
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     std::ofstream file{argv[1]};
     if (!file) {
-      SIXG_ERROR("full_report") << "cannot open " << argv[1];
+      std::fprintf(stderr, "full_report: cannot open %s\n", argv[1]);
       return 1;
     }
     file << markdown;

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/time.hpp"
 #include "core/registry.hpp"
 #include "core/scenarios.hpp"
@@ -48,8 +47,6 @@ void print_usage(std::FILE* out) {
       "  --sample-every MS   periodic sampler cadence in simulated\n"
       "                      milliseconds (requires --metrics; default\n"
       "                      0 = sampling off)\n"
-      "  --log-level L       stderr log level: debug, info, warn, error\n"
-      "                      or off (default warn)\n"
       "  --help              show this help\n"
       "\n"
       "examples:\n"
@@ -221,17 +218,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       sample_ns = static_cast<std::int64_t>(ns);
-    } else if (arg == "--log-level") {
-      const std::string value = next();
-      sixg::LogLevel level;
-      if (!sixg::Log::parse_level(value, &level)) {
-        std::fprintf(stderr,
-                     "sixg_run: unknown --log-level '%s' "
-                     "(debug|info|warn|error|off)\n",
-                     value.c_str());
-        return 2;
-      }
-      sixg::Log::set_level(level);
     } else {
       std::fprintf(stderr, "sixg_run: unknown option '%s'\n\n", arg.c_str());
       print_usage(stderr);
@@ -242,12 +228,6 @@ int main(int argc, char** argv) {
   const bool obs_wanted = !metrics_path.empty() || !trace_path.empty();
   if (sample_ns > 0 && metrics_path.empty()) {
     std::fprintf(stderr, "sixg_run: --sample-every requires --metrics\n");
-    return 2;
-  }
-  if (obs_wanted && !sixg::obs::kProbesCompiled) {
-    std::fprintf(stderr,
-                 "sixg_run: this binary was built with SIXG_OBS_PROBES=OFF; "
-                 "--metrics/--trace need probes compiled in\n");
     return 2;
   }
 

@@ -977,25 +977,6 @@ ScenarioResult atlas_design(const RunContext& ctx) {
 
 // ------------------------------------------------- edge AI inference
 
-/// One-way network leg request-path style: radio uplink into the access
-/// network, then the wired path to the serving site. A structured
-/// NetLeg, so the serving engines batch the wired draws through the
-/// vectorized sampling lane (bit-identical to the old closure).
-edgeai::NetLeg uplink_sampler(const radio::RadioLinkModel& radio_model,
-                              const radio::CellConditions& conditions,
-                              topo::CompiledPath path) {
-  return edgeai::NetLeg::radio_then_path(radio_model, conditions,
-                                         std::move(path));
-}
-
-/// Response path: wired path back, then the radio downlink to the UE.
-edgeai::NetLeg downlink_sampler(const radio::RadioLinkModel& radio_model,
-                                const radio::CellConditions& conditions,
-                                topo::CompiledPath path) {
-  return edgeai::NetLeg::path_then_radio(radio_model, conditions,
-                                         std::move(path));
-}
-
 ScenarioResult edge_inference_latency(const RunContext& ctx) {
   ScenarioResult r;
   r.add_table(edgeai::ModelZoo::table(), "Model zoo (inference profiles):");
@@ -1066,12 +1047,12 @@ ScenarioResult edge_inference_latency(const RunContext& ctx) {
         config.requests = 3000;
         config.energy.uplink = regime.uplink;
         config.energy.downlink = regime.downlink;
-        config.uplink =
-            uplink_sampler(*regime.radio_model, conditions,
-                           regime.world->net.compile(*regime.path));
-        config.downlink =
-            downlink_sampler(*regime.radio_model, conditions,
-                             regime.world->net.compile(*regime.path));
+        config.uplink = edgeai::NetLeg::radio_then_path(
+            *regime.radio_model, conditions,
+            regime.world->net.compile(*regime.path));
+        config.downlink = edgeai::NetLeg::path_then_radio(
+            *regime.radio_model, conditions,
+            regime.world->net.compile(*regime.path));
         config.seed = seed;
         return edgeai::ServingStudy::run(config);
       });
@@ -1457,52 +1438,61 @@ ScenarioResult energy_inference(const RunContext& ctx) {
 
 // ---------------------------------------------- fleet-scale serving
 
-/// An edge-GPU server spec of the city fleet: 6G access into the peered
-/// metro path. Each server carries its own compiled-path samplers so the
-/// fleet engine draws with zero topology lookups.
-edgeai::FleetStudy::ServerSpec edge_server_spec(
-    const radio::RadioLinkModel& access, const radio::CellConditions& cell,
-    const topo::EuropeTopology& world, const topo::Path& path) {
-  edgeai::FleetStudy::ServerSpec spec;
-  spec.accelerator = edgeai::AcceleratorProfile::edge_gpu();
-  spec.batching.max_batch = 16;
-  spec.batching.batch_window = Duration::from_millis_f(1.0);
-  spec.batching.queue_capacity = 256;
-  spec.tier = edgeai::ExecutionTier::kEdge;
-  spec.uplink = uplink_sampler(access, cell, world.net.compile(path));
-  spec.downlink = downlink_sampler(access, cell, world.net.compile(path));
-  return spec;
-}
+/// The city every fleet scenario serves: the C2 cell of the Klagenfurt
+/// drive-test grid, the peered Europe (local breakout and peering), a 6G
+/// access link and the metro path from the UE to the edge site. Pinned
+/// in place, because the NetLegs that config() builds borrow `access`.
+struct EdgeCity {
+  EdgeCity() = default;
+  EdgeCity(const EdgeCity&) = delete;
+  EdgeCity& operator=(const EdgeCity&) = delete;
 
-/// The city pod every fleet scenario starts from: N identical edge GPUs
-/// behind the metro path serving det-base, JSQ dispatch, 20 ms SLO,
-/// 2/4 Gb/s radio.
-edgeai::FleetStudy::Config city_fleet_config(
-    const radio::RadioLinkModel& access, const radio::CellConditions& cell,
-    const topo::EuropeTopology& world, const topo::Path& path,
-    std::size_t edge_gpus) {
-  edgeai::FleetStudy::Config config;
-  config.model = edgeai::ModelZoo::at("det-base");
-  config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
-  config.slo = Duration::from_millis_f(20.0);
-  config.energy.uplink = DataRate::gbps(2);
-  config.energy.downlink = DataRate::gbps(4);
-  for (std::size_t s = 0; s < edge_gpus; ++s)
-    config.servers.push_back(edge_server_spec(access, cell, world, path));
-  return config;
-}
+  /// The city pod: N identical edge GPUs behind the metro path serving
+  /// det-base, JSQ dispatch, 20 ms SLO, 2/4 Gb/s radio. Each server
+  /// carries its own compiled-path samplers, so the fleet engine draws
+  /// with zero topology lookups.
+  [[nodiscard]] edgeai::FleetStudy::Config config(
+      std::size_t edge_gpus) const {
+    edgeai::FleetStudy::Config config;
+    config.model = edgeai::ModelZoo::at("det-base");
+    config.policy = edgeai::DispatchPolicy::kJoinShortestQueue;
+    config.slo = Duration::from_millis_f(20.0);
+    config.energy.uplink = DataRate::gbps(2);
+    config.energy.downlink = DataRate::gbps(4);
+    for (std::size_t s = 0; s < edge_gpus; ++s) {
+      edgeai::FleetStudy::ServerSpec spec;
+      spec.accelerator = edgeai::AcceleratorProfile::edge_gpu();
+      spec.batching.max_batch = 16;
+      spec.batching.batch_window = Duration::from_millis_f(1.0);
+      spec.batching.queue_capacity = 256;
+      spec.tier = edgeai::ExecutionTier::kEdge;
+      spec.uplink = edgeai::NetLeg::radio_then_path(
+          access, conditions, world.net.compile(edge_path));
+      spec.downlink = edgeai::NetLeg::path_then_radio(
+          access, conditions, world.net.compile(edge_path));
+      config.servers.push_back(std::move(spec));
+    }
+    return config;
+  }
+
+  const radio::CellConditions conditions = [] {
+    const KlagenfurtStudy study;
+    return study.rem().at(*study.grid().parse_label("C2"));
+  }();
+  const topo::EuropeTopology world = [] {
+    topo::EuropeOptions fixed;
+    fixed.local_breakout = true;
+    fixed.local_peering = true;
+    return topo::build_europe(fixed);
+  }();
+  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
+  const topo::Path edge_path =
+      world.net.find_path(world.mobile_ue, world.university_probe);
+};
 
 ScenarioResult city_serving(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   // A fixed city: 12k inference requests/s of det-base (two hundred 60 FPS
   // AR streams) against a growing pool of edge GPUs. One edge GPU
@@ -1515,8 +1505,7 @@ ScenarioResult city_serving(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xc17e};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(fleet_sizes), [&](std::size_t i, std::uint64_t seed) {
-        auto config = city_fleet_config(access, conditions, peered, edge_path,
-                                        fleet_sizes[i]);
+        auto config = city.config(fleet_sizes[i]);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerPoint;
         config.seed = seed;
@@ -1568,20 +1557,12 @@ ScenarioResult city_serving(const RunContext& ctx) {
 
 ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
   // The cloud backstop still sits behind the Vienna WAN leg: large
   // batches and effectively no queueing, but the path alone spends most
   // of the 20 ms budget.
-  const auto cloud_path =
-      peered.net.find_path(peered.mobile_ue, peered.cloud_vienna);
+  const auto cloud_path = city.world.net.find_path(city.world.mobile_ue,
+                                                   city.world.cloud_vienna);
 
   constexpr double kCityLoad = 12000.0;
   constexpr std::uint32_t kRequestsPerCell = 150000;
@@ -1602,8 +1583,7 @@ ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xf1d5};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       cells.size(), [&](std::size_t i, std::uint64_t seed) {
-        auto config = city_fleet_config(access, conditions, peered, edge_path,
-                                        cells[i].edges);
+        auto config = city.config(cells[i].edges);
         config.policy = cells[i].policy;
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerCell;
@@ -1615,10 +1595,10 @@ ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
         cloud.batching.batch_window = Duration::from_millis_f(2.0);
         cloud.batching.queue_capacity = 512;
         cloud.tier = edgeai::ExecutionTier::kCloud;
-        cloud.uplink =
-            uplink_sampler(access, conditions, peered.net.compile(cloud_path));
-        cloud.downlink = downlink_sampler(access, conditions,
-                                          peered.net.compile(cloud_path));
+        cloud.uplink = edgeai::NetLeg::radio_then_path(
+            city.access, city.conditions, city.world.net.compile(cloud_path));
+        cloud.downlink = edgeai::NetLeg::path_then_radio(
+            city.access, city.conditions, city.world.net.compile(cloud_path));
         config.servers.push_back(std::move(cloud));
         return edgeai::FleetStudy::run(config);
       });
@@ -1677,21 +1657,13 @@ ScenarioResult fleet_dispatch_ablation(const RunContext& ctx) {
 
 ScenarioResult city_serving_sharded(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
   // The inter-pod backbone: the Klagenfurt -> Vienna transit chain. Its
   // deterministic latency floor is the sharded kernel's lookahead — the
   // conservative window is exactly CompiledPath::min_latency, so every
   // cross-pod message physically cannot arrive before the next barrier.
-  const auto interpod = peered.net.compile(
-      peered.net.find_path(peered.university_probe, peered.cloud_vienna));
+  const auto interpod = city.world.net.compile(city.world.net.find_path(
+      city.world.university_probe, city.world.cloud_vienna));
   SIXG_ASSERT(interpod.valid(), "inter-pod backbone path must route");
   const Duration window = interpod.min_latency();
 
@@ -1707,7 +1679,7 @@ ScenarioResult city_serving_sharded(const RunContext& ctx) {
   const auto sharded_config = [&](std::uint32_t pods, unsigned workers,
                                   std::uint32_t requests_per_pod) {
     edgeai::ShardedFleetStudy::Config config;
-    config.shard = city_fleet_config(access, conditions, peered, edge_path, 3);
+    config.shard = city.config(3);
     config.shard.arrivals_per_second = kPodLoad;
     config.shard.requests = requests_per_pod;
     config.shard.seed = base_seed;
@@ -1870,15 +1842,7 @@ ScenarioResult link_failure_sweep(const RunContext& ctx) {
 
 ScenarioResult fleet_resilience_ablation(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   constexpr double kCityLoad = 12000.0;
   constexpr std::uint32_t kRequestsPerCell = 100000;
@@ -1910,8 +1874,7 @@ ScenarioResult fleet_resilience_ablation(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xfa4e};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       cells.size(), [&](std::size_t i, std::uint64_t seed) {
-        auto config =
-            city_fleet_config(access, conditions, peered, edge_path, 4);
+        auto config = city.config(4);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequestsPerCell;
         config.seed = seed;
@@ -1972,15 +1935,7 @@ ScenarioResult fleet_resilience_ablation(const RunContext& ctx) {
 
 ScenarioResult degraded_fleet_slo(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   // A 3-GPU fleet with little headroom: losing one server for the MTTR
   // window pushes the survivors into overload, so the SLO damage scales
@@ -1993,8 +1948,7 @@ ScenarioResult degraded_fleet_slo(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xdead};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(mttr_ms), [&](std::size_t i, std::uint64_t seed) {
-        auto config =
-            city_fleet_config(access, conditions, peered, edge_path, 3);
+        auto config = city.config(3);
         config.arrivals_per_second = kCityLoad;
         config.requests = kRequests;
         config.seed = seed;
@@ -2055,15 +2009,7 @@ constexpr double kEdgeGpuCapacity = 4700.0;
 
 ScenarioResult continuous_vs_window(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   // A day in the life of the city: the mean load sits at the 3-GPU knee
   // and the diurnal peak (x1.4) plus flash crowds (x2 bursts) push past
@@ -2089,8 +2035,7 @@ ScenarioResult continuous_vs_window(const RunContext& ctx) {
   const Campaign campaign{ctx, 0xcb77};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(modes), [&](std::size_t i, std::uint64_t seed) {
-        auto config =
-            city_fleet_config(access, conditions, peered, edge_path, 3);
+        auto config = city.config(3);
         config.arrivals_per_second = kMeanLoad;
         config.requests = kRequests;
         config.seed = seed;
@@ -2150,15 +2095,7 @@ ScenarioResult continuous_vs_window(const RunContext& ctx) {
 
 ScenarioResult overload_ladder(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   // Offered load laddered against the 2-GPU saturation capacity, with
   // continuous batching and class-based admission control (shed at ~10
@@ -2172,8 +2109,7 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
   const Campaign campaign{ctx, 0x10ad};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(ladder), [&](std::size_t i, std::uint64_t seed) {
-        auto config =
-            city_fleet_config(access, conditions, peered, edge_path, 2);
+        auto config = city.config(2);
         config.arrivals_per_second = capacity * ladder[i];
         config.requests = kRequests;
         config.seed = seed;
@@ -2227,15 +2163,7 @@ ScenarioResult overload_ladder(const RunContext& ctx) {
 
 ScenarioResult priority_mix_sweep(const RunContext& ctx) {
   ScenarioResult r;
-  const KlagenfurtStudy study;
-  const auto conditions = study.rem().at(*study.grid().parse_label("C2"));
-  topo::EuropeOptions fixed;
-  fixed.local_breakout = true;
-  fixed.local_peering = true;
-  const auto peered = topo::build_europe(fixed);
-  const radio::RadioLinkModel access{radio::AccessProfile::sixg()};
-  const auto edge_path =
-      peered.net.find_path(peered.mobile_ue, peered.university_probe);
+  const EdgeCity city;
 
   // Two SLO classes at 1.3x the 3-GPU capacity: interactive rides lane 0
   // (drained first at every batch formation), batch analytics rides lane
@@ -2248,8 +2176,7 @@ ScenarioResult priority_mix_sweep(const RunContext& ctx) {
   const Campaign campaign{ctx, 0x9121};
   const auto reports = campaign.sweep<edgeai::FleetStudy::Report>(
       std::size(interactive_shares), [&](std::size_t i, std::uint64_t seed) {
-        auto config =
-            city_fleet_config(access, conditions, peered, edge_path, 3);
+        auto config = city.config(3);
         config.arrivals_per_second = capacity * 1.3;
         config.requests = kRequests;
         config.seed = seed;

@@ -242,7 +242,7 @@ void AcceleratorServer::finish_batch(TimePoint started, std::uint32_t offset,
   // Deterministic trace sampling: ordinals come from the server's own
   // monotonic counters, so the SAME batches/requests are traced at any
   // worker count (and with tracing off the counters advance identically).
-  const bool tracing = obs::kProbesCompiled && obs::trace_on();
+  const bool tracing = obs::trace_on();
   if (tracing && (batches_ & obs::kTraceBatchMask) == 0) {
     obs::probe_span(obs::TraceName::kBatch, started.ns(),
                     (done - started).ns(), n);

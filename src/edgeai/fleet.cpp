@@ -131,7 +131,7 @@ struct FleetEngine {
   stats::ShiftedExponential interarrival;
 
   // Batch-sampling lane: each dedicated stream is pre-drawn a block at a
-  // time through the vectorized samplers. Values and draw order are
+  // time through the batch samplers. Values and draw order are
   // bit-identical to per-request draws; pre-drawing merely advances a
   // stream early, which no other consumer shares (the trailing overdraw
   // at run end lands in a discarded stream). The leg blocks engage only
@@ -862,7 +862,7 @@ void FleetEngine::deliver(std::uint32_t slot, std::uint32_t batch,
   }
   // Deterministic 1-in-64 request-lifecycle sampling, keyed on the
   // report's own completion ordinal.
-  if (obs::kProbesCompiled && obs::trace_on() &&
+  if (obs::trace_on() &&
       (report.e2e_ms.count() & obs::kTraceRequestMask) == 0) {
     obs::probe_span(obs::TraceName::kRequest, r.device_start.ns(), e2e.ns(),
                     batch);
@@ -1118,7 +1118,7 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
   // this engine's state, and is stopped by the engine's last slot
   // release — see the member comment for why this keeps the report
   // digest byte-identical.
-  if (obs::kProbesCompiled && obs::metrics_on()) {
+  if (obs::metrics_on()) {
     const Duration every = obs::Runtime::instance().sample_every();
     if (every > Duration{}) {
       obs::PeriodicSampler::Config sampler_cfg;
@@ -1213,7 +1213,7 @@ void init_streaming_report(FleetStudy::Report& report,
 /// Publish the end-of-run e2e distribution to the obs runtime.
 void publish_fleet_distribution(const FleetStudy::Report& report,
                                 std::uint64_t key) {
-  if (!(obs::kProbesCompiled && obs::metrics_on())) return;
+  if (!obs::metrics_on()) return;
   obs::Distribution dist;
   dist.name = "fleet.e2e_ms";
   dist.key = key;

@@ -114,12 +114,12 @@ class FleetStudy {
   /// an edge site differs from the WAN detour to a cloud region); both
   /// set (offloaded: latency adds the hops, energy bills the radio) or
   /// both null (on-device tier). Structured legs (NetLeg::wired /
-  /// radio_then_path / path_then_radio) ride the vectorized batch
+  /// radio_then_path / path_then_radio) ride the two-phase batch
   /// sampling lane; opaque callables sample scalar, bit-identically.
   /// When every networked server's legs draw identically
   /// (NetLeg::same_draws_as — the common "N identical edge GPUs behind
   /// one path" fleet), the engine serves them all from one pre-drawn
-  /// vectorized block.
+  /// block.
   struct ServerSpec {
     std::string name;  ///< row label; defaults to "tier-N" when empty
     AcceleratorProfile accelerator = AcceleratorProfile::edge_gpu();

@@ -5,7 +5,7 @@
 /// forces the engines to draw it one request at a time. A NetLeg keeps
 /// the structure visible — "radio access then wired path", "wired path
 /// then radio", "wired only" — so the engines can pre-draw whole blocks
-/// through the vectorized path lane (topo::CompiledPath's two-phase
+/// through the batched path lane (topo::CompiledPath's two-phase
 /// sampler) while producing bit-identical Durations in the identical
 /// RNG draw order. Arbitrary callables still convert implicitly (the
 /// kFn kind), they just stay on the scalar path.
@@ -79,7 +79,7 @@ class NetLeg {
   /// One draw, identical order and arithmetic to the closure it replaced.
   [[nodiscard]] Duration operator()(Rng& rng) const;
 
-  /// True when `sample_into` has a batched (vectorized) implementation.
+  /// True when `sample_into` has a batched implementation.
   [[nodiscard]] bool batchable() const {
     return kind_ != Kind::kNull && kind_ != Kind::kFn;
   }
@@ -92,7 +92,7 @@ class NetLeg {
   /// Block draw: `out[i]` is bit-identical to the i-th `(*this)(rng)`
   /// call, consuming the RNG identically. The radio share (data-dependent
   /// draw count: HARQ/spike branches) is drawn scalar per request in
-  /// phase 1; the wired path's logs evaluate vectorized in phase 2.
+  /// phase 1; the wired path's logs evaluate as one block in phase 2.
   void sample_into(std::span<Duration> out, Rng& rng,
                    topo::PathBatchScratch& scratch) const;
 

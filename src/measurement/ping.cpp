@@ -28,7 +28,7 @@ PingMeasurement::Result PingMeasurement::run(std::uint32_t count,
   Result result;
   if (radio_ == nullptr) {
     // Wired endpoint: batch the draws through the compiled path's
-    // vectorized lane. The RNG consumption and the per-sample add order
+    // two-phase lane. The RNG consumption and the per-sample add order
     // are identical to the scalar loop, so results are byte-equal at any
     // chunk size. One scratch for the whole run: sized on the first
     // chunk, reused for every refill.

@@ -183,8 +183,7 @@ void ParallelRunner::run(std::size_t job_count,
 void ParallelRunner::run(std::size_t job_count,
                          const std::function<void(std::size_t)>& job,
                          Profile& profile) const {
-  run_batch(threads_, job_count, job,
-            obs::kProbesCompiled && obs::metrics_on() ? &profile : nullptr);
+  run_batch(threads_, job_count, job, obs::metrics_on() ? &profile : nullptr);
 }
 
 }  // namespace sixg::netsim

@@ -90,16 +90,14 @@ void ShardedSimulator::drain_mailboxes() {
 }
 
 void ShardedSimulator::step_window(TimePoint horizon) {
-  if (obs::kProbesCompiled) {
-    // Latch the per-window binding decision on the coordinator; the
-    // runner's batch hand-off publishes it to the helpers.
-    bind_scopes_ = obs::probes_enabled();
-    if (bind_scopes_ && scopes_.empty()) {
-      scopes_.resize(shards_.size());
-      auto& rt = obs::Runtime::instance();
-      for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-        scopes_[k] = rt.shard_scope(k);
-      }
+  // Latch the per-window binding decision on the coordinator; the
+  // runner's batch hand-off publishes it to the helpers.
+  bind_scopes_ = obs::probes_enabled();
+  if (bind_scopes_ && scopes_.empty()) {
+    scopes_.resize(shards_.size());
+    auto& rt = obs::Runtime::instance();
+    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
+      scopes_[k] = rt.shard_scope(k);
     }
   }
   const std::uint64_t delivered0 = messages_;

@@ -26,7 +26,7 @@ struct KernelMeter {
 KernelMeter meter_begin(std::uint64_t seq, std::uint64_t fired,
                         const EventQueue& queue) {
   KernelMeter m;
-  m.on = obs::kProbesCompiled && obs::metrics_on();
+  m.on = obs::metrics_on();
   if (!m.on) return m;
   m.seq0 = seq;
   m.fired0 = fired;

@@ -7,11 +7,10 @@
 /// lives in obs/obs.hpp and is only included by cold code.
 ///
 /// Cost model, enforced by bench/obs_overhead.cpp:
-///  * compiled out (SIXG_OBS_PROBES=0): macros expand to nothing.
-///  * compiled in, disabled: one relaxed atomic load + an untaken
-///    branch per probe SITE — and the kernel's per-event path carries
-///    no probe site at all (Simulator flushes counter deltas once per
-///    run()/run_until() call instead of counting per event).
+///  * disabled: one relaxed atomic load + an untaken branch per probe
+///    SITE — and the kernel's per-event path carries no probe site at
+///    all (Simulator flushes counter deltas once per run()/run_until()
+///    call instead of counting per event).
 ///  * enabled: an out-of-line call that bumps a slot in the current
 ///    thread's Scope. Never a cross-thread write — determinism rules
 ///    are documented in docs/ARCHITECTURE.md "Observability".
@@ -20,15 +19,11 @@
 #include <atomic>
 #include <cstdint>
 
-#ifndef SIXG_OBS_PROBES
-#define SIXG_OBS_PROBES 1
-#endif
-
 namespace sixg::obs {
 
-/// True when this build carries probe code at all (the CMake option
-/// SIXG_OBS_PROBES compiles it out for a zero-footprint kernel).
-inline constexpr bool kProbesCompiled = SIXG_OBS_PROBES != 0;
+/// Every build carries the probes; the constant stays because the
+/// benchmark manifest reports it.
+inline constexpr bool kProbesCompiled = true;
 
 /// Built-in metric ids. The registry (obs.hpp) maps each to a name, a
 /// kind (counter / gauge / log2-histogram) and a dense per-kind slot.
@@ -138,7 +133,6 @@ void probe_instant(TraceName name, std::int64_t ts_ns, std::uint64_t arg);
 
 }  // namespace sixg::obs
 
-#if SIXG_OBS_PROBES
 #define SIXG_OBS_COUNT(metric_, n_)                                     \
   do {                                                                  \
     if (::sixg::obs::metrics_on()) [[unlikely]]                         \
@@ -164,20 +158,3 @@ void probe_instant(TraceName name, std::int64_t ts_ns, std::uint64_t arg);
     if (::sixg::obs::trace_on()) [[unlikely]]                           \
       ::sixg::obs::probe_instant((name_), (ts_ns_), (arg_));            \
   } while (0)
-#else
-// Compiled out: arguments are not evaluated (sizeof keeps them
-// type-checked and "used" without generating code).
-#define SIXG_OBS_COUNT(metric_, n_) \
-  do { (void)sizeof(metric_); (void)sizeof(n_); } while (0)
-#define SIXG_OBS_GAUGE(metric_, v_) \
-  do { (void)sizeof(metric_); (void)sizeof(v_); } while (0)
-#define SIXG_OBS_HIST(metric_, v_) \
-  do { (void)sizeof(metric_); (void)sizeof(v_); } while (0)
-#define SIXG_OBS_SPAN(name_, ts_ns_, dur_ns_, arg_)                   \
-  do {                                                                \
-    (void)sizeof(name_); (void)sizeof(ts_ns_); (void)sizeof(dur_ns_); \
-    (void)sizeof(arg_);                                               \
-  } while (0)
-#define SIXG_OBS_INSTANT(name_, ts_ns_, arg_) \
-  do { (void)sizeof(name_); (void)sizeof(ts_ns_); (void)sizeof(arg_); } while (0)
-#endif

@@ -49,9 +49,9 @@ double ShiftedExponential::sample(Rng& rng) const {
 
 void ShiftedExponential::sample_into(std::span<double> out, Rng& rng) const {
   // Exactly one RNG word per sample, so the whole block can come from
-  // Rng::fill. 1 - u is staged into `out` itself, the batch log runs in
-  // place, and the affine map finishes — each step bit-identical to the
-  // scalar sample() above.
+  // Rng::fill. 1 - u is staged into `out` itself, then the log and the
+  // affine map finish in place — each step bit-identical to the scalar
+  // sample() above.
   constexpr std::size_t kChunk = 256;
   std::uint64_t words[kChunk];
   std::size_t done = 0;
@@ -61,9 +61,8 @@ void ShiftedExponential::sample_into(std::span<double> out, Rng& rng) const {
     const std::span<double> block = out.subspan(done, n);
     for (std::size_t i = 0; i < n; ++i)
       block[i] = 1.0 - double(words[i] >> 11) * 0x1.0p-53;
-    fast_log_batch(block, block);
     for (std::size_t i = 0; i < n; ++i)
-      block[i] = shift_ - mean_excess_ * block[i];
+      block[i] = shift_ - mean_excess_ * fast_log_positive_normal(block[i]);
     done += n;
   }
 }

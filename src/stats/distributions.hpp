@@ -45,8 +45,8 @@ class ShiftedExponential {
 
   /// Batched draw: `out[i]` is bit-identical to the i-th `sample(rng)`
   /// call and the RNG advances by exactly `out.size()` words, so block
-  /// and scalar callers interleave freely. Routes the logs through the
-  /// vectorized `fast_log_batch` lane.
+  /// and scalar callers interleave freely. Draws its words in blocks
+  /// through `Rng::fill`.
   void sample_into(std::span<double> out, Rng& rng) const;
 
   [[nodiscard]] double mean() const { return shift_ + mean_excess_; }

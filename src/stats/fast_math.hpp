@@ -25,7 +25,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <span>
 
 namespace sixg::stats {
 
@@ -83,52 +82,22 @@ constexpr double kFastLogLn2 = 0x1.62e42fefa39efp-1;  // nearest double to ln 2
   return fast_log_positive_normal(x);
 }
 
-// ------------------------------------------------------------------------
-// Vectorized batch lane.
-//
-// `fast_log_batch` evaluates fast_log_positive_normal over a whole span.
-// Every tier performs, per element, the exact operation sequence of the
-// scalar kernel above — same table, same polynomial association, no FMA
-// contraction (the AVX2 TU is compiled without -mfma and all sampling TUs
-// with -ffp-contract=off) — so the batch result is bit-identical to a
-// scalar loop on every tier. That is what lets the samplers switch freely
-// between the lanes without breaking the byte-identical replay contract.
-
-/// Implementation tier for the batch kernels. Ordering is meaningful:
-/// higher enumerators are wider.
+/// Every sampler, batched or not, takes its logs from the scalar kernel
+/// above. These names survive only for the benchmark manifest, which
+/// reports the build's log kernel.
 enum class SimdTier : std::uint8_t {
-  kScalar = 0,    ///< one-at-a-time reference loop
-  kPortable = 1,  ///< 4-wide unrolled, plain C++ (autovectorizable)
-  kAvx2 = 2,      ///< 4 lanes per iteration via AVX2 intrinsics
+  kScalar = 0,  ///< `fast_log_positive_normal`, one element at a time
 };
 
 [[nodiscard]] const char* simd_tier_name(SimdTier tier);
-
-/// True when `tier` can execute on this build + host (kAvx2 requires the
-/// kernel compiled in — CMake option SIXG_SIMD — and CPU support).
-[[nodiscard]] bool simd_tier_available(SimdTier tier);
-
-/// Widest available tier on this build + host.
 [[nodiscard]] SimdTier best_simd_tier();
-
-/// The tier the batch kernels currently dispatch to. Defaults to
-/// `best_simd_tier()`; the SIXG_SIMD environment variable
-/// (off|scalar|portable|avx2, read once) and `force_simd_tier` override.
 [[nodiscard]] SimdTier simd_tier();
-
-/// Test hook: pin the dispatch tier. Requests above `best_simd_tier()`
-/// clamp down. Returns the tier actually installed.
-SimdTier force_simd_tier(SimdTier tier);
-
-/// Batched `fast_log_positive_normal` (same precondition per element).
-/// `out.size()` must equal `x.size()`; in-place (`out` aliasing `x`) is
-/// supported and is the common calling mode.
-void fast_log_batch(std::span<const double> x, std::span<double> out);
 
 /// Compiled in a TU that must never contract a*b + c into an FMA; the CI
 /// assertion test feeds operands whose fused and separately-rounded
-/// results differ, proving the flag set stays honest (satellite of the
-/// scalar/SIMD bit-equality contract).
+/// results differ, proving the flag set stays honest. A contracted
+/// multiply-add anywhere on the sampling path could move the committed
+/// golden digests.
 [[nodiscard]] double fp_contract_probe(double a, double b, double c);
 
 }  // namespace sixg::stats

@@ -95,7 +95,7 @@ class CompiledPath {
   /// Batch draw for campaign-style consumers: fills `out_ms` with
   /// consecutive RTT samples in milliseconds, consuming the RNG exactly
   /// as that many `sample_rtt` calls would. Routed through the two-phase
-  /// vectorized lane (bit-identical to the scalar loop by construction).
+  /// batch lane (bit-identical to the scalar loop by construction).
   void sample_rtt_into(std::span<double> out_ms, Rng& rng) const {
     thread_local PathBatchScratch scratch;
     sample_rtt_into(out_ms, rng, scratch);
@@ -141,7 +141,7 @@ class CompiledPath {
   // stage one traversal per request (phase 1 — strictly sequential RNG
   // consumption, identical draw order/count to the scalar sampler, spike
   // branch resolved from the raw word against kSpikeCutRaw), then finish
-  // (phase 2 — order-free vectorized evaluation).
+  // (phase 2 — order-free evaluation over the whole block).
 
   /// Reset `scratch` and reserve room for `traversals` traversals.
   void batch_begin(std::size_t traversals, PathBatchScratch& scratch) const {
@@ -181,10 +181,11 @@ class CompiledPath {
   /// int64 truncation mirrors the scalar per-link conversion, and integer
   /// summation is associative, so the evaluation order here is free.
   void batch_finish(PathBatchScratch& scratch) const {
-    const std::span<double> x{scratch.log_x.data(), scratch.elems};
-    stats::fast_log_batch(x, x);
+    double* x = scratch.log_x.data();
     for (std::size_t e = 0; e < scratch.elems; ++e)
-      x[e] = (scratch.coeff[e] * x[e] + scratch.addend[e]) * 1e3;
+      x[e] = (scratch.coeff[e] * stats::fast_log_positive_normal(x[e]) +
+              scratch.addend[e]) *
+             1e3;
     const std::size_t h = neg_mean_us_.size();
     std::size_t e = 0;
     for (std::size_t t = 0; t < scratch.traversals; ++t) {
@@ -215,7 +216,7 @@ class CompiledPath {
   friend class Network;
 
   /// Samples staged per batch_finish round; bounds scratch growth while
-  /// keeping the vector lane saturated.
+  /// keeping the finish loop long.
   static constexpr std::size_t kBatchChunk = 256;
 
   // rng.chance(0.02) computes uniform() < 0.02 with uniform() the exact

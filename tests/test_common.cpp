@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/ids.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/time.hpp"
@@ -250,17 +249,6 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
   EXPECT_EQ(TextTable::integer(-42), "-42");
-}
-
-// ---------------------------------------------------------------- Log
-
-TEST(Log, LevelGate) {
-  const LogLevel before = Log::level();
-  Log::set_level(LogLevel::kError);
-  EXPECT_EQ(Log::level(), LogLevel::kError);
-  Log::set_level(LogLevel::kOff);
-  SIXG_WARN("test") << "this must not print";
-  Log::set_level(before);
 }
 
 }  // namespace

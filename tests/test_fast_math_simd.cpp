@@ -1,16 +1,15 @@
-/// @file test_fast_math_simd.cpp — the vectorized sampling lane's
+/// @file test_fast_math_simd.cpp — the batch sampling lane's
 /// bit-equality contract (stats/fast_math.hpp, and its consumers up
 /// through topo::CompiledPath and edgeai::NetLeg). Every assertion here
 /// is exact: EXPECT_EQ on bit patterns and integer nanoseconds, never a
-/// tolerance — the lane's whole claim is that switching tiers can never
-/// change a single byte of any replay.
+/// tolerance — the lane's whole claim is that drawing a block at a time
+/// can never change a single byte of any replay.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,39 +23,12 @@
 namespace sixg {
 namespace {
 
-using stats::SimdTier;
 using topo::CompiledPath;
 using topo::LinkRelation;
 using topo::Network;
 using topo::NodeId;
 using topo::NodeKind;
 using topo::PathBatchScratch;
-
-/// RAII pin of the dispatch tier: every test that forces a tier restores
-/// the previous one even on assertion failure, so test order can't leak.
-class TierGuard {
- public:
-  explicit TierGuard(SimdTier tier)
-      : previous_(stats::simd_tier()),
-        installed_(stats::force_simd_tier(tier)) {}
-  ~TierGuard() { stats::force_simd_tier(previous_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-  [[nodiscard]] SimdTier installed() const { return installed_; }
-
- private:
-  SimdTier previous_;
-  SimdTier installed_;
-};
-
-/// The tiers this build + host can actually execute; every bit-equality
-/// sweep below runs once per entry.
-std::vector<SimdTier> available_tiers() {
-  std::vector<SimdTier> tiers;
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kPortable, SimdTier::kAvx2})
-    if (stats::simd_tier_available(t)) tiers.push_back(t);
-  return tiers;
-}
 
 std::uint64_t bits(double x) {
   std::uint64_t b;
@@ -70,31 +42,9 @@ double from_bits(std::uint64_t b) {
   return x;
 }
 
-// --------------------------------------------------------- dispatch tiers
+// ------------------------------------------------------------- fast_log
 
-TEST(SimdDispatch, ScalarAndPortableAlwaysAvailable) {
-  EXPECT_TRUE(stats::simd_tier_available(SimdTier::kScalar));
-  EXPECT_TRUE(stats::simd_tier_available(SimdTier::kPortable));
-  EXPECT_GE(stats::best_simd_tier(), SimdTier::kPortable);
-  for (SimdTier t : available_tiers())
-    EXPECT_NE(stats::simd_tier_name(t), nullptr);
-}
-
-TEST(SimdDispatch, ForceClampsToBestAndRestores) {
-  const SimdTier before = stats::simd_tier();
-  {
-    TierGuard guard{SimdTier::kAvx2};
-    // Requests above the host's best clamp down instead of installing an
-    // inexecutable tier.
-    EXPECT_LE(guard.installed(), stats::best_simd_tier());
-    EXPECT_EQ(stats::simd_tier(), guard.installed());
-  }
-  EXPECT_EQ(stats::simd_tier(), before);
-}
-
-// --------------------------------------------------------- fast_log_batch
-
-// Pinned input/output bit patterns of the scalar kernel (the committed
+// Pinned input/output bit patterns of the log kernel (the committed
 // table makes these identical across libc versions and platforms). Any
 // drift here — a retuned polynomial, a reassociated sum, an FMA that
 // slipped in — breaks every recorded replay, so the exact bits are frozen.
@@ -113,64 +63,19 @@ constexpr GoldenLog kGoldenLogs[] = {
     {0x3fefffffe0000000ULL, 0xbe70000007bfc000ULL},  // x = 1 - 2^-24
 };
 
-TEST(FastLogBatch, GoldenBitPatternsOnEveryTier) {
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    ASSERT_EQ(guard.installed(), tier);
-    for (const GoldenLog& g : kGoldenLogs) {
-      const double x = from_bits(g.x);
-      EXPECT_EQ(bits(stats::fast_log_positive_normal(x)), g.y)
-          << "scalar kernel drifted at x=" << x;
-      double out = 0.0;
-      stats::fast_log_batch({&x, 1}, {&out, 1});
-      EXPECT_EQ(bits(out), g.y)
-          << stats::simd_tier_name(tier) << " tier drifted at x=" << x;
-    }
-  }
-}
-
-// 32 seeds x lengths straddling every lane boundary (0, 1, partial
-// vector, full vectors + tail): each tier must reproduce the scalar
-// kernel bit-for-bit on sampler-shaped inputs x = 1 - u in [2^-53, 1].
-TEST(FastLogBatch, BitEqualToScalarKernelOnEveryTier) {
-  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 100};
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-      Rng rng{seed * 7919};
-      for (std::size_t n : lengths) {
-        std::vector<double> x(n), out(n, -1.0);
-        for (double& v : x) v = 1.0 - rng.uniform();
-        stats::fast_log_batch(x, out);
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(stats::fast_log_positive_normal(x[i])))
-              << stats::simd_tier_name(tier) << " seed=" << seed << " n=" << n
-              << " i=" << i;
-      }
-    }
-  }
-}
-
-// In-place (out aliasing x) is the common calling mode of batch_finish.
-TEST(FastLogBatch, InPlaceAliasingMatchesOutOfPlace) {
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    Rng rng{404};
-    std::vector<double> x(77);
-    for (double& v : x) v = 1.0 - rng.uniform();
-    std::vector<double> expect(77);
-    stats::fast_log_batch(x, expect);
-    stats::fast_log_batch(x, x);  // in place
-    for (std::size_t i = 0; i < x.size(); ++i)
-      ASSERT_EQ(bits(x[i]), bits(expect[i])) << stats::simd_tier_name(tier);
+TEST(FastLog, GoldenBitPatterns) {
+  for (const GoldenLog& g : kGoldenLogs) {
+    const double x = from_bits(g.x);
+    EXPECT_EQ(bits(stats::fast_log_positive_normal(x)), g.y)
+        << "kernel drifted at x=" << x;
   }
 }
 
 // ------------------------------------------------------- FP contract gate
 
-// The bit-equality contract dies if the compiler contracts a*b + c into
-// an FMA anywhere on the sampling path; the project pins -ffp-contract
-// =off and the AVX2 TU omits -mfma. These operands distinguish the two
+// The golden digests die if the compiler contracts a*b + c into an FMA
+// anywhere on the sampling path; the project pins -ffp-contract=off.
+// These operands distinguish the two
 // roundings: a*b = (1 + 2^-27)(1 - 2^-27) = 1 - 2^-54, which rounds to
 // 1.0 under separate rounding (round-to-even at the halfway point), so
 // a*b + c == 0.0 exactly — while fma(a, b, c) keeps the exact product
@@ -217,25 +122,21 @@ TEST(RngFill, InterleavesWithScalarDraws) {
 
 // --------------------------------------- ShiftedExponential::sample_into
 
-TEST(ShiftedExponentialBatch, BitEqualToScalarOnEveryTier) {
+TEST(ShiftedExponentialBatch, BitEqualToScalar) {
   const stats::ShiftedExponential dist{1.5, 0.25};
   // Lengths straddling the internal 256-word chunk.
   const std::size_t lengths[] = {1, 7, 255, 256, 257, 600};
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    for (std::uint64_t seed : {3ull, 11ull, 2026ull}) {
-      for (std::size_t n : lengths) {
-        Rng batch_rng{seed};
-        Rng scalar_rng{seed};
-        std::vector<double> out(n);
-        dist.sample_into(out, batch_rng);
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(dist.sample(scalar_rng)))
-              << stats::simd_tier_name(tier) << " seed=" << seed << " n=" << n
-              << " i=" << i;
-        // Exactly n words consumed either way.
-        EXPECT_EQ(batch_rng(), scalar_rng());
-      }
+  for (std::uint64_t seed : {3ull, 11ull, 2026ull}) {
+    for (std::size_t n : lengths) {
+      Rng batch_rng{seed};
+      Rng scalar_rng{seed};
+      std::vector<double> out(n);
+      dist.sample_into(out, batch_rng);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(dist.sample(scalar_rng)))
+            << "seed=" << seed << " n=" << n << " i=" << i;
+      // Exactly n words consumed either way.
+      EXPECT_EQ(batch_rng(), scalar_rng());
     }
   }
 }
@@ -271,31 +172,26 @@ CompiledPath compile_chain(const Network& net, int hops) {
   return net.compile(path);
 }
 
-// The tentpole contract: for every hop count 0..12, 32 seeds and every
-// dispatch tier, the batched RTT sampler consumes the RNG exactly like
-// the scalar sampler and produces bit-identical milliseconds. 200 draws
-// per (hops, seed) pair fire the 2 % spike branch thousands of times
-// across the sweep, so both the common path and the rare branch are
-// pinned on every tier.
-TEST(CompiledPathBatch, RttBitEqualAcrossTiersSeedsAndHopCounts) {
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    for (int hops = 0; hops <= 12; ++hops) {
-      const Network net = chain_net(hops);
-      const CompiledPath compiled = compile_chain(net, hops);
-      ASSERT_TRUE(compiled.valid());
-      PathBatchScratch scratch;
-      for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-        Rng batch_rng{seed * 977};
-        Rng scalar_rng{seed * 977};
-        double out[200];
-        compiled.sample_rtt_into(out, batch_rng, scratch);
-        for (int draw = 0; draw < 200; ++draw)
-          ASSERT_EQ(bits(out[draw]), bits(compiled.sample_rtt(scalar_rng).ms()))
-              << stats::simd_tier_name(tier) << " hops=" << hops
-              << " seed=" << seed << " draw=" << draw;
-        ASSERT_EQ(batch_rng(), scalar_rng());
-      }
+// The lane's contract: for every hop count 0..12 and 32 seeds, the
+// batched RTT sampler consumes the RNG exactly like the scalar sampler
+// and produces bit-identical milliseconds. 200 draws per (hops, seed)
+// pair fire the 2 % spike branch thousands of times across the sweep,
+// so both the common path and the rare branch are pinned.
+TEST(CompiledPathBatch, RttBitEqualAcrossSeedsAndHopCounts) {
+  for (int hops = 0; hops <= 12; ++hops) {
+    const Network net = chain_net(hops);
+    const CompiledPath compiled = compile_chain(net, hops);
+    ASSERT_TRUE(compiled.valid());
+    PathBatchScratch scratch;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      Rng batch_rng{seed * 977};
+      Rng scalar_rng{seed * 977};
+      double out[200];
+      compiled.sample_rtt_into(out, batch_rng, scratch);
+      for (int draw = 0; draw < 200; ++draw)
+        ASSERT_EQ(bits(out[draw]), bits(compiled.sample_rtt(scalar_rng).ms()))
+            << "hops=" << hops << " seed=" << seed << " draw=" << draw;
+      ASSERT_EQ(batch_rng(), scalar_rng());
     }
   }
 }
@@ -317,19 +213,16 @@ TEST(CompiledPathBatch, ThreadLocalScratchOverloadMatches) {
 TEST(CompiledPathBatch, QueueingBitEqualToScalarOneWay) {
   const Network net = chain_net(9);
   const CompiledPath compiled = compile_chain(net, 9);
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    Rng batch_rng{31337};
-    Rng scalar_rng{31337};
-    std::int64_t queue_ns[400];
-    PathBatchScratch scratch;
-    compiled.sample_queueing_into(queue_ns, batch_rng, scratch);
-    const std::int64_t base = compiled.base_one_way().ns();
-    for (int i = 0; i < 400; ++i)
-      ASSERT_EQ(base + queue_ns[i], compiled.sample_one_way(scalar_rng).ns())
-          << stats::simd_tier_name(tier) << " i=" << i;
-    ASSERT_EQ(batch_rng(), scalar_rng());
-  }
+  Rng batch_rng{31337};
+  Rng scalar_rng{31337};
+  std::int64_t queue_ns[400];
+  PathBatchScratch scratch;
+  compiled.sample_queueing_into(queue_ns, batch_rng, scratch);
+  const std::int64_t base = compiled.base_one_way().ns();
+  for (int i = 0; i < 400; ++i)
+    ASSERT_EQ(base + queue_ns[i], compiled.sample_one_way(scalar_rng).ns())
+        << "i=" << i;
+  ASSERT_EQ(batch_rng(), scalar_rng());
 }
 
 // Shadow replay of the documented draw contract against the *batched*
@@ -391,22 +284,18 @@ TEST(NetLegBatch, SampleIntoBitEqualToScalarCalls) {
       edgeai::NetLeg::radio_then_path(radio_model, conditions, compiled),
       edgeai::NetLeg::path_then_radio(radio_model, conditions, compiled),
   };
-  for (SimdTier tier : available_tiers()) {
-    TierGuard guard{tier};
-    for (const edgeai::NetLeg& leg : legs) {
-      ASSERT_TRUE(leg.batchable());
-      for (std::uint64_t seed : {5ull, 123ull, 98765ull}) {
-        Rng batch_rng{seed};
-        Rng scalar_rng{seed};
-        Duration out[257];
-        PathBatchScratch scratch;
-        leg.sample_into(out, batch_rng, scratch);
-        for (int i = 0; i < 257; ++i)
-          ASSERT_EQ(out[i].ns(), leg(scalar_rng).ns())
-              << stats::simd_tier_name(tier) << " seed=" << seed
-              << " i=" << i;
-        ASSERT_EQ(batch_rng(), scalar_rng());
-      }
+  for (const edgeai::NetLeg& leg : legs) {
+    ASSERT_TRUE(leg.batchable());
+    for (std::uint64_t seed : {5ull, 123ull, 98765ull}) {
+      Rng batch_rng{seed};
+      Rng scalar_rng{seed};
+      Duration out[257];
+      PathBatchScratch scratch;
+      leg.sample_into(out, batch_rng, scratch);
+      for (int i = 0; i < 257; ++i)
+        ASSERT_EQ(out[i].ns(), leg(scalar_rng).ns())
+            << "seed=" << seed << " i=" << i;
+      ASSERT_EQ(batch_rng(), scalar_rng());
     }
   }
 }

@@ -162,7 +162,6 @@ TEST_F(ObsTest, ProbesAreInertWhenDisabled) {
 // -------------------------------------------------- digest preservation
 
 TEST_F(ObsTest, SerialFleetDigestUnchangedByFullObservability) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     rt.disable();
@@ -178,7 +177,6 @@ TEST_F(ObsTest, SerialFleetDigestUnchangedByFullObservability) {
 }
 
 TEST_F(ObsTest, ShardedFleetDigestUnchangedByFullObservability) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   for (const std::uint64_t seed : {1u, 21u}) {
     rt.disable();
@@ -214,7 +212,6 @@ double fault_events_counter(obs::Runtime& rt) {
 }
 
 TEST_F(ObsTest, FaultEventsCounterMatchesReport) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   obs::Config metrics;
   metrics.metrics = true;
@@ -245,7 +242,6 @@ TEST_F(ObsTest, FaultEventsCounterMatchesReport) {
 // ------------------------------------------- worker-count invariant JSON
 
 TEST_F(ObsTest, MetricsJsonIsWorkerCountInvariant) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   std::string reference;
   for (const unsigned workers : {1u, 4u}) {
@@ -269,7 +265,6 @@ TEST_F(ObsTest, MetricsJsonIsWorkerCountInvariant) {
 }
 
 TEST_F(ObsTest, TraceJsonIsWorkerCountInvariant) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   obs::Config config;
   config.trace = true;
@@ -291,7 +286,6 @@ TEST_F(ObsTest, TraceJsonIsWorkerCountInvariant) {
 // ------------------------------------------------------- JSON schemas
 
 TEST_F(ObsTest, MetricsJsonParsesWithExpectedSchema) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   rt.configure(full_obs());
   rt.begin_scenario("city");
@@ -326,7 +320,6 @@ TEST_F(ObsTest, MetricsJsonParsesWithExpectedSchema) {
 }
 
 TEST_F(ObsTest, TraceJsonParsesAsChromeTraceEvents) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   obs::Config config;
   config.trace = true;
@@ -429,7 +422,6 @@ TEST(StatsJson, ReservoirToJsonHandlesEmptyAndExact) {
 // ------------------------------------------------------------- sampler
 
 TEST_F(ObsTest, SamplerSeriesAreDeterministic) {
-  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
   std::string reference;
   for (int run = 0; run < 2; ++run) {
