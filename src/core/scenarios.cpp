@@ -1692,12 +1692,20 @@ ScenarioResult city_serving_sharded(const RunContext& ctx) {
     return config;
   };
 
+  // The three pod rows, then the determinism contract demonstrated
+  // in-run: the same 2-pod config at 1 and at 4 worker threads. The five
+  // studies run as one batch; at --threads 1 in exactly this order.
   const std::uint32_t pod_counts[] = {1, 2, 4};
-  std::vector<edgeai::ShardedFleetStudy::Report> reports;
+  std::vector<edgeai::ShardedFleetStudy::Config> configs;
   for (const std::uint32_t pods : pod_counts) {
-    reports.push_back(edgeai::ShardedFleetStudy::run(
-        sharded_config(pods, ctx.threads, kRequestsPerPod)));
+    configs.push_back(sharded_config(pods, ctx.threads, kRequestsPerPod));
   }
+  configs.push_back(sharded_config(2, 1, 100000));
+  configs.push_back(sharded_config(2, 4, 100000));
+  const auto reports = ctx.runner().map<edgeai::ShardedFleetStudy::Report>(
+      configs.size(), [&](std::size_t i) {
+        return edgeai::ShardedFleetStudy::run(configs[i]);
+      });
 
   TextTable t{{"Pods", "Offered (/s)", "<= 20 ms SLO", "Mean (ms)",
                "p99 (ms)", "Remote", "Windows", "Throughput (/s)"}};
@@ -1718,17 +1726,10 @@ ScenarioResult city_serving_sharded(const RunContext& ctx) {
            "GPUs/pod, %.0f %% remote via the backbone (window %.2f ms):",
            kPodLoad / 1000.0, kRemoteFraction * 100.0, window.ms()));
 
-  // The determinism contract, demonstrated in-run: the same sharded
-  // config digests identically at 1 and 4 worker threads.
-  auto invariance = sharded_config(2, 1, 100000);
-  const std::uint64_t serial_digest =
-      edgeai::fleet_report_digest(edgeai::ShardedFleetStudy::run(invariance));
-  invariance.workers = 4;
-  const std::uint64_t wide_digest =
-      edgeai::fleet_report_digest(edgeai::ShardedFleetStudy::run(invariance));
-
+  const bool invariant = edgeai::fleet_report_digest(reports[3]) ==
+                         edgeai::fleet_report_digest(reports[4]);
   r.add_anchor("worker-count invariance (digest match, 1 vs 4 workers)",
-               serial_digest == wide_digest ? 1.0 : 0.0,
+               invariant ? 1.0 : 0.0,
                "fixed shard count => byte-identical at any worker count");
   r.add_anchor("conservative window (ms)", window.ms(),
                "backbone latency floor = the kernel's lookahead");

@@ -1,5 +1,6 @@
 #include "netsim/sharded.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -19,15 +20,16 @@ ShardedSimulator::ShardedSimulator(const Config& config)
   }
 }
 
-/// Hand the window participants' wall-clock busy/stall rows to the obs
-/// runtime. Stall is the window wall time a participant spent NOT
-/// executing shards: barrier waiting plus claim overhead. Explicitly
-/// non-deterministic; the runtime exports it outside the
-/// determinism-checked sections.
+/// Hand the shard scopes and the window participants' wall-clock
+/// busy/stall rows to the obs runtime. Stall is the window wall time a
+/// participant spent NOT executing shards: barrier waiting plus claim
+/// overhead. Explicitly non-deterministic; the runtime exports it
+/// outside the determinism-checked sections.
 ShardedSimulator::~ShardedSimulator() {
+  auto& runtime = obs::Runtime::instance();
+  if (!scopes_.empty()) runtime.publish_shards(scopes_);
   const std::uint64_t wall = window_profile_.wall_ns;
   if (wall == 0) return;
-  auto& runtime = obs::Runtime::instance();
   const std::uint32_t pool = runtime.next_pool_id();
   std::vector<obs::WorkerProfile> rows;
   rows.reserve(window_profile_.slots.size());
@@ -94,10 +96,9 @@ void ShardedSimulator::step_window(TimePoint horizon) {
   // runner's batch hand-off publishes it to the helpers.
   bind_scopes_ = obs::probes_enabled();
   if (bind_scopes_ && scopes_.empty()) {
-    scopes_.resize(shards_.size());
-    auto& rt = obs::Runtime::instance();
+    scopes_.reserve(shards_.size());
     for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      scopes_[k] = rt.shard_scope(k);
+      scopes_.emplace_back(1 + k, "shard " + std::to_string(k));
     }
   }
   const std::uint64_t delivered0 = messages_;
@@ -118,7 +119,7 @@ void ShardedSimulator::step_window(TimePoint horizon) {
   runner_.run(
       shards_.size(),
       [this](std::size_t k) {
-        const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
+        const obs::ScopeBind bind(bind_scopes_ ? &scopes_[k] : nullptr);
         shards_[k]->sim.run_until(horizon_);
       },
       window_profile_);

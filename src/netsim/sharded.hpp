@@ -151,10 +151,12 @@ class ShardedSimulator {
   /// Observability: when probes are enabled, the coordinator latches
   /// the binding decision before each window's batch (the runner's
   /// hand-off makes it visible to the helpers). Shard k's probes land in
-  /// shard k's scope no matter which thread runs it — the per-shard-slot
-  /// rule the determinism contract needs.
-  bool bind_scopes_ = false;         ///< bind per-shard obs scopes this window
-  std::vector<obs::Scope*> scopes_;  ///< shard scope per shard, lazy
+  /// this run's shard-k scope no matter which thread runs it — the
+  /// per-shard-slot rule the determinism contract needs — and runs that
+  /// record at once write disjoint scopes. The destructor folds them
+  /// into the obs runtime's shard tracks.
+  bool bind_scopes_ = false;        ///< bind per-shard obs scopes this window
+  std::vector<obs::Scope> scopes_;  ///< one per shard, made on first probe
   /// Wall-clock participant profile, filled while the obs metrics are
   /// on and published as the `workers` rows when the run is destroyed.
   ParallelRunner::Profile window_profile_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -91,6 +92,72 @@ void append_quantiles(std::string& out,
   out.push_back('}');
 }
 
+void append_series(std::string& out, const SeriesResult& s) {
+  out += "{\"name\":";
+  js::append_string(out, s.name);
+  out += ",\"key\":";
+  js::append_u64(out, s.key);
+  out += ",\"shard\":";
+  js::append_u64(out, s.shard);
+  out += ",\"count\":";
+  js::append_u64(out, s.summary.count());
+  out += ",\"mean\":";
+  js::append_number(out, s.summary.mean());
+  out += ",\"min\":";
+  js::append_number(out, s.summary.min());
+  out += ",\"max\":";
+  js::append_number(out, s.summary.max());
+  out += ",\"q\":";
+  append_quantiles(out, s.quantiles);
+  out += ",\"points\":[";
+  bool first = true;
+  for (const auto& [t, v] : s.points) {
+    if (!first) out.push_back(',');
+    first = false;
+    out.push_back('[');
+    js::append_number(out, t);
+    out.push_back(',');
+    js::append_number(out, v);
+    out.push_back(']');
+  }
+  out += "]}";
+}
+
+void append_distribution(std::string& out, const Distribution& d) {
+  out += "{\"name\":";
+  js::append_string(out, d.name);
+  out += ",\"key\":";
+  js::append_u64(out, d.key);
+  out += ",\"hist\":";
+  d.hist.to_json(out);
+  out += ",\"quantiles\":";
+  d.quantiles.to_json(out);
+  out.push_back('}');
+}
+
+/// Each aggregate's JSON object, sorted by `label`, then by the JSON
+/// itself: aggregates that share a label (two runs of one seed in one
+/// section) export in the same order whichever was published first.
+template <typename T, typename Label>
+std::vector<std::string> render_sorted(const std::vector<T>& items,
+                                       Label label,
+                                       void (*append)(std::string&, const T&)) {
+  std::vector<std::string> json(items.size());
+  std::vector<std::size_t> order(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    append(json[i], items[i]);
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::tuple_cat(label(items[a]), std::tie(json[a])) <
+           std::tuple_cat(label(items[b]), std::tie(json[b]));
+  });
+  std::vector<std::string> sorted;
+  sorted.reserve(items.size());
+  for (const std::size_t i : order) sorted.push_back(std::move(json[i]));
+  return sorted;
+}
+
 }  // namespace
 
 const MetricDef& metric_def(Metric m) {
@@ -138,6 +205,15 @@ void Scope::reset() {
   trace_dropped_ = 0;
 }
 
+void Scope::absorb(const Scope& other) {
+  metrics_.merge_from(other.metrics_);
+  const std::size_t room = kTraceCap - std::min(kTraceCap, trace_.size());
+  const std::size_t kept = std::min(room, other.trace_.size());
+  trace_.insert(trace_.end(), other.trace_.begin(),
+                other.trace_.begin() + std::ptrdiff_t(kept));
+  trace_dropped_ += other.trace_dropped_ + (other.trace_.size() - kept);
+}
+
 std::vector<TraceEvent> Scope::take_trace() {
   if (trace_dropped_ != 0) {
     metrics_.counters[metric_def(Metric::kTraceDropped).slot] += trace_dropped_;
@@ -167,7 +243,7 @@ void probe_gauge(Metric metric, double value) {
   Scope* s = tl_scope;
   if (s == nullptr) return;
   auto& g = s->metrics().gauges[metric_def(metric).slot];
-  g.value = value;
+  g.value = g.set ? std::max(g.value, value) : value;
   g.set = true;
 }
 
@@ -258,9 +334,9 @@ void Runtime::end_scenario_locked() {
   ScenarioRecord rec;
   rec.name = std::move(scenario_name_);
 
-  // Merge order is fixed — main, shards ascending, worker scopes in
-  // creation order — and the merged values are order-independent anyway
-  // (sums and maxes), so the record is worker-count invariant.
+  // Merge order is fixed — main, shard tracks ascending, worker scopes
+  // in creation order — and the merged values are order-independent
+  // anyway (sums and maxes), so the record is worker-count invariant.
   auto fold = [&rec](Scope& s) {
     auto events = s.take_trace();  // folds dropped count into metrics
     if (!events.empty()) {
@@ -279,19 +355,14 @@ void Runtime::end_scenario_locked() {
   thread_scopes_.clear();
   ++section_;
 
-  rec.series = std::move(series_);
-  std::sort(rec.series.begin(), rec.series.end(),
-            [](const SeriesResult& a, const SeriesResult& b) {
-              if (a.name != b.name) return a.name < b.name;
-              if (a.key != b.key) return a.key < b.key;
-              return a.shard < b.shard;
-            });
-  rec.distributions = std::move(distributions_);
-  std::sort(rec.distributions.begin(), rec.distributions.end(),
-            [](const Distribution& a, const Distribution& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.key < b.key;
-            });
+  rec.series = render_sorted(
+      series_,
+      [](const SeriesResult& s) { return std::tie(s.name, s.key, s.shard); },
+      append_series);
+  rec.distributions = render_sorted(
+      distributions_,
+      [](const Distribution& d) { return std::tie(d.name, d.key); },
+      append_distribution);
   rec.workers = std::move(workers_);
   std::sort(rec.workers.begin(), rec.workers.end(),
             [](const WorkerProfile& a, const WorkerProfile& b) {
@@ -307,14 +378,16 @@ void Runtime::end_scenario_locked() {
   scenario_name_.clear();
 }
 
-Scope* Runtime::shard_scope(std::uint32_t shard) {
+void Runtime::publish_shards(const std::vector<Scope>& shards) {
   std::lock_guard<std::mutex> lk(mu_);
-  while (shard_scopes_.size() <= shard) {
+  while (shard_scopes_.size() < shards.size()) {
     const auto k = std::uint32_t(shard_scopes_.size());
     shard_scopes_.push_back(
         std::make_unique<Scope>(1 + k, "shard " + std::to_string(k)));
   }
-  return shard_scopes_[shard].get();
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    shard_scopes_[k]->absorb(shards[k]);
+  }
 }
 
 Scope* Runtime::thread_scope() {
@@ -415,57 +488,18 @@ std::string Runtime::metrics_json(bool include_worker_profile) {
       out += "]}";
     }
 
-    out += "},\"series\":[";
-    first = true;
-    for (const auto& s : rec.series) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += "{\"name\":";
-      js::append_string(out, s.name);
-      out += ",\"key\":";
-      js::append_u64(out, s.key);
-      out += ",\"shard\":";
-      js::append_u64(out, s.shard);
-      out += ",\"count\":";
-      js::append_u64(out, s.summary.count());
-      out += ",\"mean\":";
-      js::append_number(out, s.summary.mean());
-      out += ",\"min\":";
-      js::append_number(out, s.summary.min());
-      out += ",\"max\":";
-      js::append_number(out, s.summary.max());
-      out += ",\"q\":";
-      append_quantiles(out, s.quantiles);
-      out += ",\"points\":[";
-      bool first_p = true;
-      for (const auto& [t, v] : s.points) {
-        if (!first_p) out.push_back(',');
-        first_p = false;
-        out.push_back('[');
-        js::append_number(out, t);
-        out.push_back(',');
-        js::append_number(out, v);
-        out.push_back(']');
+    const auto append_all = [&out](const std::vector<std::string>& objects) {
+      out.push_back('[');
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        if (i != 0) out.push_back(',');
+        out += objects[i];
       }
-      out += "]}";
-    }
-
-    out += "],\"distributions\":[";
-    first = true;
-    for (const auto& d : rec.distributions) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += "{\"name\":";
-      js::append_string(out, d.name);
-      out += ",\"key\":";
-      js::append_u64(out, d.key);
-      out += ",\"hist\":";
-      d.hist.to_json(out);
-      out += ",\"quantiles\":";
-      d.quantiles.to_json(out);
-      out.push_back('}');
-    }
-    out.push_back(']');
+      out.push_back(']');
+    };
+    out += "},\"series\":";
+    append_all(rec.series);
+    out += ",\"distributions\":";
+    append_all(rec.distributions);
 
     if (include_worker_profile) {
       out += ",\"workers\":[";

@@ -3,15 +3,21 @@
 ///
 /// Determinism rules (the contract docs/ARCHITECTURE.md spells out):
 ///  * Probes write only to the thread's bound Scope — never across
-///    threads. ShardedSimulator binds shard k's scope around shard k's
-///    window execution, so a shard's probes land in the same slot no
-///    matter which worker ran it.
-///  * Counters and log2-histogram buckets are u64 sums: merging per-shard
-///    slots is commutative and associative, so the merged metrics are
-///    byte-identical at any worker count.
+///    threads. Each ShardedSimulator owns one scope per shard and binds
+///    shard k's around shard k's window execution, so a shard's probes
+///    land in the same slot no matter which worker ran it, and two
+///    sharded runs recording at once never share a slot. The run folds
+///    its shard scopes into the open section's shard-k track when it is
+///    destroyed.
+///  * Counters and log2-histogram buckets are u64 sums and gauges keep
+///    their maximum, within a scope and across scopes: merging is
+///    commutative and associative, so the merged metrics are
+///    byte-identical at any worker count and in any completion order.
 ///  * Order-sensitive aggregates (sampler series, report distributions)
-///    are published whole, labeled by (name, engine seed, shard), and
-///    exported sorted by that key — again worker-count invariant.
+///    are published whole, labeled by (name, engine seed[, shard]), and
+///    exported sorted by that label, then by their own JSON — so two
+///    runs of one seed in a section export in the same order whichever
+///    finished first.
 ///  * Wall-clock worker profiles are the ONE deliberately
 ///    non-deterministic section; metrics_json(false) excludes them,
 ///    which is what the determinism tests compare.
@@ -105,8 +111,8 @@ struct MetricSet {
   MetricSet();
   void reset();
   /// Fold `other` in: counters and histogram buckets sum; gauges merge
-  /// by max (every built-in gauge is either identical across scopes or
-  /// monotone, and max commutes — the property merging needs).
+  /// by max, as probe_gauge folds writes within a scope (max commutes —
+  /// the property merging needs).
   void merge_from(const MetricSet& other);
 };
 
@@ -148,6 +154,10 @@ class Scope {
   [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
   [[nodiscard]] std::uint64_t trace_dropped() const { return trace_dropped_; }
   void reset();
+  /// Fold `other` in as if its probes had written here after this
+  /// scope's own: metrics merge, and its trace events append up to the
+  /// cap, the rest counted as dropped.
+  void absorb(const Scope& other);
   /// Move the trace buffer out (scenario-end flush) and fold the
   /// dropped count into the metric set.
   std::vector<TraceEvent> take_trace();
@@ -165,7 +175,7 @@ class Scope {
 /// a pure function of the sampled values.
 struct SeriesResult {
   std::string name;
-  std::uint64_t key = 0;     ///< engine seed: unique per engine per scenario
+  std::uint64_t key = 0;     ///< engine seed (runs of one seed share it)
   std::uint32_t shard = 0;   ///< pod/shard index (0 for serial engines)
   stats::Summary summary;
   stats::ReservoirQuantile quantiles;
@@ -219,13 +229,16 @@ class Runtime {
   [[nodiscard]] Duration sample_every() const;
 
   /// Open/close one named metrics+trace section. end_scenario merges
-  /// every scope (main, shards in index order, then worker scopes) and
-  /// flushes trace buffers into the finished record.
+  /// every scope (main, shard tracks in index order, then worker scopes)
+  /// and flushes trace buffers into the finished record.
   void begin_scenario(std::string name);
   void end_scenario();
 
-  /// Shard k's scope (created on demand); trace tid 1 + k.
-  [[nodiscard]] Scope* shard_scope(std::uint32_t shard);
+  /// Fold a finished sharded run's scopes, shard k's at index k, into
+  /// the section's shard-k tracks (trace tid 1 + k). Runs that finish
+  /// in any order give the same merged metrics; the events of a track
+  /// follow the order the runs finished in.
+  void publish_shards(const std::vector<Scope>& shards);
   /// The calling thread's worker scope in the current section, created
   /// on its first use there (ParallelRunner's helper threads bind it for
   /// every batch they join). Counters merged from these scopes are
@@ -258,8 +271,8 @@ class Runtime {
   struct ScenarioRecord {
     std::string name;
     MetricSet merged;
-    std::vector<SeriesResult> series;
-    std::vector<Distribution> distributions;
+    std::vector<std::string> series;         ///< JSON objects, export order
+    std::vector<std::string> distributions;  ///< JSON objects, export order
     std::vector<WorkerProfile> workers;
     std::vector<ScopeDump> trace;
   };
@@ -270,6 +283,8 @@ class Runtime {
   mutable std::mutex mu_;
   Config config_;
   std::unique_ptr<Scope> main_;
+  /// The section's shard-k tracks: what the sharded runs that finished
+  /// in it recorded on shard k.
   std::vector<std::unique_ptr<Scope>> shard_scopes_;
   std::vector<std::unique_ptr<Scope>> thread_scopes_;
   /// Bumped whenever thread_scopes_ is cleared: a thread's cached worker

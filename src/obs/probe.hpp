@@ -52,10 +52,12 @@ enum class Metric : std::uint16_t {
   kFleetLost,               ///< submissions lost to server crashes
   kFaultEvents,             ///< fault-plan entries fired by the injector
   kTraceDropped,            ///< trace events dropped by the per-scope cap
-  // gauges (coordinator/setup contexts only — last write wins, merged
-  // by max; never written from concurrent shard execution)
-  kShardLookaheadNs,        ///< conservative window (the lookahead)
-  kShardShards,             ///< shard count of the last sharded run
+  // gauges (coordinator/setup contexts only — a scope keeps the largest
+  // value written and scopes merge by max, so the order of the writes
+  // never matters; never written from concurrent shard execution)
+  kShardLookaheadNs,        ///< largest conservative window (the lookahead)
+  kShardShards,             ///< largest shard count of the section's
+                            ///< sharded runs
   // log2 histograms
   kHistDrainMessages,       ///< messages delivered per barrier drain
   kHistBatchSize,           ///< requests per launched batch

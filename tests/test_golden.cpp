@@ -1,13 +1,16 @@
-// Golden report digests: one FNV-1a digest of core::render() per scenario
-// of `sixg_run --run all` at seeds 1 and 7, committed in
-// tests/golden/run_all.txt and recomputed here in-process at 1 and 4
-// threads. This is the byte-identity oracle for refactors: a change that
-// keeps every digest has kept every report byte. An intentional output
-// change updates the golden file in the same diff — on a mismatch this
-// test prints which scenarios moved and the complete replacement file.
+// Golden report digests: one FNV-1a digest of core::render() and one of
+// core::render_json() per scenario of `sixg_run --run all` at seeds 1
+// and 7, committed in tests/golden/run_all.txt and run_all_json.txt and
+// recomputed here in-process at 1 and 4 threads, both from the same
+// ScenarioResult. This is the byte-identity oracle for refactors: a
+// change that keeps every digest has kept every report byte. An
+// intentional output change updates the golden file in the same diff —
+// on a mismatch this test prints which scenarios moved and the complete
+// replacement file.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -23,16 +26,33 @@
 namespace sixg::core {
 namespace {
 
-constexpr const char* kGoldenPath = SIXG_SOURCE_DIR "/tests/golden/run_all.txt";
 constexpr std::uint64_t kSeeds[] = {1, 7};
 
-constexpr const char* kHeader =
-    "# FNV-1a 64-bit digest of core::render() for every scenario of\n"
-    "# `sixg_run --run all`, one line per seed and scenario:\n"
-    "#   <seed> <scenario> <digest>\n"
-    "# tests/test_golden.cpp recomputes these at 1 and 4 threads. An\n"
-    "# intentional report change replaces this file with the one that\n"
-    "# test prints on mismatch, in the same diff.\n";
+/// One pinned render: its golden file under tests/golden/ and the
+/// function that renders a result.
+struct Render {
+  const char* file;
+  const char* function;
+  std::string (*render)(const Scenario&, const ScenarioResult&);
+};
+constexpr Render kRenders[] = {
+    {"run_all.txt", "core::render()", render},
+    {"run_all_json.txt", "core::render_json()", render_json},
+};
+constexpr std::size_t kRenderCount = std::size(kRenders);
+
+/// Per render, "<seed> <scenario> <digest>" lines.
+using Digests = std::array<std::vector<std::string>, kRenderCount>;
+
+std::string header(const Render& r) {
+  return std::string("# FNV-1a 64-bit digest of ") + r.function +
+         " for every scenario of\n"
+         "# `sixg_run --run all`, one line per seed and scenario:\n"
+         "#   <seed> <scenario> <digest>\n"
+         "# tests/test_golden.cpp recomputes these at 1 and 4 threads. An\n"
+         "# intentional report change replaces this file with the one that\n"
+         "# test prints on mismatch, in the same diff.\n";
+}
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -43,29 +63,33 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-/// "<seed> <scenario> <digest>" for every scenario, seeds in order.
-std::vector<std::string> compute(const ScenarioRegistry& registry,
-                                 unsigned threads) {
-  std::vector<std::string> lines;
+/// Every render's lines for every scenario, seeds in order; each
+/// scenario runs once per seed.
+Digests compute(const ScenarioRegistry& registry, unsigned threads) {
+  Digests digests;
   for (const std::uint64_t seed : kSeeds) {
     RunContext ctx;
     ctx.seed = seed;
     ctx.threads = threads;
     for (const Scenario* s : registry.list()) {
-      char digest[24];
-      std::snprintf(digest, sizeof digest, "%016llx",
-                    static_cast<unsigned long long>(
-                        fnv1a(render(*s, s->run(ctx)))));
-      lines.push_back(std::to_string(seed) + " " + s->name + " " + digest);
+      const ScenarioResult result = s->run(ctx);
+      for (std::size_t r = 0; r < kRenderCount; ++r) {
+        char digest[24];
+        std::snprintf(digest, sizeof digest, "%016llx",
+                      static_cast<unsigned long long>(
+                          fnv1a(kRenders[r].render(*s, result))));
+        digests[r].push_back(std::to_string(seed) + " " + s->name + " " +
+                             digest);
+      }
     }
   }
-  return lines;
+  return digests;
 }
 
 /// The committed lines, comments and blank lines skipped.
-std::vector<std::string> read_golden() {
+std::vector<std::string> read_golden(const Render& r) {
   std::vector<std::string> lines;
-  std::ifstream in{kGoldenPath};
+  std::ifstream in{std::string(SIXG_SOURCE_DIR "/tests/golden/") + r.file};
   for (std::string line; std::getline(in, line);) {
     if (!line.empty() && line[0] != '#') lines.push_back(line);
   }
@@ -105,23 +129,27 @@ std::string moved_scenarios(const std::vector<std::string>& golden,
 TEST(GoldenDigests, RunAllMatchesCommittedDigests) {
   ScenarioRegistry registry;
   register_paper_scenarios(registry);
-  const std::vector<std::string> golden = read_golden();
   // Both thread counts run side by side: a scenario run is a pure function
   // of its RunContext, and the serial pass alone is most of the budget.
   auto serial = std::async(std::launch::async,
                            [&registry] { return compute(registry, 1); });
-  const std::vector<std::string> parallel = compute(registry, 4);
-  const std::pair<unsigned, std::vector<std::string>> runs[] = {
-      {1u, serial.get()}, {4u, parallel}};
-  for (const auto& [threads, actual] : runs) {
-    if (actual == golden) continue;
-    std::string file = kHeader;
-    for (const std::string& line : actual) file += line + "\n";
-    ADD_FAILURE() << "threads " << threads
-                  << ": report digests differ from tests/golden/run_all.txt\n"
-                  << moved_scenarios(golden, actual)
-                  << "If the change is intended, replace that file with:\n"
-                  << file;
+  const Digests parallel = compute(registry, 4);
+  const std::pair<unsigned, Digests> runs[] = {{1u, serial.get()},
+                                               {4u, parallel}};
+  for (std::size_t r = 0; r < kRenderCount; ++r) {
+    const std::vector<std::string> golden = read_golden(kRenders[r]);
+    for (const auto& [threads, digests] : runs) {
+      const std::vector<std::string>& actual = digests[r];
+      if (actual == golden) continue;
+      std::string file = header(kRenders[r]);
+      for (const std::string& line : actual) file += line + "\n";
+      ADD_FAILURE() << "threads " << threads << ": " << kRenders[r].function
+                    << " digests differ from tests/golden/"
+                    << kRenders[r].file << "\n"
+                    << moved_scenarios(golden, actual)
+                    << "If the change is intended, replace that file with:\n"
+                    << file;
+    }
   }
 }
 

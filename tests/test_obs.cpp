@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "edgeai/fleet.hpp"
 #include "json_parser.hpp"
+#include "netsim/parallel.hpp"
 #include "obs/obs.hpp"
 #include "stats/distributions.hpp"
 #include "stats/histogram.hpp"
@@ -133,6 +137,43 @@ TEST(MetricSet, MergeSumsCountersAndMaxesGauges) {
   c.gauges[0].set = true;
   a.merge_from(c);
   EXPECT_DOUBLE_EQ(a.gauges[0].value, 7.0);
+}
+
+/// The `shard.shards` gauge of each scenario recorded since the last
+/// configure(), in section order.
+std::vector<double> shard_gauges(obs::Runtime& rt) {
+  const JsonValue root = JsonParser{rt.metrics_json(false)}.parse();
+  std::vector<double> out;
+  for (const auto& s : root.object().at("scenarios").array()) {
+    out.push_back(
+        s.object().at("gauges").object().at("shard.shards").number());
+  }
+  return out;
+}
+
+TEST_F(ObsTest, GaugeKeepsTheLargestWriteWithinAndAcrossScopes) {
+  auto& rt = obs::Runtime::instance();
+  obs::Config metrics;
+  metrics.metrics = true;
+  rt.configure(metrics);
+
+  rt.begin_scenario("one scope");
+  SIXG_OBS_GAUGE(obs::Metric::kShardShards, 4.0);
+  SIXG_OBS_GAUGE(obs::Metric::kShardShards, 2.0);
+  rt.end_scenario();
+
+  rt.begin_scenario("two scopes");
+  SIXG_OBS_GAUGE(obs::Metric::kShardShards, 2.0);
+  std::vector<obs::Scope> shards;
+  shards.emplace_back(1, "shard 0");
+  {
+    const obs::ScopeBind bind(&shards[0]);
+    SIXG_OBS_GAUGE(obs::Metric::kShardShards, 4.0);
+  }
+  rt.publish_shards(shards);
+  rt.end_scenario();
+
+  EXPECT_EQ(shard_gauges(rt), (std::vector<double>{4.0, 4.0}));
 }
 
 TEST(MetricRegistry, DefsAreDenselySlotted) {
@@ -281,6 +322,39 @@ TEST_F(ObsTest, TraceJsonIsWorkerCountInvariant) {
       EXPECT_EQ(json, reference) << "workers " << workers;
     }
   }
+}
+
+// ------------------------------------------------ concurrent recording
+
+TEST_F(ObsTest, ConcurrentShardedRunsRecordAsOneAfterAnother) {
+  // Three cities of one seed, so their pod-0 and pod-1 series and their
+  // e2e distributions share labels, as city-serving-sharded's five
+  // studies do. The largest city comes first: its shard-count gauge is
+  // not the last one written.
+  struct City {
+    std::uint32_t shards;
+    unsigned workers;
+  };
+  constexpr City kCities[] = {{4, 4}, {2, 1}, {3, 2}};
+  auto& rt = obs::Runtime::instance();
+  const auto record = [&](unsigned threads) {
+    rt.configure(full_obs());
+    rt.begin_scenario("cities");
+    const auto digests = netsim::ParallelRunner{threads}.map<std::uint64_t>(
+        std::size(kCities), [&](std::size_t i) {
+          auto config = city_config(13, kCities[i].workers);
+          config.shards = kCities[i].shards;
+          return edgeai::fleet_report_digest(
+              edgeai::ShardedFleetStudy::run(config));
+        });
+    rt.end_scenario();
+    return std::pair{rt.metrics_json(false), digests};
+  };
+  const auto serial = record(1);
+  const auto batch = record(3);
+  EXPECT_EQ(batch.second, serial.second);
+  EXPECT_EQ(batch.first, serial.first);
+  EXPECT_EQ(shard_gauges(rt), std::vector<double>{4.0});
 }
 
 // ------------------------------------------------------- JSON schemas
