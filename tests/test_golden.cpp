@@ -1,12 +1,14 @@
-// Golden report digests: one FNV-1a digest of core::render() and one of
+// Golden digests: one FNV-1a digest of core::render() and one of
 // core::render_json() per scenario of `sixg_run --run all` at seeds 1
-// and 7, committed in tests/golden/run_all.txt and run_all_json.txt and
-// recomputed here in-process at 1 and 4 threads, both from the same
-// ScenarioResult. This is the byte-identity oracle for refactors: a
-// change that keeps every digest has kept every report byte. An
-// intentional output change updates the golden file in the same diff —
-// on a mismatch this test prints which scenarios moved and the complete
-// replacement file.
+// and 7, both from the same ScenarioResult, and one digest of
+// obs::Runtime::metrics_json(false) for each of four scenarios run at
+// seed 1 with metrics on and a 5 ms sampler. They are committed in
+// tests/golden/run_all.txt, run_all_json.txt and metrics.txt and
+// recomputed here in-process at 1 and 4 threads. This is the
+// byte-identity oracle for refactors: a change that keeps every digest
+// has kept every report and metrics byte. An intentional output change
+// updates the golden file in the same diff — on a mismatch this test
+// prints which scenarios moved and the complete replacement file.
 
 #include <gtest/gtest.h>
 
@@ -20,34 +22,54 @@
 #include <utility>
 #include <vector>
 
+#include "common/time.hpp"
 #include "core/registry.hpp"
 #include "core/scenarios.hpp"
+#include "obs/obs.hpp"
 
 namespace sixg::core {
 namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 7};
 
-/// One pinned render: its golden file under tests/golden/ and the
-/// function that renders a result.
-struct Render {
+/// One golden file under tests/golden/: the function whose output it
+/// digests and the runs that output comes from.
+struct Golden {
   const char* file;
   const char* function;
+  const char* runs;
+};
+constexpr Golden kMetrics{
+    "metrics.txt", "obs::Runtime::metrics_json(false)",
+    "the scenarios of\n"
+    "# `sixg_run --run <scenario> --metrics m.json --sample-every 5`"};
+
+/// One pinned render of every scenario's result.
+struct Render {
+  Golden golden;
   std::string (*render)(const Scenario&, const ScenarioResult&);
 };
+constexpr const char* kRunAll = "every scenario of\n# `sixg_run --run all`";
 constexpr Render kRenders[] = {
-    {"run_all.txt", "core::render()", render},
-    {"run_all_json.txt", "core::render_json()", render_json},
+    {{"run_all.txt", "core::render()", kRunAll}, render},
+    {{"run_all_json.txt", "core::render_json()", kRunAll}, render_json},
 };
 constexpr std::size_t kRenderCount = std::size(kRenders);
+
+/// The scenarios whose metrics documents are pinned: the sharded city,
+/// a faulted fleet, the paper's figure and a classed, degraded fleet.
+constexpr const char* kMetricScenarios[] = {
+    "city-serving-sharded", "fleet-resilience-ablation", "fig2",
+    "degraded-fleet-slo"};
+constexpr std::uint64_t kMetricSeed = 1;
 
 /// Per render, "<seed> <scenario> <digest>" lines.
 using Digests = std::array<std::vector<std::string>, kRenderCount>;
 
-std::string header(const Render& r) {
-  return std::string("# FNV-1a 64-bit digest of ") + r.function +
-         " for every scenario of\n"
-         "# `sixg_run --run all`, one line per seed and scenario:\n"
+std::string header(const Golden& g) {
+  return std::string("# FNV-1a 64-bit digest of ") + g.function + " for " +
+         g.runs +
+         ", one line per seed and scenario:\n"
          "#   <seed> <scenario> <digest>\n"
          "# tests/test_golden.cpp recomputes these at 1 and 4 threads. An\n"
          "# intentional report change replaces this file with the one that\n"
@@ -63,6 +85,14 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
+std::string line(std::uint64_t seed, const std::string& scenario,
+                 const std::string& bytes) {
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(fnv1a(bytes)));
+  return std::to_string(seed) + " " + scenario + " " + digest;
+}
+
 /// Every render's lines for every scenario, seeds in order; each
 /// scenario runs once per seed.
 Digests compute(const ScenarioRegistry& registry, unsigned threads) {
@@ -73,23 +103,44 @@ Digests compute(const ScenarioRegistry& registry, unsigned threads) {
     ctx.threads = threads;
     for (const Scenario* s : registry.list()) {
       const ScenarioResult result = s->run(ctx);
-      for (std::size_t r = 0; r < kRenderCount; ++r) {
-        char digest[24];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(
-                          fnv1a(kRenders[r].render(*s, result))));
-        digests[r].push_back(std::to_string(seed) + " " + s->name + " " +
-                             digest);
-      }
+      for (std::size_t r = 0; r < kRenderCount; ++r)
+        digests[r].push_back(
+            line(seed, s->name, kRenders[r].render(*s, result)));
     }
   }
   return digests;
 }
 
-/// The committed lines, comments and blank lines skipped.
-std::vector<std::string> read_golden(const Render& r) {
+/// The metrics lines: each pinned scenario in its own metrics section,
+/// as `sixg_run --run <scenario> --metrics` records it. The runtime is
+/// process-wide, so this runs alone, and leaves the probes off.
+std::vector<std::string> compute_metrics(const ScenarioRegistry& registry,
+                                         unsigned threads) {
+  auto& runtime = obs::Runtime::instance();
+  RunContext ctx;
+  ctx.seed = kMetricSeed;
+  ctx.threads = threads;
   std::vector<std::string> lines;
-  std::ifstream in{std::string(SIXG_SOURCE_DIR "/tests/golden/") + r.file};
+  for (const char* name : kMetricScenarios) {
+    const Scenario* s = registry.find(name);
+    EXPECT_NE(s, nullptr) << name;
+    if (s == nullptr) continue;
+    runtime.configure(obs::Config{.metrics = true,
+                                  .trace = false,
+                                  .sample_every = Duration::millis(5)});
+    runtime.begin_scenario(s->name);
+    (void)s->run(ctx);
+    runtime.end_scenario();
+    lines.push_back(line(kMetricSeed, s->name, runtime.metrics_json(false)));
+  }
+  runtime.disable();
+  return lines;
+}
+
+/// The committed lines, comments and blank lines skipped.
+std::vector<std::string> read_golden(const Golden& g) {
+  std::vector<std::string> lines;
+  std::ifstream in{std::string(SIXG_SOURCE_DIR "/tests/golden/") + g.file};
   for (std::string line; std::getline(in, line);) {
     if (!line.empty() && line[0] != '#') lines.push_back(line);
   }
@@ -126,6 +177,21 @@ std::string moved_scenarios(const std::vector<std::string>& golden,
   return out.empty() ? "  (none; scenario order changed)\n" : out;
 }
 
+/// Fail, printing the moved scenarios and the replacement file, unless
+/// `actual` equals the committed lines of `g`.
+void expect_golden(const Golden& g, unsigned threads,
+                   const std::vector<std::string>& actual) {
+  const std::vector<std::string> golden = read_golden(g);
+  if (actual == golden) return;
+  std::string file = header(g);
+  for (const std::string& line : actual) file += line + "\n";
+  ADD_FAILURE() << "threads " << threads << ": " << g.function
+                << " digests differ from tests/golden/" << g.file << "\n"
+                << moved_scenarios(golden, actual)
+                << "If the change is intended, replace that file with:\n"
+                << file;
+}
+
 TEST(GoldenDigests, RunAllMatchesCommittedDigests) {
   ScenarioRegistry registry;
   register_paper_scenarios(registry);
@@ -137,20 +203,16 @@ TEST(GoldenDigests, RunAllMatchesCommittedDigests) {
   const std::pair<unsigned, Digests> runs[] = {{1u, serial.get()},
                                                {4u, parallel}};
   for (std::size_t r = 0; r < kRenderCount; ++r) {
-    const std::vector<std::string> golden = read_golden(kRenders[r]);
-    for (const auto& [threads, digests] : runs) {
-      const std::vector<std::string>& actual = digests[r];
-      if (actual == golden) continue;
-      std::string file = header(kRenders[r]);
-      for (const std::string& line : actual) file += line + "\n";
-      ADD_FAILURE() << "threads " << threads << ": " << kRenders[r].function
-                    << " digests differ from tests/golden/"
-                    << kRenders[r].file << "\n"
-                    << moved_scenarios(golden, actual)
-                    << "If the change is intended, replace that file with:\n"
-                    << file;
-    }
+    for (const auto& [threads, digests] : runs)
+      expect_golden(kRenders[r].golden, threads, digests[r]);
   }
+}
+
+TEST(GoldenDigests, MetricsMatchCommittedDigests) {
+  ScenarioRegistry registry;
+  register_paper_scenarios(registry);
+  for (const unsigned threads : {1u, 4u})
+    expect_golden(kMetrics, threads, compute_metrics(registry, threads));
 }
 
 }  // namespace
