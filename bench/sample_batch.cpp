@@ -1,22 +1,18 @@
-// google-benchmark suite for the batch sampling lane (Rng::fill,
-// ShiftedExponential::sample_into, CompiledPath::sample_rtt_into,
-// edgeai::NetLeg::sample_into) against the per-draw loops it replaces.
-// Every log on both sides is the one scalar kernel,
-// stats::fast_log_positive_normal; what the batch rows buy is the
-// two-phase split of a draw into sequential RNG staging and an
-// order-free evaluation loop, plus block RNG draws.
+// google-benchmark suite for the sampling kernels: the one log kernel,
+// block RNG words (Rng::fill), the arrival pre-draw
+// (ShiftedExponential::sample_into) against its per-draw loop, and the
+// per-draw network samplers the serving engines run (CompiledPath RTT
+// draws, radio-headed edgeai::NetLeg draws). Every log is the one scalar
+// kernel, stats::fast_log_positive_normal.
 //
 // The committed baseline (bench/sample_baseline.json) is an older
-// capture in which the batch entry points were pinned to that same
-// scalar kernel, one element at a time. The build now runs that
-// arithmetic, so a joined BENCH_sample.json row measures the box, not
-// the code; the per-draw control rows, whose code never changed, show
-// how far the box moved. The in-run *ScalarLoop rows are the per-draw
-// denominators of the batch rows.
+// capture on another host, so a joined BENCH_sample.json row measures
+// the box as well as the code; the control rows whose code never
+// changed show how far the box moved.
 //
-// main() refuses to run any timing until the batched lane reproduces the
-// scalar sampler bit-for-bit on the bench's own path: a benchmark of a
-// lane that broke the replay contract would be a number about nothing.
+// main() refuses to run any timing until the arrival pre-draw reproduces
+// the per-draw sampler bit-for-bit: a benchmark of a block sampler that
+// broke the replay contract would be a number about nothing.
 
 #include <benchmark/benchmark.h>
 
@@ -142,26 +138,8 @@ BENCHMARK(BM_ExpSampleLoop)->Arg(256);
 
 // ------------------------------------------------------ path RTT draws
 
-// The headline metric: batched networked RTT sampling (256 draws per
-// refill through the two-phase lane) vs the per-draw loop below.
-void BM_SampleRttBatch(benchmark::State& state) {
-  constexpr std::size_t kBatch = 256;
-  const int hops = int(state.range(0));
-  const Network net = make_chain(hops);
-  const CompiledPath path = compile_chain(net, hops);
-  std::vector<double> out(kBatch);
-  PathBatchScratch scratch;
-  Rng rng{42};
-  for (auto _ : state) {
-    path.sample_rtt_into(out, rng, scratch);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kBatch));
-}
-BENCHMARK(BM_SampleRttBatch)->Arg(4)->Arg(8)->Arg(16);
-
-// The per-draw path: one sample_rtt call per draw (the in-run
-// denominator for the batch rows).
+// Networked RTT draws: one sample_rtt call per draw, as PingMeasurement
+// and the latency ladders draw them.
 void BM_SampleRttScalarLoop(benchmark::State& state) {
   constexpr std::size_t kBatch = 256;
   const int hops = int(state.range(0));
@@ -179,44 +157,8 @@ BENCHMARK(BM_SampleRttScalarLoop)->Arg(4)->Arg(8)->Arg(16);
 
 // ------------------------------------------------------ serving net legs
 
-// The serving engines' block refill: a wired NetLeg sampling 256 one-way
-// draws into a Duration ring.
-void BM_NetLegWiredBatch(benchmark::State& state) {
-  constexpr std::size_t kBlock = 256;
-  const int hops = int(state.range(0));
-  const Network net = make_chain(hops);
-  const edgeai::NetLeg leg = edgeai::NetLeg::wired(compile_chain(net, hops));
-  std::vector<Duration> out(kBlock);
-  PathBatchScratch scratch;
-  Rng rng{42};
-  for (auto _ : state) {
-    leg.sample_into(out, rng, scratch);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kBlock));
-}
-BENCHMARK(BM_NetLegWiredBatch)->Arg(8);
-
-// Radio-headed leg: phase 1 stays scalar per request (data-dependent
-// HARQ/spike draw counts) but the path tail still vectorizes.
-void BM_NetLegRadioBatch(benchmark::State& state) {
-  constexpr std::size_t kBlock = 256;
-  const int hops = int(state.range(0));
-  const Network net = make_chain(hops);
-  const radio::RadioLinkModel radio_model{radio::AccessProfile::sixg()};
-  const edgeai::NetLeg leg = edgeai::NetLeg::radio_then_path(
-      radio_model, radio::CellConditions{}, compile_chain(net, hops));
-  std::vector<Duration> out(kBlock);
-  PathBatchScratch scratch;
-  Rng rng{42};
-  for (auto _ : state) {
-    leg.sample_into(out, rng, scratch);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kBlock));
-}
-BENCHMARK(BM_NetLegRadioBatch)->Arg(8);
-
+// The serving engines' request leg: radio uplink then the wired path,
+// one draw per request.
 void BM_NetLegRadioScalarLoop(benchmark::State& state) {
   constexpr std::size_t kBlock = 256;
   const int hops = int(state.range(0));
@@ -262,35 +204,33 @@ BENCHMARK(BM_RadioRttSample);
 
 // ------------------------------------------------------ bit-equality gate
 
-// Abort before timing anything if the batched RTT sampler diverges from
-// the scalar sampler by a single bit anywhere in a 4096-draw sweep of the
-// bench path.
+// Abort before timing anything if the arrival pre-draw diverges from the
+// per-draw sampler by a single bit anywhere in a 4096-draw sweep, or
+// leaves the RNG on a different word.
 void verify_bit_equality_or_die() {
-  const Network net = make_chain(8);
-  const CompiledPath path = compile_chain(net, 8);
-  Rng batch_rng{977};
+  const stats::ShiftedExponential dist{0.0, 1.0 / 4000.0};
+  Rng block_rng{977};
   Rng scalar_rng{977};
   std::vector<double> out(4096);
-  PathBatchScratch scratch;
-  path.sample_rtt_into(out, batch_rng, scratch);
+  dist.sample_into(out, block_rng);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double ref = path.sample_rtt(scalar_rng).ms();
+    const double ref = dist.sample(scalar_rng);
     std::uint64_t a, b;
     std::memcpy(&a, &out[i], 8);
     std::memcpy(&b, &ref, 8);
     if (a != b) {
       std::fprintf(stderr,
-                   "bench_sample_batch: the batch lane diverges from scalar "
-                   "at draw %zu (%a != %a); refusing to benchmark a broken "
-                   "lane\n",
+                   "bench_sample_batch: the arrival pre-draw diverges from "
+                   "the per-draw sampler at draw %zu (%a != %a); refusing "
+                   "to benchmark a broken sampler\n",
                    i, out[i], ref);
       std::abort();
     }
   }
-  if (batch_rng() != scalar_rng()) {
+  if (block_rng() != scalar_rng()) {
     std::fprintf(stderr,
-                 "bench_sample_batch: the batch lane consumed a different "
-                 "number of RNG words than the scalar sampler\n");
+                 "bench_sample_batch: the arrival pre-draw consumed a "
+                 "different number of RNG words than the per-draw sampler\n");
     std::abort();
   }
 }

@@ -110,24 +110,6 @@ void BM_SampleRttEurope(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleRttEurope);
 
-// Campaign-style batched draws: 256 RTTs per iteration into a reusable
-// buffer via CompiledPath::sample_rtt_into.
-void BM_SampleRttBatch(benchmark::State& state) {
-  constexpr std::size_t kBatch = 256;
-  const int hops = int(state.range(0));
-  const Network net = make_chain(hops);
-  const CompiledPath path =
-      net.compile(net.find_path(NodeId{0}, NodeId{std::uint32_t(hops)}));
-  std::vector<double> out(kBatch);
-  Rng rng{42};
-  for (auto _ : state) {
-    path.sample_rtt_into(out, rng);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kBatch));
-}
-BENCHMARK(BM_SampleRttBatch)->Arg(8)->Arg(16);
-
 // Inter-AS resolution of the measured Europe detour (10 router hops
 // across 8 ASes) on a freshly built world per iteration (construction is
 // untimed): AS routing towards the destination plus the layered

@@ -130,27 +130,15 @@ struct FleetEngine {
   Rng downlink_rng;
   stats::ShiftedExponential interarrival;
 
-  // Batch-sampling lane: each dedicated stream is pre-drawn a block at a
-  // time through the batch samplers. Values and draw order are
-  // bit-identical to per-request draws; pre-drawing merely advances a
-  // stream early, which no other consumer shares (the trailing overdraw
-  // at run end lands in a discarded stream). The leg blocks engage only
-  // when EVERY networked server's leg draws identically — all networked
-  // servers share the uplink (resp. downlink) stream, so one differing or
-  // opaque leg forces the whole stream back to scalar per-request draws.
+  // Arrival pre-draw: interarrivals are drawn a block at a time. Values
+  // and draw order are bit-identical to per-request draws; pre-drawing
+  // merely advances the arrival stream early, which no other consumer
+  // shares (the trailing overdraw at run end lands in a discarded
+  // stream). Network legs are drawn per request, each direction on its
+  // own stream.
   static constexpr std::size_t kBlock = 256;
-  topo::PathBatchScratch scratch;
   std::vector<double> arrival_sec;
-  std::vector<Duration> uplink_block;
-  std::vector<Duration> downlink_block;
-  std::vector<Duration> remote_down_block;
   std::size_t arrival_next = 0;
-  std::size_t uplink_next = 0;
-  std::size_t downlink_next = 0;
-  std::size_t remote_down_next = 0;
-  const NetLeg* shared_uplink = nullptr;    ///< non-null = block engaged
-  const NetLeg* shared_downlink = nullptr;  ///< non-null = block engaged
-  bool batch_remote_down = false;
 
   /// Slot-recycled request records: in-flight requests are bounded by
   /// the fleet's queue capacities (plus events in the pipe), not by the
@@ -267,46 +255,6 @@ struct FleetEngine {
     arrival_next = kBlock;  // empty: first draw refills
   }
 
-  /// Engage the leg blocks where provably safe. Called by setup_engine
-  /// once the server pool (and, in sharded runs, the remote wiring) is
-  /// final.
-  void init_batch_lane() {
-    const NetLeg* shared[2] = {nullptr, nullptr};
-    bool engaged[2] = {true, true};
-    for (const ServerState& s : servers) {
-      if (!s.networked) continue;  // draws nothing from either stream
-      const NetLeg* legs[2] = {&s.spec->uplink, &s.spec->downlink};
-      for (int dir = 0; dir < 2; ++dir) {
-        if (!legs[dir]->batchable())
-          engaged[dir] = false;
-        else if (!shared[dir])
-          shared[dir] = legs[dir];
-        else if (!shared[dir]->same_draws_as(*legs[dir]))
-          engaged[dir] = false;
-      }
-    }
-    if (engaged[0] && shared[0]) {
-      shared_uplink = shared[0];
-      uplink_block.resize(kBlock);
-      uplink_next = kBlock;
-    }
-    if (engaged[1] && shared[1]) {
-      shared_downlink = shared[1];
-      downlink_block.resize(kBlock);
-      downlink_next = kBlock;
-    }
-    // remote_uplink can NEVER batch: its draws interleave with the
-    // remote coin and the pod pick on remote_route_rng, so pre-drawing
-    // would desync that stream. remote_down_rng is dedicated (downlink
-    // draws in completion order), so the downlink leg batches freely.
-    if (remote_fraction > 0.0 && shard_count > 1 && remote_downlink &&
-        *remote_downlink && remote_downlink->batchable()) {
-      batch_remote_down = true;
-      remote_down_block.resize(kBlock);
-      remote_down_next = kBlock;
-    }
-  }
-
   [[nodiscard]] Duration next_interarrival() {
     if (arrival_next == arrival_sec.size()) {
       interarrival.sample_into(arrival_sec, arrival_rng);
@@ -325,31 +273,15 @@ struct FleetEngine {
   }
 
   [[nodiscard]] Duration next_uplink(const ServerState& target) {
-    if (!shared_uplink) return target.spec->uplink(uplink_rng);
-    if (uplink_next == uplink_block.size()) {
-      shared_uplink->sample_into(uplink_block, uplink_rng, scratch);
-      uplink_next = 0;
-    }
-    return uplink_block[uplink_next++];
+    return target.spec->uplink(uplink_rng);
   }
 
   [[nodiscard]] Duration next_downlink(const ServerState& from) {
-    if (!shared_downlink) return from.spec->downlink(downlink_rng);
-    if (downlink_next == downlink_block.size()) {
-      shared_downlink->sample_into(downlink_block, downlink_rng, scratch);
-      downlink_next = 0;
-    }
-    return downlink_block[downlink_next++];
+    return from.spec->downlink(downlink_rng);
   }
 
   [[nodiscard]] Duration next_remote_down() {
-    if (!batch_remote_down) return (*remote_downlink)(remote_down_rng);
-    if (remote_down_next == remote_down_block.size()) {
-      remote_downlink->sample_into(remote_down_block, remote_down_rng,
-                                   scratch);
-      remote_down_next = 0;
-    }
-    return remote_down_block[remote_down_next++];
+    return (*remote_downlink)(remote_down_rng);
   }
 
   [[nodiscard]] std::uint32_t acquire_slot() {
@@ -1035,8 +967,6 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
     }
     engine.tier_group_end.push_back(std::uint32_t(engine.tier_order.size()));
   }
-
-  engine.init_batch_lane();
 
   // SLO classes: resolve the spec list into flat per-class tables.
   // Config-gated — with no classes the class stream is never drawn and

@@ -106,20 +106,16 @@ struct ArrivalShape {
 /// Runs one fleet-serving workload on one simulator timeline.
 class FleetStudy {
  public:
-  /// Opaque callables still convert into a NetLeg (the scalar-only kFn
-  /// kind), so lambda-based configs compile unchanged.
+  /// Opaque callables still convert into a NetLeg (the kFn kind), so
+  /// lambda-based configs compile unchanged.
   using DelaySampler = NetLeg::Fn;
 
   /// One server of the fleet. Network legs are per server (the hop to
   /// an edge site differs from the WAN detour to a cloud region); both
   /// set (offloaded: latency adds the hops, energy bills the radio) or
-  /// both null (on-device tier). Structured legs (NetLeg::wired /
-  /// radio_then_path / path_then_radio) ride the two-phase batch
-  /// sampling lane; opaque callables sample scalar, bit-identically.
-  /// When every networked server's legs draw identically
-  /// (NetLeg::same_draws_as — the common "N identical edge GPUs behind
-  /// one path" fleet), the engine serves them all from one pre-drawn
-  /// block.
+  /// both null (on-device tier). The engine draws the target server's
+  /// leg once per request, on the fleet's uplink (resp. downlink)
+  /// stream, which every networked server shares.
   struct ServerSpec {
     std::string name;  ///< row label; defaults to "tier-N" when empty
     AcceleratorProfile accelerator = AcceleratorProfile::edge_gpu();
@@ -337,9 +333,9 @@ class ShardedFleetStudy {
     /// (0 = fully partitioned city, shards never interact).
     double remote_fraction = 0.0;
     /// Inter-pod network legs for remote requests; both set or both
-    /// null. Their latency floor must be >= `window`. The uplink leg is
-    /// always drawn scalar (its stream interleaves with the remote coin
-    /// and pod pick); the downlink leg batches when structured.
+    /// null. Their latency floor must be >= `window`. Both are drawn
+    /// per request: the uplink on the stream of the remote coin and pod
+    /// pick, the downlink on its own stream.
     NetLeg remote_uplink;
     NetLeg remote_downlink;
   };

@@ -30,81 +30,4 @@ Duration NetLeg::operator()(Rng& rng) const {
   return Duration{};
 }
 
-bool NetLeg::same_draws_as(const NetLeg& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case Kind::kNull:
-      return true;
-    case Kind::kFn:
-      // Opaque closures cannot prove draw equivalence; callers must not
-      // share blocks across them (they are not batchable anyway).
-      return false;
-    case Kind::kWired:
-      return path_.same_sampling(other.path_);
-    case Kind::kRadioThenPath:
-    case Kind::kPathThenRadio:
-      // The radio model is borrowed, so object identity is the honest
-      // equivalence; conditions are plain knobs compared by value.
-      return radio_ == other.radio_ &&
-             conditions_.load == other.conditions_.load &&
-             conditions_.quality == other.conditions_.quality &&
-             conditions_.bler == other.conditions_.bler &&
-             conditions_.spike_rate == other.conditions_.spike_rate &&
-             path_.same_sampling(other.path_);
-  }
-  return false;
-}
-
-void NetLeg::sample_into(std::span<Duration> out, Rng& rng,
-                         topo::PathBatchScratch& scratch) const {
-  const std::size_t n = out.size();
-  switch (kind_) {
-    case Kind::kNull:
-      SIXG_ASSERT(n == 0, "sampling a null NetLeg");
-      return;
-    case Kind::kFn:
-      for (Duration& d : out) d = fn_(rng);
-      return;
-    case Kind::kWired: {
-      path_.batch_begin(n, scratch);
-      for (std::size_t i = 0; i < n; ++i)
-        path_.batch_stage_traversal(rng, scratch);
-      path_.batch_finish(scratch);
-      const std::int64_t base = path_.base_one_way().ns();
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = Duration::nanos(base + scratch.queue_ns[i]);
-      return;
-    }
-    case Kind::kRadioThenPath:
-    case Kind::kPathThenRadio: {
-      // Phase 1 interleaves the radio draw (data-dependent draw count —
-      // HARQ retransmissions, spike branch — so it must stay scalar) with
-      // the path's staged draws, per request, in the exact scalar order
-      // operator() pins (path draws first on the request leg, radio
-      // first on the response leg — see the comment there).
-      if (scratch.head_ns.size() < n) scratch.head_ns.resize(n);
-      path_.batch_begin(n, scratch);
-      if (kind_ == Kind::kRadioThenPath) {
-        for (std::size_t i = 0; i < n; ++i) {
-          path_.batch_stage_traversal(rng, scratch);
-          scratch.head_ns[i] = radio_->sample_uplink(conditions_, rng).ns();
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          scratch.head_ns[i] = radio_->sample_downlink(conditions_, rng).ns();
-          path_.batch_stage_traversal(rng, scratch);
-        }
-      }
-      path_.batch_finish(scratch);
-      // Duration addition is integer nanoseconds, so radio + path sums
-      // associate freely: nanos(head) + nanos(base + queue) == this.
-      const std::int64_t base = path_.base_one_way().ns();
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] =
-            Duration::nanos(scratch.head_ns[i] + base + scratch.queue_ns[i]);
-      return;
-    }
-  }
-}
-
 }  // namespace sixg::edgeai

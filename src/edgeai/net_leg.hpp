@@ -1,14 +1,12 @@
 /// @file net_leg.hpp — one-way network-leg sampler for the serving
 /// engines, as a small closed variant instead of an opaque closure.
 ///
-/// A `std::function<Duration(Rng&)>` leg hides its structure, which
-/// forces the engines to draw it one request at a time. A NetLeg keeps
-/// the structure visible — "radio access then wired path", "wired path
-/// then radio", "wired only" — so the engines can pre-draw whole blocks
-/// through the batched path lane (topo::CompiledPath's two-phase
-/// sampler) while producing bit-identical Durations in the identical
-/// RNG draw order. Arbitrary callables still convert implicitly (the
-/// kFn kind), they just stay on the scalar path.
+/// A NetLeg names its structure — "radio access then wired path",
+/// "wired path then radio", "wired only" — and pins the RNG draw order
+/// of each: the engines draw one leg per request on a stream dedicated
+/// to that direction, bit-identically to the closures these kinds
+/// replaced. Arbitrary callables still convert implicitly (the kFn
+/// kind).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +29,7 @@ class NetLeg {
 
   NetLeg() = default;
 
-  /// Opaque-callable leg (tests, synthetic hops): scalar-only sampling.
+  /// Opaque-callable leg (tests, synthetic hops).
   /// An empty std::function converts to a null leg, matching the old
   /// "null sampler means the hop does not exist" convention.
   NetLeg(Fn fn) : kind_(fn ? Kind::kFn : Kind::kNull), fn_(std::move(fn)) {}
@@ -79,27 +77,16 @@ class NetLeg {
   /// One draw, identical order and arithmetic to the closure it replaced.
   [[nodiscard]] Duration operator()(Rng& rng) const;
 
-  /// True when `sample_into` has a batched implementation.
-  [[nodiscard]] bool batchable() const {
-    return kind_ != Kind::kNull && kind_ != Kind::kFn;
-  }
-
-  /// True when this leg and `other` consume RNG draws identically and
-  /// map every word sequence to the same Durations — the gate for
-  /// serving several servers' legs from one pre-drawn block.
-  [[nodiscard]] bool same_draws_as(const NetLeg& other) const;
-
-  /// Block draw: `out[i]` is bit-identical to the i-th `(*this)(rng)`
-  /// call, consuming the RNG identically. The radio share (data-dependent
-  /// draw count: HARQ/spike branches) is drawn scalar per request in
-  /// phase 1; the wired path's logs evaluate as one block in phase 2.
+  /// Kept for sixg_e2ebench's net-leg probe: one operator() call per slot.
   void sample_into(std::span<Duration> out, Rng& rng,
-                   topo::PathBatchScratch& scratch) const;
+                   topo::PathBatchScratch& /*unused*/) const {
+    for (Duration& d : out) d = (*this)(rng);
+  }
 
  private:
   enum class Kind : std::uint8_t {
     kNull,           ///< hop does not exist (on-device serving)
-    kFn,             ///< opaque callable, scalar-only
+    kFn,             ///< opaque callable
     kWired,          ///< compiled path one-way
     kRadioThenPath,  ///< radio uplink + path one-way (request leg)
     kPathThenRadio,  ///< path one-way + radio downlink (response leg)

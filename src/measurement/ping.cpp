@@ -1,7 +1,5 @@
 #include "measurement/ping.hpp"
 
-#include <algorithm>
-
 namespace sixg::meas {
 
 PingMeasurement::PingMeasurement(const topo::Network& net, topo::NodeId src,
@@ -26,24 +24,6 @@ double PingMeasurement::sample_ms(Rng& rng) const {
 PingMeasurement::Result PingMeasurement::run(std::uint32_t count,
                                              Rng& rng) const {
   Result result;
-  if (radio_ == nullptr) {
-    // Wired endpoint: batch the draws through the compiled path's
-    // two-phase lane. The RNG consumption and the per-sample add order
-    // are identical to the scalar loop, so results are byte-equal at any
-    // chunk size. One scratch for the whole run: sized on the first
-    // chunk, reused for every refill.
-    double chunk[256];
-    topo::PathBatchScratch scratch;
-    std::uint32_t done = 0;
-    while (done < count) {
-      const std::uint32_t n =
-          std::min<std::uint32_t>(256, count - done);
-      compiled_.sample_rtt_into({chunk, n}, rng, scratch);
-      for (std::uint32_t i = 0; i < n; ++i) result.summary_ms.add(chunk[i]);
-      done += n;
-    }
-    return result;
-  }
   for (std::uint32_t i = 0; i < count; ++i)
     result.summary_ms.add(sample_ms(rng));
   return result;

@@ -41,22 +41,8 @@ namespace sixg::topo {
   return std::clamp(utilization, 0.0, 0.99);
 }
 
-/// Reusable scratch for the two-phase batched path samplers. One scratch
-/// per engine/loop, sized on first use and reused across refills — the
-/// batch lane allocates nothing per request in steady state. The buffers
-/// are flat SoA: one entry per staged hop *element* (traversal × hop) in
-/// the first three, one entry per staged *traversal* in `queue_ns`;
-/// `head_ns` is a spare per-traversal buffer for callers that interleave
-/// a scalar prefix draw with the path draw (see edgeai::NetLeg).
-struct PathBatchScratch {
-  std::vector<double> log_x;   ///< phase 1: 1 - u; phase 2: finished term
-  std::vector<double> coeff;   ///< -(mean queueing us) of the element's hop
-  std::vector<double> addend;  ///< resolved spike term in us (0 = no spike)
-  std::vector<std::int64_t> queue_ns;  ///< per-traversal queueing sum
-  std::vector<std::int64_t> head_ns;   ///< caller-owned per-traversal extra
-  std::size_t elems = 0;       ///< hop elements staged so far
-  std::size_t traversals = 0;  ///< traversals staged so far
-};
+/// Empty; kept for sixg_e2ebench's net-leg probe (NetLeg::sample_into).
+struct PathBatchScratch {};
 
 /// An immutable, flattened snapshot of one routed path, ready for cheap
 /// repeated latency sampling. Value type: copy freely into samplers and
@@ -92,120 +78,6 @@ class CompiledPath {
     return Duration::nanos(2 * base_one_way_.ns() + forward + reverse);
   }
 
-  /// Batch draw for campaign-style consumers: fills `out_ms` with
-  /// consecutive RTT samples in milliseconds, consuming the RNG exactly
-  /// as that many `sample_rtt` calls would. Routed through the two-phase
-  /// batch lane (bit-identical to the scalar loop by construction).
-  void sample_rtt_into(std::span<double> out_ms, Rng& rng) const {
-    thread_local PathBatchScratch scratch;
-    sample_rtt_into(out_ms, rng, scratch);
-  }
-
-  /// As above with a caller-owned scratch (zero-alloc steady state).
-  void sample_rtt_into(std::span<double> out_ms, Rng& rng,
-                       PathBatchScratch& scratch) const {
-    std::size_t done = 0;
-    while (done < out_ms.size()) {
-      const std::size_t n = std::min(kBatchChunk, out_ms.size() - done);
-      batch_begin(2 * n, scratch);
-      for (std::size_t t = 0; t < 2 * n; ++t)
-        batch_stage_traversal(rng, scratch);
-      batch_finish(scratch);
-      const std::int64_t base2 = 2 * base_one_way_.ns();
-      for (std::size_t t = 0; t < n; ++t)
-        out_ms[done + t] = Duration::nanos(base2 + scratch.queue_ns[2 * t] +
-                                           scratch.queue_ns[2 * t + 1])
-                               .ms();
-      done += n;
-    }
-  }
-
-  /// Batched `sample_queueing_ns`: one queueing sum per traversal,
-  /// consuming the RNG exactly as `out_ns.size()` scalar draws would.
-  void sample_queueing_into(std::span<std::int64_t> out_ns, Rng& rng,
-                            PathBatchScratch& scratch) const {
-    std::size_t done = 0;
-    while (done < out_ns.size()) {
-      const std::size_t n = std::min(kBatchChunk, out_ns.size() - done);
-      batch_begin(n, scratch);
-      for (std::size_t t = 0; t < n; ++t) batch_stage_traversal(rng, scratch);
-      batch_finish(scratch);
-      for (std::size_t t = 0; t < n; ++t) out_ns[done + t] = scratch.queue_ns[t];
-      done += n;
-    }
-  }
-
-  // ---- two-phase batch primitives --------------------------------------
-  // Callers that interleave path draws with other per-request draws on
-  // the same stream (edgeai::NetLeg) drive the phases directly: begin,
-  // stage one traversal per request (phase 1 — strictly sequential RNG
-  // consumption, identical draw order/count to the scalar sampler, spike
-  // branch resolved from the raw word against kSpikeCutRaw), then finish
-  // (phase 2 — order-free evaluation over the whole block).
-
-  /// Reset `scratch` and reserve room for `traversals` traversals.
-  void batch_begin(std::size_t traversals, PathBatchScratch& scratch) const {
-    scratch.elems = 0;
-    scratch.traversals = 0;
-    const std::size_t cap = traversals * hop_count();
-    if (scratch.log_x.size() < cap) {
-      scratch.log_x.resize(cap);
-      scratch.coeff.resize(cap);
-      scratch.addend.resize(cap);
-    }
-    if (scratch.queue_ns.size() < traversals) scratch.queue_ns.resize(traversals);
-  }
-
-  /// Phase 1: pull one traversal's draws from `rng` and stage them.
-  void batch_stage_traversal(Rng& rng, PathBatchScratch& scratch) const {
-    const std::size_t n = neg_mean_us_.size();
-    std::size_t e = scratch.elems;
-    for (std::size_t i = 0; i < n; ++i, ++e) {
-      scratch.log_x[e] = 1.0 - rng.uniform();
-      scratch.coeff[e] = neg_mean_us_[i];
-      if (rng() < kSpikeCutRaw) [[unlikely]]
-        scratch.addend[e] = rng.uniform(200.0, 2000.0) * spike_util_[i];
-      else
-        scratch.addend[e] = 0.0;
-    }
-    scratch.elems = e;
-    ++scratch.traversals;
-  }
-
-  /// Phase 2: evaluate all staged traversals; `scratch.queue_ns[t]` holds
-  /// traversal t's queueing sum afterwards. Bit-identical to the scalar
-  /// path: `(coeff*log + addend) * 1e3` matches `us = coeff*log;
-  /// us += addend; us * 1e3` exactly when the spike fired, and adding
-  /// literal 0.0 when it did not can only turn -0.0 into +0.0 — both of
-  /// which truncate to the same integer nanoseconds. The per-element
-  /// int64 truncation mirrors the scalar per-link conversion, and integer
-  /// summation is associative, so the evaluation order here is free.
-  void batch_finish(PathBatchScratch& scratch) const {
-    double* x = scratch.log_x.data();
-    for (std::size_t e = 0; e < scratch.elems; ++e)
-      x[e] = (scratch.coeff[e] * stats::fast_log_positive_normal(x[e]) +
-              scratch.addend[e]) *
-             1e3;
-    const std::size_t h = neg_mean_us_.size();
-    std::size_t e = 0;
-    for (std::size_t t = 0; t < scratch.traversals; ++t) {
-      std::int64_t ns = 0;
-      for (std::size_t i = 0; i < h; ++i, ++e)
-        ns += static_cast<std::int64_t>(x[e]);
-      scratch.queue_ns[t] = ns;
-    }
-  }
-
-  /// True when `other` consumes RNG draws identically and maps every
-  /// word sequence to the same latencies — the gate for sharing one
-  /// pre-drawn sample block across several paths (see edgeai::FleetStudy).
-  [[nodiscard]] bool same_sampling(const CompiledPath& other) const {
-    return valid_ == other.valid_ &&
-           base_one_way_.ns() == other.base_one_way_.ns() &&
-           neg_mean_us_ == other.neg_mean_us_ &&
-           spike_util_ == other.spike_util_;
-  }
-
   /// Queueing draw of a single traversal of hop `i` (same draw the
   /// reference `Network::sample_queueing` makes for that link).
   [[nodiscard]] Duration sample_hop_queueing(std::size_t i, Rng& rng) const {
@@ -214,10 +86,6 @@ class CompiledPath {
 
  private:
   friend class Network;
-
-  /// Samples staged per batch_finish round; bounds scratch growth while
-  /// keeping the finish loop long.
-  static constexpr std::size_t kBatchChunk = 256;
 
   // rng.chance(0.02) computes uniform() < 0.02 with uniform() the exact
   // value (next() >> 11) * 2^-53; because the product is exact, the

@@ -1,9 +1,10 @@
-/// @file test_fast_math_simd.cpp — the batch sampling lane's
-/// bit-equality contract (stats/fast_math.hpp, and its consumers up
-/// through topo::CompiledPath and edgeai::NetLeg). Every assertion here
-/// is exact: EXPECT_EQ on bit patterns and integer nanoseconds, never a
-/// tolerance — the lane's whole claim is that drawing a block at a time
-/// can never change a single byte of any replay.
+/// @file test_fast_math_simd.cpp — the sampling kernels' bit-equality
+/// contract: the one log kernel's golden bit patterns, the FP-contract
+/// probe, the block draws the serving engines pre-draw arrivals with
+/// (Rng::fill, ShiftedExponential::sample_into), and edgeai::NetLeg's
+/// block entry point. Every assertion here is exact: EXPECT_EQ on bit
+/// patterns and integer nanoseconds, never a tolerance — drawing a
+/// block at a time can never change a single byte of any replay.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@ using topo::LinkRelation;
 using topo::Network;
 using topo::NodeId;
 using topo::NodeKind;
-using topo::PathBatchScratch;
 
 std::uint64_t bits(double x) {
   std::uint64_t b;
@@ -141,7 +141,7 @@ TEST(ShiftedExponentialBatch, BitEqualToScalar) {
   }
 }
 
-// ------------------------------------------- CompiledPath batched sampling
+// ------------------------------------------------------- edgeai::NetLeg
 
 /// Chain of `hops` intra-AS links with varied utilisation, including a
 /// zero-load and a near-saturated link (mirrors tests/test_topo.cpp).
@@ -172,89 +172,6 @@ CompiledPath compile_chain(const Network& net, int hops) {
   return net.compile(path);
 }
 
-// The lane's contract: for every hop count 0..12 and 32 seeds, the
-// batched RTT sampler consumes the RNG exactly like the scalar sampler
-// and produces bit-identical milliseconds. 200 draws per (hops, seed)
-// pair fire the 2 % spike branch thousands of times across the sweep,
-// so both the common path and the rare branch are pinned.
-TEST(CompiledPathBatch, RttBitEqualAcrossSeedsAndHopCounts) {
-  for (int hops = 0; hops <= 12; ++hops) {
-    const Network net = chain_net(hops);
-    const CompiledPath compiled = compile_chain(net, hops);
-    ASSERT_TRUE(compiled.valid());
-    PathBatchScratch scratch;
-    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-      Rng batch_rng{seed * 977};
-      Rng scalar_rng{seed * 977};
-      double out[200];
-      compiled.sample_rtt_into(out, batch_rng, scratch);
-      for (int draw = 0; draw < 200; ++draw)
-        ASSERT_EQ(bits(out[draw]), bits(compiled.sample_rtt(scalar_rng).ms()))
-            << "hops=" << hops << " seed=" << seed << " draw=" << draw;
-      ASSERT_EQ(batch_rng(), scalar_rng());
-    }
-  }
-}
-
-TEST(CompiledPathBatch, ThreadLocalScratchOverloadMatches) {
-  const Network net = chain_net(6);
-  const CompiledPath compiled = compile_chain(net, 6);
-  Rng a{55};
-  Rng b{55};
-  double with_tl[300];
-  double with_own[300];
-  PathBatchScratch scratch;
-  compiled.sample_rtt_into(with_tl, a);  // thread_local scratch
-  compiled.sample_rtt_into(with_own, b, scratch);
-  for (int i = 0; i < 300; ++i) ASSERT_EQ(bits(with_tl[i]), bits(with_own[i]));
-  EXPECT_EQ(a(), b());
-}
-
-TEST(CompiledPathBatch, QueueingBitEqualToScalarOneWay) {
-  const Network net = chain_net(9);
-  const CompiledPath compiled = compile_chain(net, 9);
-  Rng batch_rng{31337};
-  Rng scalar_rng{31337};
-  std::int64_t queue_ns[400];
-  PathBatchScratch scratch;
-  compiled.sample_queueing_into(queue_ns, batch_rng, scratch);
-  const std::int64_t base = compiled.base_one_way().ns();
-  for (int i = 0; i < 400; ++i)
-    ASSERT_EQ(base + queue_ns[i], compiled.sample_one_way(scalar_rng).ns())
-        << "i=" << i;
-  ASSERT_EQ(batch_rng(), scalar_rng());
-}
-
-// Shadow replay of the documented draw contract against the *batched*
-// sampler: phase 1 must pull, per hop, a queueing word, a spike-chance
-// word, and (spike only) a magnitude word — landing on exactly the same
-// stream position as a hand-rolled replay, with the branch actually
-// firing during the sweep.
-TEST(CompiledPathBatch, SpikeBranchFiresAndConsumesDrawsInBatchLane) {
-  const int hops = 12;
-  const Network net = chain_net(hops);
-  const CompiledPath compiled = compile_chain(net, hops);
-  Rng shadow{977};
-  Rng actual{977};
-  std::uint64_t spikes = 0;
-  for (int draw = 0; draw < 200; ++draw)
-    for (int dir = 0; dir < 2; ++dir)
-      for (int h = 0; h < hops; ++h) {
-        (void)shadow.uniform();  // queueing draw
-        if (shadow.chance(0.02)) {
-          ++spikes;
-          (void)shadow.uniform();  // spike magnitude draw
-        }
-      }
-  double out[200];
-  PathBatchScratch scratch;
-  compiled.sample_rtt_into(out, actual, scratch);
-  EXPECT_GT(spikes, 0u);
-  EXPECT_EQ(shadow(), actual());
-}
-
-// ------------------------------------------------------- edgeai::NetLeg
-
 radio::RadioLinkModel test_radio() {
   return radio::RadioLinkModel{radio::AccessProfile::sixg()};
 }
@@ -268,12 +185,10 @@ radio::CellConditions test_conditions() {
   return c;
 }
 
-// Every structured NetLeg kind: the batched sample_into must be
-// bit-identical to a loop of scalar operator() calls and leave the RNG
-// on the same word — including the radio kinds, whose phase 1
-// interleaves the (scalar, data-dependent) radio draws with the path's
-// staged draws in the pinned per-request order.
-TEST(NetLegBatch, SampleIntoBitEqualToScalarCalls) {
+// Every NetLeg kind: sample_into equals as many operator() calls and
+// leaves the RNG on the same word. sixg_e2ebench's net-leg probe times
+// the engine's legs through it, so its draws must be the engine's.
+TEST(NetLeg, SampleIntoEqualsOperatorCallsForEveryKind) {
   const Network net = chain_net(7);
   const CompiledPath compiled = compile_chain(net, 7);
   const radio::RadioLinkModel radio_model = test_radio();
@@ -283,68 +198,24 @@ TEST(NetLegBatch, SampleIntoBitEqualToScalarCalls) {
       edgeai::NetLeg::wired(compiled),
       edgeai::NetLeg::radio_then_path(radio_model, conditions, compiled),
       edgeai::NetLeg::path_then_radio(radio_model, conditions, compiled),
+      edgeai::NetLeg{[](Rng& rng) {
+        return Duration::micros(std::int64_t(rng() % 1000));
+      }},
   };
   for (const edgeai::NetLeg& leg : legs) {
-    ASSERT_TRUE(leg.batchable());
+    ASSERT_TRUE(leg);
     for (std::uint64_t seed : {5ull, 123ull, 98765ull}) {
-      Rng batch_rng{seed};
+      Rng block_rng{seed};
       Rng scalar_rng{seed};
       Duration out[257];
-      PathBatchScratch scratch;
-      leg.sample_into(out, batch_rng, scratch);
+      topo::PathBatchScratch scratch;
+      leg.sample_into(out, block_rng, scratch);
       for (int i = 0; i < 257; ++i)
         ASSERT_EQ(out[i].ns(), leg(scalar_rng).ns())
             << "seed=" << seed << " i=" << i;
-      ASSERT_EQ(batch_rng(), scalar_rng());
+      ASSERT_EQ(block_rng(), scalar_rng());
     }
   }
-}
-
-TEST(NetLegBatch, OpaqueClosureFallsBackToScalar) {
-  const edgeai::NetLeg leg{
-      [](Rng& rng) { return Duration::micros(std::int64_t(rng() % 1000)); }};
-  ASSERT_TRUE(leg);
-  EXPECT_FALSE(leg.batchable());
-  Rng batch_rng{9};
-  Rng scalar_rng{9};
-  Duration out[10];
-  PathBatchScratch scratch;
-  leg.sample_into(out, batch_rng, scratch);
-  for (int i = 0; i < 10; ++i) ASSERT_EQ(out[i].ns(), leg(scalar_rng).ns());
-  EXPECT_EQ(batch_rng(), scalar_rng());
-}
-
-TEST(NetLegBatch, SameDrawsAsGatesBlockSharing) {
-  const Network net = chain_net(4);
-  const CompiledPath compiled = compile_chain(net, 4);
-  const Network other_net = chain_net(5);  // different hop parameters
-  const CompiledPath other = compile_chain(other_net, 5);
-  const radio::RadioLinkModel radio_model = test_radio();
-  const radio::CellConditions conditions = test_conditions();
-
-  const edgeai::NetLeg wired_a = edgeai::NetLeg::wired(compiled);
-  const edgeai::NetLeg wired_b = edgeai::NetLeg::wired(compiled);
-  const edgeai::NetLeg wired_c = edgeai::NetLeg::wired(other);
-  EXPECT_TRUE(wired_a.same_draws_as(wired_b));
-  EXPECT_FALSE(wired_a.same_draws_as(wired_c));
-
-  const edgeai::NetLeg up =
-      edgeai::NetLeg::radio_then_path(radio_model, conditions, compiled);
-  const edgeai::NetLeg up_same =
-      edgeai::NetLeg::radio_then_path(radio_model, conditions, compiled);
-  radio::CellConditions hotter = conditions;
-  hotter.load = 0.9;
-  const edgeai::NetLeg up_hot =
-      edgeai::NetLeg::radio_then_path(radio_model, hotter, compiled);
-  EXPECT_TRUE(up.same_draws_as(up_same));
-  EXPECT_FALSE(up.same_draws_as(up_hot));
-  EXPECT_FALSE(up.same_draws_as(wired_a));  // different kinds
-
-  // Opaque closures can never prove equivalence — even to themselves.
-  const edgeai::NetLeg fn{[](Rng& rng) {
-    return Duration::micros(std::int64_t(rng() % 100));
-  }};
-  EXPECT_FALSE(fn.same_draws_as(fn));
 }
 
 }  // namespace

@@ -338,21 +338,6 @@ TEST(CompiledPath, HopQueueingByteMatchesNetworkSampler) {
   EXPECT_EQ(a(), b());
 }
 
-TEST(CompiledPath, BatchMatchesSerialDraws) {
-  const Network net = chain_net(8);
-  const CompiledPath compiled =
-      net.compile(net.find_path(NodeId{0}, NodeId{8}));
-  Rng serial{31337};
-  Rng batched{31337};
-  std::vector<double> serial_ms(257);
-  for (double& ms : serial_ms) ms = compiled.sample_rtt(serial).ms();
-  std::vector<double> batch_ms(257);  // odd size: exercises any chunking
-  compiled.sample_rtt_into(batch_ms, batched);
-  for (std::size_t i = 0; i < serial_ms.size(); ++i)
-    ASSERT_EQ(serial_ms[i], batch_ms[i]);
-  EXPECT_EQ(serial(), batched());
-}
-
 TEST(CompiledPath, TrivialAndInvalidPaths) {
   const Network net = chain_net(3);
   // Self-path: zero hops, zero latency, still valid.
@@ -369,7 +354,7 @@ TEST(CompiledPath, TrivialAndInvalidPaths) {
 TEST(CompiledPath, PingMeasurementUsesCompiledPath) {
   MiniInternet mini;
   // PingMeasurement::run must equal hand-rolled Network::sample_rtt
-  // draws (wired case goes through the batched compiled sampler).
+  // draws (the wired case draws through the compiled path).
   const Path path = mini.net.find_path(mini.n_s1, mini.n_s3);
   Rng ref_rng{99};
   stats::Summary ref;
