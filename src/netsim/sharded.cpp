@@ -23,8 +23,10 @@ ShardedSimulator::ShardedSimulator(const Config& config)
 /// Hand the shard scopes and the window participants' wall-clock
 /// busy/stall rows to the obs runtime. Stall is the window wall time a
 /// participant spent NOT executing shards: barrier waiting plus claim
-/// overhead. Explicitly non-deterministic; the runtime exports it
-/// outside the determinism-checked sections.
+/// overhead. Each row carries the run's shard count, worker cap and
+/// seed, since `pool` only numbers runs in completion order. Explicitly
+/// non-deterministic; the runtime exports it outside the
+/// determinism-checked sections.
 ShardedSimulator::~ShardedSimulator() {
   auto& runtime = obs::Runtime::instance();
   if (!scopes_.empty()) runtime.publish_shards(scopes_);
@@ -35,9 +37,14 @@ ShardedSimulator::~ShardedSimulator() {
   rows.reserve(window_profile_.slots.size());
   for (std::uint32_t w = 0; w < window_profile_.slots.size(); ++w) {
     const auto& slot = window_profile_.slots[w];
-    rows.push_back({pool, w, slot.busy_ns,
-                    wall > slot.busy_ns ? wall - slot.busy_ns : 0,
-                    slot.batches});
+    rows.push_back({.pool = pool,
+                    .shards = shard_count(),
+                    .worker_cap = runner_.thread_count(),
+                    .seed = config_.seed,
+                    .worker = w,
+                    .busy_ns = slot.busy_ns,
+                    .stall_ns = wall > slot.busy_ns ? wall - slot.busy_ns : 0,
+                    .windows = slot.batches});
   }
   runtime.publish_workers(std::move(rows));
 }

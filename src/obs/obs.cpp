@@ -509,6 +509,12 @@ std::string Runtime::metrics_json(bool include_worker_profile) {
         first = false;
         out += "{\"pool\":";
         js::append_u64(out, w.pool);
+        out += ",\"shards\":";
+        js::append_u64(out, w.shards);
+        out += ",\"worker_cap\":";
+        js::append_u64(out, w.worker_cap);
+        out += ",\"seed\":";
+        js::append_u64(out, w.seed);
         out += ",\"worker\":";
         js::append_u64(out, w.worker);
         out += ",\"busy_ns\":";

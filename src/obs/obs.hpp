@@ -193,11 +193,15 @@ struct Distribution {
 };
 
 /// Wall-clock busy-vs-stall profile of one participant slot of one
-/// sharded run's windows (`pool` numbers the runs of a section).
+/// sharded run's windows. `pool` numbers the runs of a section in the
+/// order they finished; `shards`, `worker_cap` and `seed` name the run.
 /// Deliberately non-deterministic (steady_clock); excluded from
 /// metrics_json(include_worker_profile=false).
 struct WorkerProfile {
   std::uint32_t pool = 0;
+  std::uint32_t shards = 0;      ///< the run's shard count
+  std::uint32_t worker_cap = 0;  ///< threads the run's windows may use
+  std::uint64_t seed = 0;        ///< the run's base seed
   std::uint32_t worker = 0;  ///< 0 is the coordinator; helpers by join order
   std::uint64_t busy_ns = 0;
   std::uint64_t stall_ns = 0;

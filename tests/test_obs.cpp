@@ -8,7 +8,10 @@
 
 #include <cmath>
 #include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -391,6 +394,47 @@ TEST_F(ObsTest, MetricsJsonParsesWithExpectedSchema) {
   const JsonValue det = JsonParser{rt.metrics_json(false)}.parse();
   EXPECT_EQ(
       det.object().at("scenarios").array()[0].object().count("workers"), 0u);
+}
+
+// `pool` numbers a section's sharded runs in the order they finished,
+// so each worker row also names its run: two runs of different shard
+// counts, worker caps and seeds export rows labelled with their own.
+TEST_F(ObsTest, WorkerRowsCarryTheirRunsConfig) {
+  auto four_pods = city_config(21, 2);
+  auto two_pods = city_config(22, 3);
+  two_pods.shards = 2;
+  auto& rt = obs::Runtime::instance();
+  rt.configure(full_obs());
+  rt.begin_scenario("two cities");
+  (void)edgeai::ShardedFleetStudy::run(four_pods);
+  (void)edgeai::ShardedFleetStudy::run(two_pods);
+  rt.end_scenario();
+
+  const JsonValue root = JsonParser{rt.metrics_json()}.parse();
+  const auto& rows = root.object()
+                         .at("scenarios")
+                         .array()[0]
+                         .object()
+                         .at("workers")
+                         .array();
+  // pool -> (shards, worker cap, seed) of every row of that pool.
+  std::map<double, std::tuple<double, double, double>> labels;
+  for (const auto& row : rows) {
+    const auto& r = row.object();
+    const std::tuple label{r.at("shards").number(),
+                           r.at("worker_cap").number(),
+                           r.at("seed").number()};
+    const auto [it, fresh] = labels.emplace(r.at("pool").number(), label);
+    EXPECT_EQ(it->second, label) << "one pool, two labels";
+    EXPECT_LT(r.at("worker").number(), std::get<1>(label));
+  }
+  std::set<std::tuple<double, double, double>> runs;
+  for (const auto& [pool, label] : labels) runs.insert(label);
+  EXPECT_EQ(runs, (std::set<std::tuple<double, double, double>>{
+                      {4.0, 2.0, 21.0}, {2.0, 3.0, 22.0}}));
+
+  // The labels live in the wall-clock rows only.
+  EXPECT_EQ(rt.metrics_json(false).find("worker_cap"), std::string::npos);
 }
 
 TEST_F(ObsTest, TraceJsonParsesAsChromeTraceEvents) {
