@@ -1,10 +1,10 @@
 /// @file test_fast_math_simd.cpp — the sampling kernels' bit-equality
 /// contract: the one log kernel's golden bit patterns, the FP-contract
 /// probe, the block draws the serving engines pre-draw arrivals with
-/// (Rng::fill, ShiftedExponential::sample_into), and edgeai::NetLeg's
-/// block entry point. Every assertion here is exact: EXPECT_EQ on bit
-/// patterns and integer nanoseconds, never a tolerance — drawing a
-/// block at a time can never change a single byte of any replay.
+/// (Rng::fill, ShiftedExponential::sample_into), and
+/// edgeai::NetLeg::sample_into. Every assertion here is exact:
+/// EXPECT_EQ on bit patterns and integer nanoseconds, never a tolerance
+/// — drawing a block at a time can never change a byte of any replay.
 
 #include <gtest/gtest.h>
 
