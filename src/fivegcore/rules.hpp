@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,7 +30,9 @@ struct LookupOutcome {
 /// UPF rule table with two organisations:
 ///
 ///  * kLinearScan — the 3GPP-conformant baseline: rules evaluated in
-///    precedence order; lookup cost grows with the match position.
+///    precedence order; lookup cost grows with the match position. That
+///    growth is in the cost model only: the host finds the position
+///    through a flow-key index, in time independent of the table size.
 ///  * kContextAware — the context-aware QoS model of Jain et al. [32]:
 ///    recently active ("prioritised") flows are kept in a small hot cache
 ///    consulted first, so lookup and update latencies stay flat for
@@ -77,14 +80,19 @@ class RuleTable {
   [[nodiscard]] std::size_t prioritised_ue_count() const;
 
  private:
-  [[nodiscard]] std::optional<std::size_t> hot_position(
-      std::uint64_t flow_key) const;
-  void touch_hot(std::uint64_t flow_key);
+  /// Re-derive first_rule_ after the rules from `pos` on moved.
+  void reindex_from(std::size_t pos);
+  /// Move a cached flow to the MRU front; false if it is not cached.
+  bool hot_to_front(std::uint64_t flow_key);
+  /// Cache an uncached flow at the MRU front, evicting the LRU one.
+  void promote(std::uint64_t flow_key);
 
   Mode mode_;
   std::uint32_t hot_capacity_;
   CostModel costs_;
   std::vector<PdrRule> rules_;          ///< sorted by (precedence, id)
+  /// flow_key -> position in rules_ of that key's first rule.
+  std::unordered_map<std::uint64_t, std::uint32_t> first_rule_;
   std::vector<std::uint64_t> hot_;      ///< MRU-ordered flow keys
 };
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fivegcore/placement.hpp"
 #include "fivegcore/rules.hpp"
 #include "fivegcore/selector.hpp"
@@ -135,6 +140,171 @@ TEST(RuleTable, HitsAccounting) {
   (void)table.lookup(200);  // miss
   // Repeated hits and a miss leave the rule matchable.
   EXPECT_TRUE(table.lookup(100).matched);
+}
+
+/// The rule table as a precedence-sorted vector scanned linearly, with an
+/// MRU list for the hot cache: the reference RuleTable's index must match.
+class ScanReference {
+ public:
+  ScanReference(RuleTable::Mode mode, std::uint32_t hot_capacity)
+      : mode_(mode), hot_capacity_(hot_capacity) {}
+
+  Duration add_rule(const PdrRule& rule) {
+    (void)insert(rule);
+    return costs_.update_base +
+           costs_.per_rule_update * std::int64_t(rules_.size());
+  }
+
+  LookupOutcome lookup(std::uint64_t flow_key) {
+    LookupOutcome out;
+    if (context() && is_hot(flow_key)) {
+      touch(flow_key);
+      return {true, 1, costs_.hot_hit};
+    }
+    for (const PdrRule& r : rules_) {
+      ++out.scanned;
+      if (r.flow_key == flow_key) {
+        out.matched = true;
+        break;
+      }
+    }
+    out.latency =
+        costs_.lookup_base + costs_.per_rule * std::int64_t(out.scanned);
+    if (context() && out.matched) {
+      touch(flow_key);
+      out.latency += costs_.hot_update;
+    }
+    return out;
+  }
+
+  std::optional<Duration> update_rule(std::uint32_t id, int precedence) {
+    const auto it = std::find_if(rules_.begin(), rules_.end(),
+                                 [id](const PdrRule& r) { return r.id == id; });
+    if (it == rules_.end()) return std::nullopt;
+    PdrRule moved = *it;
+    moved.precedence = precedence;
+    const auto from = it - rules_.begin();
+    rules_.erase(it);
+    const auto to = insert(moved);
+    moved_earlier += to < from;
+    moved_later += to > from;
+    if (context() && is_hot(moved.flow_key)) return costs_.hot_update;
+    return costs_.update_base +
+           costs_.per_rule_update * std::int64_t(rules_.size());
+  }
+
+  void prioritise_flow(std::uint64_t flow_key) {
+    if (context()) touch(flow_key);
+  }
+
+  [[nodiscard]] std::size_t prioritised_ue_count() const {
+    std::unordered_set<std::uint32_t> ues;
+    for (const std::uint64_t key : hot_) {
+      const auto it =
+          std::find_if(rules_.begin(), rules_.end(),
+                       [key](const PdrRule& r) { return r.flow_key == key; });
+      if (it != rules_.end()) ues.insert(it->ue_id);
+    }
+    return ues.size();
+  }
+
+  int moved_earlier = 0;
+  int moved_later = 0;
+
+ private:
+  [[nodiscard]] bool context() const {
+    return mode_ == RuleTable::Mode::kContextAware;
+  }
+  [[nodiscard]] bool is_hot(std::uint64_t flow_key) const {
+    return std::find(hot_.begin(), hot_.end(), flow_key) != hot_.end();
+  }
+  std::ptrdiff_t insert(const PdrRule& rule) {
+    const auto pos = std::find_if(rules_.begin(), rules_.end(),
+                                  [&rule](const PdrRule& r) {
+                                    return r.precedence > rule.precedence ||
+                                           (r.precedence == rule.precedence &&
+                                            r.id > rule.id);
+                                  });
+    const auto slot = pos - rules_.begin();
+    rules_.insert(pos, rule);
+    return slot;
+  }
+  void touch(std::uint64_t flow_key) {
+    hot_.erase(std::remove(hot_.begin(), hot_.end(), flow_key), hot_.end());
+    hot_.insert(hot_.begin(), flow_key);
+    if (hot_.size() > hot_capacity_) hot_.resize(hot_capacity_);
+  }
+
+  RuleTable::Mode mode_;
+  std::uint32_t hot_capacity_;
+  RuleTable::CostModel costs_;
+  std::vector<PdrRule> rules_;
+  std::vector<std::uint64_t> hot_;
+};
+
+TEST(RuleTable, IndexMatchesReferenceScan) {
+  // Keys repeat (1-30 distinct), two more keys never get a rule (misses,
+  // and hot entries without a rule), and updates draw two ids that were
+  // never installed and precedences that move rules both ways.
+  int moved_earlier = 0;
+  int moved_later = 0;
+  int misses = 0;
+  int unknown_updates = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    for (const auto mode :
+         {RuleTable::Mode::kLinearScan, RuleTable::Mode::kContextAware}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << ", mode " << int(mode));
+      Rng rng{seed};
+      const auto capacity = 1 + std::uint32_t(rng.uniform_int(8));
+      const auto keys = 1 + rng.uniform_int(30);
+      RuleTable table{mode, capacity};
+      ScanReference ref{mode, capacity};
+      std::uint32_t next_id = 0;
+      for (int step = 0; step < 200; ++step) {
+        const std::uint64_t key = 100 + rng.uniform_int(keys + 2);
+        switch (rng.uniform_int(4)) {
+          case 0: {
+            const PdrRule rule{next_id++, key,
+                               std::uint32_t(rng.uniform_int(6)),
+                               int(rng.uniform_int(40))};
+            ASSERT_EQ(table.add_rule(rule).ns(), ref.add_rule(rule).ns());
+            break;
+          }
+          case 1: {
+            const auto id = std::uint32_t(rng.uniform_int(next_id + 2));
+            const int precedence = int(rng.uniform_int(40));
+            const auto got = table.update_rule(id, precedence);
+            const auto want = ref.update_rule(id, precedence);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "id " << id;
+            if (got) ASSERT_EQ(got->ns(), want->ns()) << "id " << id;
+            unknown_updates += !want.has_value();
+            break;
+          }
+          case 2:
+            table.prioritise_flow(key);
+            ref.prioritise_flow(key);
+            break;
+          default: {
+            const auto got = table.lookup(key);
+            const auto want = ref.lookup(key);
+            ASSERT_EQ(got.matched, want.matched) << "key " << key;
+            ASSERT_EQ(got.scanned, want.scanned) << "key " << key;
+            ASSERT_EQ(got.latency.ns(), want.latency.ns()) << "key " << key;
+            misses += !want.matched;
+          }
+        }
+        ASSERT_EQ(table.prioritised_ue_count(), ref.prioritised_ue_count());
+      }
+      moved_earlier += ref.moved_earlier;
+      moved_later += ref.moved_later;
+    }
+  }
+  // The walk reached every case the index has to keep current.
+  EXPECT_GT(moved_earlier, 100);
+  EXPECT_GT(moved_later, 100);
+  EXPECT_GT(misses, 100);
+  EXPECT_GT(unknown_updates, 100);
 }
 
 // ---------------------------------------------------------------- Upf
