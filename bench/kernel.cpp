@@ -11,10 +11,22 @@
 // measured the binary-heap + std::function kernel and measures the arena
 // kernel today. The periodic rows call schedule_every(p, p, ...), which
 // arms the same timer as the period-only call the baseline was timed on.
+//
+// Queue depths the workloads reach (the most one-shot events pending in
+// one event queue at once, counted by an instrumented build): 284 in
+// `fleet-dispatch-ablation`, the most of any `sixg_run --run all`
+// scenario; 128-132 in `fleet-resilience-ablation` and
+// `degraded-fleet-slo`; 84-114 in the other fleet scenarios; at most 60
+// elsewhere; 85 and 375 in e2ebench's `fleet-city` and `fleet-overload`.
+// BM_HoldModel measures those depths. The ScheduleFire and
+// MixedWorkload rows schedule 10k-1M events before running, deeper than
+// any workload goes.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "netsim/simulator.hpp"
@@ -26,9 +38,8 @@ using namespace sixg::literals;
 
 // Schedule N one-shot events with short modular delays, then drain them.
 // The core schedule+fire cycle with a mostly-sorted arrival pattern, at
-// the pending-set sizes the campaign scenarios actually reach (a fleet
-// replication holds thousands of in-flight events; grid sweeps more).
-// This family is the headline metric of BENCH_kernel.json.
+// 10k-1M pending events: far deeper than any workload (see the header),
+// so these rows bound the queue's cost at depth, not a scenario's.
 void BM_ScheduleFire(benchmark::State& state) {
   const auto events = std::size_t(state.range(0));
   for (auto _ : state) {
@@ -115,6 +126,44 @@ void BM_NestedLadder(benchmark::State& state) {
                           std::int64_t(events));
 }
 BENCHMARK(BM_NestedLadder)->Arg(100000);
+
+// Hold model, the classic steady-state queue benchmark: `depth` events
+// pending throughout, each firing schedules one successor at an
+// exponential increment (mean 1 ms), 1M firings per iteration. The
+// increments come from a table drawn once, so the loop times the queue
+// and not the logarithm.
+void BM_HoldModel(benchmark::State& state) {
+  const auto depth = std::uint64_t(state.range(0));
+  constexpr std::uint64_t kFirings = 1'000'000;
+  constexpr std::size_t kTable = 1 << 16;  // power of two: mask to wrap
+  std::vector<Duration> increments(kTable);
+  Rng rng{42};
+  for (Duration& d : increments) {
+    d = Duration::nanos(std::int64_t(-1.0e6 * std::log1p(-rng.uniform())));
+  }
+  struct Hold {
+    netsim::Simulator* sim;
+    const std::vector<Duration>* increments;
+    std::uint64_t* scheduled;
+    void operator()() const {
+      if (*scheduled == kFirings) return;
+      const Duration d = (*increments)[*scheduled & (kTable - 1)];
+      ++*scheduled;
+      sim->schedule_after(d, *this);
+    }
+  };
+  for (auto _ : state) {
+    netsim::Simulator sim;
+    std::uint64_t scheduled = 0;
+    const Hold hold{&sim, &increments, &scheduled};
+    for (std::uint64_t i = 0; i < depth; ++i) hold();
+    sim.run();
+    benchmark::DoNotOptimize(scheduled);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(kFirings));
+}
+BENCHMARK(BM_HoldModel)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // Periodic-timer churn: K timers with co-prime periods firing across a
 // horizon. On the pre-refactor kernel each firing re-armed through a

@@ -5,8 +5,8 @@
 //
 //  * The per-event kernel path carries zero probe instructions either
 //    way (counters flush once per run()/run_until() call, not per
-//    event), and the EventQueue pushes/parks tallies are unconditional
-//    plain members.
+//    event), and the EventQueue push tally is an unconditional plain
+//    member.
 //  * With probes off, a build pays only not-taken `if (metrics_on())`
 //    branches at non-hot sites; the enabled measurement exercises those
 //    same branches on their TAKEN path plus the probe bodies, so
@@ -48,9 +48,9 @@ double env_f64(const char* name, double fallback) {
 }
 
 /// One timed kernel workload: 64 interleaved self-rescheduling event
-/// chains with staggered periods, so the binary heap and timer wheel
-/// both see realistic churn. Returns seconds of wall time for `events`
-/// schedule+fire pairs.
+/// chains with staggered periods, so the event heap sees realistic
+/// churn at a steady depth of 64. Returns seconds of wall time for
+/// `events` schedule+fire pairs.
 double run_workload(std::uint64_t events) {
   netsim::Simulator sim(1);
   constexpr std::uint64_t kChains = 64;

@@ -968,6 +968,21 @@ void setup_engine(FleetEngine& engine, const FleetStudy::Config& config) {
     engine.tier_group_end.push_back(std::uint32_t(engine.tier_order.size()));
   }
 
+  // Ranges fleet.hpp documents. Outside them the arrival-rate multiplier
+  // can reach zero (an infinite interarrival draw), or the one-byte
+  // attempt counter wraps before the retry budget runs out.
+  const ArrivalShape& shape = config.shape;
+  SIXG_ASSERT(shape.diurnal_amplitude >= 0.0 && shape.diurnal_amplitude < 1.0,
+              "shape.diurnal_amplitude must be in [0, 1)");
+  SIXG_ASSERT(shape.flash_multiplier >= 1.0,
+              "shape.flash_multiplier must be >= 1");
+  SIXG_ASSERT(shape.flash_multiplier == 1.0 || shape.flash_every.is_zero() ||
+                  shape.flash_duration.is_zero() ||
+                  shape.flash_duration < shape.flash_every,
+              "shape.flash_duration must be shorter than shape.flash_every");
+  SIXG_ASSERT(config.resilience.max_retries <= 255,
+              "resilience.max_retries exceeds the one-byte attempt counter");
+
   // SLO classes: resolve the spec list into flat per-class tables.
   // Config-gated — with no classes the class stream is never drawn and
   // none of this executes.

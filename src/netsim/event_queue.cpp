@@ -1,16 +1,9 @@
 #include "netsim/event_queue.hpp"
 
-#include <limits>
-
-#include "common/assert.hpp"
+#include <algorithm>
+#include <utility>
 
 namespace sixg::netsim {
-
-namespace {
-constexpr std::uint64_t kNoDue = std::numeric_limits<std::uint64_t>::max();
-}  // namespace
-
-EventQueue::EventQueue() = default;
 
 void EventQueue::push(TimePoint when, std::uint64_t seq,
                       InplaceAction action) {
@@ -24,29 +17,11 @@ void EventQueue::push(TimePoint when, std::uint64_t seq,
     free_.pop_back();
     slab_[slot] = std::move(action);
   }
-  const Key key{when.ns(), seq, slot};
-  const std::uint64_t tick = wheel::tick_of_ns(key.when_ns);
-  // Placement policy (pop order is unaffected): tiny queues take the
-  // plain heap path; once the heap is deep enough for sift cost to
-  // matter, future events park in the calendar for O(1).
-  if (keys_.size() >= kParkThreshold) {
-    if (calendar_ == nullptr) {
-      calendar_ = std::make_unique<Calendar>();
-      // Anchor the calendar at the heap's front: everything parked
-      // from here on is strictly later than that.
-      calendar_->tick = wheel::tick_of_ns(keys_.front().when_ns);
-      calendar_->next_due_tick = kNoDue;
-    }
-    if (tick > calendar_->tick) {
-      park(key, tick);
-      return;
-    }
-  }
-  heap_push(key);
+  keys_.push_back(Key{when.ns(), seq, slot});
+  sift_up(keys_.size() - 1);
 }
 
 ScheduledEvent EventQueue::pop() {
-  settle();
   const Key top = keys_.front();
   // The action slot is a dependent load from a large arena; issue it
   // now so the line arrives while the sift below runs.
@@ -86,68 +61,6 @@ void EventQueue::sift_down(const Key item) {
     hole = best;
   }
   keys_[hole] = item;
-}
-
-void EventQueue::park(const Key& key, std::uint64_t tick) {
-  ++parks_;
-  Calendar& cal = *calendar_;
-  const int level = wheel::level_for(tick, cal.tick);
-  const std::uint32_t slot = wheel::slot_for(tick, level);
-  cal.buckets[std::size_t(level)][slot].push_back(key);
-  cal.occupancy[std::size_t(level)] |= std::uint64_t{1} << slot;
-  ++cal.count;
-  // The key's own deadline bounds how soon anything parked can matter;
-  // pops compare the heap front against this before any bitmap scan.
-  if (tick < cal.next_due_tick) cal.next_due_tick = tick;
-}
-
-void EventQueue::settle_slow() {
-  Calendar& cal = *calendar_;
-  while (cal.count != 0) {
-    std::uint64_t tick;
-    int level;
-    std::uint32_t slot;
-    const bool any =
-        wheel::earliest_bucket(cal.occupancy, cal.tick, &tick, &level, &slot);
-    SIXG_ASSERT(any, "calendar count and occupancy disagree");
-    // The bucket's start lower-bounds every key in it; when the heap
-    // front strictly precedes that, nothing parked can pop next.
-    if (!keys_.empty() &&
-        keys_.front().when_ns < wheel::tick_to_ns_saturating(tick)) {
-      cal.next_due_tick = tick;  // valid lower bound for the fast path
-      return;
-    }
-
-    cal.tick = tick;
-    auto& bucket = cal.buckets[std::size_t(level)][slot];
-    cal.occupancy[std::size_t(level)] &= ~(std::uint64_t{1} << slot);
-    cal.count -= bucket.size();
-    // Detach the bucket before processing: a key clamped to the top
-    // level from beyond its rotation span cascades back into the very
-    // slot being drained, which must land in a fresh vector, not the
-    // one we are iterating. The swap recycles capacities between the
-    // bucket and the scratch buffer.
-    scratch_.clear();
-    scratch_.swap(bucket);
-    // A level-0 slot holds exactly one tick of this rotation — all due.
-    // Sparse coarser buckets drain straight into the heap too: placement
-    // is pure policy, and a shallow heap beats per-tick turn-over.
-    const bool direct = level == 0 || scratch_.size() <= kDirectDrain;
-    for (const Key& key : scratch_) {
-      if (direct) {
-        heap_push(key);
-      } else {
-        // Cascade to a finer level (or the heap, if due this tick).
-        const std::uint64_t key_tick = wheel::tick_of_ns(key.when_ns);
-        if (key_tick <= cal.tick) {
-          heap_push(key);
-        } else {
-          park(key, key_tick);  // re-counts the key in cal.count
-        }
-      }
-    }
-  }
-  cal.next_due_tick = kNoDue;
 }
 
 }  // namespace sixg::netsim

@@ -1,19 +1,13 @@
-/// @file event_queue.hpp — the kernel's pending-event store: a shallow
-/// 4-ary min-heap for the near-term window, a hierarchical calendar of
-/// flat key buckets for everything farther out, and one action arena
-/// the sorting machinery never touches.
+/// @file event_queue.hpp — the kernel's pending-event store: one 4-ary
+/// min-heap of small keys over an action arena the heap never touches.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
 #include "netsim/inplace_action.hpp"
-#include "netsim/wheel_math.hpp"
 
 namespace sixg::netsim {
 
@@ -27,50 +21,32 @@ struct ScheduledEvent {
   InplaceAction action;
 };
 
-/// Pending-event store with O(1)-ish scheduling at any queue depth.
+/// Pending-event store: O(log n) push and pop at any queue depth.
 ///
-/// Three structure-of-arrays pieces:
-///  * `slab_`    — the InplaceAction payloads, addressed by slot and
+/// Two structure-of-arrays pieces:
+///  * `slab_` — the InplaceAction payloads, addressed by slot and
 ///    recycled through a free list. An action is touched exactly twice
 ///    (construct on push, move-out on pop) no matter how long it waits
-///    or how often the sorting layers shuffle its key.
-///  * `keys_`    — a 4-ary implicit min-heap of trivially-copyable
-///    24-byte {when, seq, slot} keys: the near-term window only.
-///  * calendar   — hierarchical buckets (64-slot wheels, ~1 µs base
-///    resolution) of the same 24-byte keys in flat vectors. Events far
-///    in the future park here with one vector append instead of an
-///    O(log n) sift, and cascade toward the heap as their time
-///    approaches — so the heap stays shallow even with a million
-///    events pending.
+///    or how often the heap shuffles its key.
+///  * `keys_` — a 4-ary implicit min-heap of trivially-copyable 24-byte
+///    {when, seq, slot} keys, every pending event.
 ///
-/// Where an event parks is pure placement policy; pop order is the
-/// exact strict-total (when, seq) order either way, because the
-/// calendar drains a bucket into the heap strictly before any event at
-/// or after the bucket's start time can pop (a bucket's start time
-/// lower-bounds every key in it). seq is unique, so determinism does
-/// not depend on sift or bucket tie-breaking.
+/// Pop order is the strict total (when, seq) order; seq is unique, so
+/// determinism does not depend on sift tie-breaking.
 ///
-/// Why 4-ary for the near heap: half the levels of a binary heap per
-/// pop, and the four children sit in one or two cache lines of the
-/// flat key array, so the extra comparisons per level are nearly free.
+/// Why 4-ary: half the levels of a binary heap per pop, and the four
+/// children sit in one or two cache lines of the flat key array, so the
+/// extra comparisons per level are nearly free. No workload keeps more
+/// than a few hundred events pending (docs/ARCHITECTURE.md "Kernel
+/// internals" has the measured depths), so a sift crosses at most five
+/// levels.
 class EventQueue {
  public:
-  EventQueue();
-
-  [[nodiscard]] bool empty() const {
-    return keys_.empty() && parked_count() == 0;
-  }
-  [[nodiscard]] std::size_t size() const {
-    return keys_.size() + parked_count();
-  }
-  /// Earliest pending (when, seq); callable only when non-empty.
-  [[nodiscard]] TimePoint top_when() {
-    settle();
+  [[nodiscard]] bool empty() const { return keys_.empty(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  /// Earliest pending time; callable only when non-empty.
+  [[nodiscard]] TimePoint top_when() const {
     return TimePoint::from_ns(keys_.front().when_ns);
-  }
-  [[nodiscard]] std::uint64_t top_seq() {
-    settle();
-    return keys_.front().seq;
   }
 
   void push(TimePoint when, std::uint64_t seq, InplaceAction action);
@@ -78,13 +54,10 @@ class EventQueue {
   /// Remove and return the earliest event.
   ScheduledEvent pop();
 
-  /// Lifetime push count (heap + calendar). The observability layer
-  /// reads these as once-per-run deltas; they are plain members like the
-  /// servers' counters, not probes — the hot path stays probe-free.
+  /// Lifetime push count. The observability layer reads it as a
+  /// once-per-run delta; it is a plain member like the servers'
+  /// counters, not a probe — the hot path stays probe-free.
   [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
-  /// Lifetime count of pushes parked in the calendar (heap pushes are
-  /// pushes() - parks()).
-  [[nodiscard]] std::uint64_t parks() const { return parks_; }
 
  private:
   struct Key {
@@ -94,65 +67,17 @@ class EventQueue {
   };
   static constexpr std::size_t kArity = 4;
 
-  // Calendar geometry is shared with the timer wheel's:
-  // netsim/wheel_math.hpp (64-slot levels, ~1 µs base resolution).
-  static constexpr int kLevels = wheel::kLevels;
-  static constexpr std::uint32_t kSlots = wheel::kSlots;
-  /// Events beyond the heap's comfort zone park in the calendar once
-  /// the heap holds at least this many keys; below it, plain heap
-  /// pushes are cheaper than the bucket machinery.
-  static constexpr std::size_t kParkThreshold = 64;
-  /// A coarse bucket this sparse drains straight into the heap: with so
-  /// few keys the heap stays shallow, and per-tick level-0 turn-over
-  /// bookkeeping would cost more than the sifts it saves.
-  static constexpr std::size_t kDirectDrain = 256;
-
   static bool before(const Key& a, const Key& b) {
     return a.when_ns != b.when_ns ? a.when_ns < b.when_ns : a.seq < b.seq;
   }
 
   void sift_up(std::size_t hole);
   void sift_down(Key item);
-  void heap_push(const Key& key) {
-    keys_.push_back(key);
-    sift_up(keys_.size() - 1);
-  }
 
-  /// The bucket hierarchy, allocated on first park: small simulations
-  /// whose queues never exceed kParkThreshold pay nothing for it.
-  struct Calendar {
-    std::size_t count = 0;        ///< keys parked in buckets
-    std::uint64_t tick = 0;       ///< calendar time, lags pops
-    /// Lower bound (in ticks) on the earliest parked key's bucket
-    /// turn-over; lets pops skip the bitmap scan with one compare.
-    std::uint64_t next_due_tick = 0;
-    std::array<std::uint64_t, kLevels> occupancy{};
-    std::array<std::array<std::vector<Key>, kSlots>, kLevels> buckets;
-  };
-
-  [[nodiscard]] std::size_t parked_count() const {
-    return calendar_ ? calendar_->count : 0;
-  }
-  void park(const Key& key, std::uint64_t tick);
-  /// Drain calendar buckets into the heap until the heap's front can
-  /// no longer be preceded by anything parked.
-  void settle() {
-    if (calendar_ == nullptr || calendar_->count == 0) return;
-    if (!keys_.empty() && wheel::tick_of_ns(keys_.front().when_ns) <
-                              calendar_->next_due_tick) {
-      return;  // heap front precedes every parked bucket's turn-over
-    }
-    settle_slow();
-  }
-  void settle_slow();
-
-  std::uint64_t pushes_ = 0;              ///< lifetime push() calls
-  std::uint64_t parks_ = 0;               ///< pushes that parked
-  std::vector<Key> keys_;                 ///< near-term 4-ary heap
-  std::vector<InplaceAction> slab_;       ///< action payloads, by slot
-  std::vector<std::uint32_t> free_;       ///< recycled slab slots
-  std::unique_ptr<Calendar> calendar_;    ///< far-future key buckets
-  std::vector<Key> scratch_;              ///< detached bucket during drain
+  std::uint64_t pushes_ = 0;         ///< lifetime push() calls
+  std::vector<Key> keys_;            ///< 4-ary heap
+  std::vector<InplaceAction> slab_;  ///< action payloads, by slot
+  std::vector<std::uint32_t> free_;  ///< recycled slab slots
 };
 
 }  // namespace sixg::netsim

@@ -20,7 +20,6 @@ struct KernelMeter {
   std::uint64_t seq0 = 0;
   std::uint64_t fired0 = 0;
   std::uint64_t pushes0 = 0;
-  std::uint64_t parks0 = 0;
 };
 
 KernelMeter meter_begin(std::uint64_t seq, std::uint64_t fired,
@@ -31,19 +30,16 @@ KernelMeter meter_begin(std::uint64_t seq, std::uint64_t fired,
   m.seq0 = seq;
   m.fired0 = fired;
   m.pushes0 = queue.pushes();
-  m.parks0 = queue.parks();
   return m;
 }
 
 void meter_flush(const KernelMeter& m, std::uint64_t seq, std::uint64_t fired,
                  const EventQueue& queue) {
   if (!m.on) return;
-  const std::uint64_t parks = queue.parks() - m.parks0;
   obs::probe_count(obs::Metric::kKernelEventsScheduled, seq - m.seq0);
   obs::probe_count(obs::Metric::kKernelEventsFired, fired - m.fired0);
   obs::probe_count(obs::Metric::kKernelHeapPushes,
-                   queue.pushes() - m.pushes0 - parks);
-  obs::probe_count(obs::Metric::kKernelCalendarParks, parks);
+                   queue.pushes() - m.pushes0);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "common/time.hpp"
 #include "netsim/inplace_action.hpp"
-#include "netsim/wheel_math.hpp"
 
 namespace sixg::netsim {
 
@@ -20,10 +19,11 @@ namespace sixg::netsim {
 /// timer allocates nothing once the slab has warmed up — this replaces
 /// the per-tick shared_ptr trampoline the old kernel re-armed through.
 ///
-/// Levels: `kLevels` wheels of 64 slots each; level L has a slot width
-/// of 2^(kShiftNs + 6·L) ns, so level 0 resolves ~1 µs and the whole
-/// hierarchy spans ~52 days before far-future timers start cascading
-/// once per top-level rotation (correct, just not O(1) for those).
+/// Levels: `kLevels` wheels of `kSlots` slots each; level L has a slot
+/// width of 2^(kShiftNs + kSlotBits·L) ns, so level 0 resolves ~1 µs and
+/// the whole hierarchy spans ~52 days before far-future timers clamp to
+/// the top level and cascade once per top-level rotation (correct, just
+/// not O(1) for those).
 ///
 /// Determinism: buckets are a *placement* structure only. A bucket's
 /// start time lower-bounds every deadline inside it; when a bucket comes
@@ -35,9 +35,11 @@ namespace sixg::netsim {
 class TimerWheel {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  // Geometry shared with the event queue's calendar: netsim/wheel_math.hpp.
-  static constexpr int kLevels = wheel::kLevels;
-  static constexpr std::uint32_t kSlots = wheel::kSlots;
+  // Geometry: 64-slot levels over 1024 ns ticks.
+  static constexpr int kShiftNs = 10;  ///< 1 tick = 1024 ns
+  static constexpr int kSlotBits = 6;
+  static constexpr int kLevels = 7;
+  static constexpr std::uint32_t kSlots = 1u << kSlotBits;
 
   enum class State : std::uint8_t {
     kFree,      ///< slab slot on the free list
@@ -104,6 +106,15 @@ class TimerWheel {
                        void* ctx);
 
  private:
+  /// An occupied bucket: its absolute turn-over tick (a lower bound on
+  /// every deadline inside it), level and slot.
+  struct Bucket {
+    std::uint64_t tick;
+    int level;
+    std::uint32_t slot;
+  };
+  /// The earliest-turning occupied bucket; the wheel must hold one.
+  [[nodiscard]] Bucket earliest_bucket() const;
   void bucket_insert(std::uint32_t idx, std::uint64_t tick);
 
   std::vector<Timer> slab_;

@@ -27,26 +27,25 @@ constexpr MetricDef kDefs[kCount] = {
     {"kernel.events_scheduled", MetricKind::kCounter, 0},
     {"kernel.events_fired", MetricKind::kCounter, 1},
     {"kernel.heap_pushes", MetricKind::kCounter, 2},
-    {"kernel.calendar_parks", MetricKind::kCounter, 3},
-    {"kernel.timers_armed", MetricKind::kCounter, 4},
-    {"kernel.timers_cancelled", MetricKind::kCounter, 5},
-    {"shard.windows", MetricKind::kCounter, 6},
-    {"shard.messages", MetricKind::kCounter, 7},
-    {"serve.submitted", MetricKind::kCounter, 8},
-    {"serve.completed", MetricKind::kCounter, 9},
-    {"serve.dropped", MetricKind::kCounter, 10},
-    {"serve.batches", MetricKind::kCounter, 11},
-    {"fleet.arrivals", MetricKind::kCounter, 12},
-    {"fleet.remote", MetricKind::kCounter, 13},
-    {"fleet.completed", MetricKind::kCounter, 14},
-    {"fleet.slo_misses", MetricKind::kCounter, 15},
-    {"fleet.timeouts", MetricKind::kCounter, 16},
-    {"fleet.retries", MetricKind::kCounter, 17},
-    {"fleet.hedges", MetricKind::kCounter, 18},
-    {"fleet.shed", MetricKind::kCounter, 19},
-    {"fleet.lost_to_crashes", MetricKind::kCounter, 20},
-    {"fault.events", MetricKind::kCounter, 21},
-    {"obs.trace_dropped", MetricKind::kCounter, 22},
+    {"kernel.timers_armed", MetricKind::kCounter, 3},
+    {"kernel.timers_cancelled", MetricKind::kCounter, 4},
+    {"shard.windows", MetricKind::kCounter, 5},
+    {"shard.messages", MetricKind::kCounter, 6},
+    {"serve.submitted", MetricKind::kCounter, 7},
+    {"serve.completed", MetricKind::kCounter, 8},
+    {"serve.dropped", MetricKind::kCounter, 9},
+    {"serve.batches", MetricKind::kCounter, 10},
+    {"fleet.arrivals", MetricKind::kCounter, 11},
+    {"fleet.remote", MetricKind::kCounter, 12},
+    {"fleet.completed", MetricKind::kCounter, 13},
+    {"fleet.slo_misses", MetricKind::kCounter, 14},
+    {"fleet.timeouts", MetricKind::kCounter, 15},
+    {"fleet.retries", MetricKind::kCounter, 16},
+    {"fleet.hedges", MetricKind::kCounter, 17},
+    {"fleet.shed", MetricKind::kCounter, 18},
+    {"fleet.lost_to_crashes", MetricKind::kCounter, 19},
+    {"fault.events", MetricKind::kCounter, 20},
+    {"obs.trace_dropped", MetricKind::kCounter, 21},
     {"shard.lookahead_ns", MetricKind::kGauge, 0},
     {"shard.shards", MetricKind::kGauge, 1},
     {"shard.drain_messages", MetricKind::kHistogram, 0},
@@ -54,7 +53,7 @@ constexpr MetricDef kDefs[kCount] = {
     {"serve.queue_depth", MetricKind::kHistogram, 2},
 };
 
-constexpr std::size_t kCounterSlots = 23;
+constexpr std::size_t kCounterSlots = 22;
 constexpr std::size_t kGaugeSlots = 2;
 constexpr std::size_t kHistSlots = 3;
 

@@ -31,8 +31,8 @@ enum class Metric : std::uint16_t {
   // counters
   kKernelEventsScheduled,   ///< seq numbers consumed (events + timer arms)
   kKernelEventsFired,       ///< events popped and executed
-  kKernelHeapPushes,        ///< queue pushes taking the near-term heap
-  kKernelCalendarParks,     ///< queue pushes parked in the calendar
+  kKernelHeapPushes,        ///< event-queue pushes: one-shot events and
+                            ///< staged timer firings
   kKernelTimersArmed,       ///< wheel timers armed
   kKernelTimersCancelled,   ///< active timers cancelled
   kShardWindows,            ///< conservative windows executed

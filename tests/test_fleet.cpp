@@ -374,6 +374,47 @@ TEST(FleetStudy, ArrivalShapeIsDeterministicAndModulatesLoad) {
   EXPECT_EQ(a.completed + a.dropped, 20000u);
 }
 
+// Out-of-range shapes and retry budgets abort at set-up, naming the
+// field. Past them, the rate multiplier can reach zero (at amplitude 1
+// it is 0 at t = 0, so the first interarrival draw is infinite), and a
+// budget of 256 wraps the one-byte attempt counter, so with the only
+// server down the retries never run out.
+TEST(FleetStudyDeathTest, DiurnalAmplitudeOutsideZeroToOneAborts) {
+  auto config = make_config(1, DispatchPolicy::kJoinShortestQueue, 3);
+  config.shape.diurnal_period = Duration::from_seconds_f(1.0);
+  config.shape.diurnal_amplitude = 1.0;
+  EXPECT_DEATH(static_cast<void>(FleetStudy::run(config)),
+               "shape.diurnal_amplitude");
+  config.shape.diurnal_amplitude = -0.25;
+  EXPECT_DEATH(static_cast<void>(FleetStudy::run(config)),
+               "shape.diurnal_amplitude");
+}
+
+TEST(FleetStudyDeathTest, FlashMultiplierBelowOneAborts) {
+  auto config = make_config(1, DispatchPolicy::kJoinShortestQueue, 3);
+  config.shape.flash_multiplier = 0.5;
+  config.shape.flash_every = Duration::from_millis_f(500.0);
+  config.shape.flash_duration = Duration::from_millis_f(50.0);
+  EXPECT_DEATH(static_cast<void>(FleetStudy::run(config)),
+               "shape.flash_multiplier");
+}
+
+TEST(FleetStudyDeathTest, FlashBurstNotShorterThanItsCadenceAborts) {
+  auto config = make_config(1, DispatchPolicy::kJoinShortestQueue, 3);
+  config.shape.flash_multiplier = 2.0;
+  config.shape.flash_every = Duration::from_millis_f(500.0);
+  config.shape.flash_duration = Duration::from_millis_f(500.0);
+  EXPECT_DEATH(static_cast<void>(FleetStudy::run(config)),
+               "shape.flash_duration");
+}
+
+TEST(FleetStudyDeathTest, RetryBudgetBeyondOneByteAborts) {
+  auto config = make_config(1, DispatchPolicy::kJoinShortestQueue, 3);
+  config.resilience.max_retries = 256;
+  EXPECT_DEATH(static_cast<void>(FleetStudy::run(config)),
+               "resilience.max_retries");
+}
+
 TEST(FleetScenarios, RegisteredAndDeterministic) {
   core::ScenarioRegistry registry;
   core::register_paper_scenarios(registry);

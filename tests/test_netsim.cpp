@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -134,9 +135,8 @@ TEST(Simulator, RngIsDeterministicPerSeed) {
 
 TEST(Simulator, EqualTimeFifoOrderAtTenThousandEvents) {
   // 10k events at the same instant must run in exact scheduling order —
-  // the determinism contract's tie-break at depth. (Same-time keys all
-  // stay in the near heap; the heap/calendar boundary tie is covered by
-  // EqualTimeFifoOrderAcrossHeapAndCalendar below.)
+  // the determinism contract's tie-break at depth, where every sift
+  // compares equal times and only seq decides.
   Simulator sim;
   std::vector<int> order;
   order.reserve(10000);
@@ -147,13 +147,11 @@ TEST(Simulator, EqualTimeFifoOrderAtTenThousandEvents) {
   for (int i = 0; i < 10000; ++i) EXPECT_EQ(order[std::size_t(i)], i);
 }
 
-TEST(Simulator, EqualTimeFifoOrderAcrossHeapAndCalendar) {
-  // Same-nanosecond events split across the two storage layers: the
-  // first batch at 10 ms lands in the near heap (queue still small),
-  // the 1 ms fillers pull the heap front earlier, and the second 10 ms
-  // batch — scheduled once the queue is past the park threshold with
-  // the calendar anchored at the 1 ms front — parks in the calendar.
-  // The drain must hand firing back in exact global scheduling order.
+TEST(Simulator, EqualTimeFifoOrderAcrossInterleavedFillers) {
+  // Same-nanosecond events split by earlier ones: the first batch at
+  // 10 ms goes into a small heap, the 1 ms fillers take the front, and
+  // the second 10 ms batch is pushed behind them into a deeper heap.
+  // Both batches must fire in exact global scheduling order.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i)
@@ -170,8 +168,8 @@ TEST(Simulator, EqualTimeFifoOrderAcrossHeapAndCalendar) {
 }
 
 TEST(Simulator, ManyPendingEventsPopInTimeThenFifoOrder) {
-  // Mixed far/near delays large enough to exercise calendar parking and
-  // multi-level cascades; the pop order must be (when, seq) sorted.
+  // 20k events with delays spread over an hour, all scheduled before
+  // run(); the pop order must be (when, seq) sorted.
   Simulator sim;
   Rng rng{7};
   std::vector<std::pair<std::int64_t, int>> fired;
@@ -192,12 +190,10 @@ TEST(Simulator, ManyPendingEventsPopInTimeThenFifoOrder) {
   }
 }
 
-TEST(Simulator, FarFutureClampedEventsSurviveBucketCascade) {
-  // Two dense waves exactly one full top-calendar-rotation (~52
-  // simulated days) apart alias to the same top-level slot; the second
-  // wave is beyond the hierarchy's span, so draining the first wave
-  // re-parks it into the very bucket being drained. It must survive
-  // the detach-and-cascade and fire at its exact time.
+TEST(Simulator, FarFutureEventsFireAtExactTime) {
+  // Two dense waves 2^52 ns (~52 simulated days) apart, the first ~19.5 h
+  // out, behind 64 near events: times that differ only in high bits must
+  // still order exactly, and each wave fires at its exact time.
   Simulator sim;
   int fillers = 0;
   for (int i = 0; i < 64; ++i)
@@ -221,6 +217,133 @@ TEST(Simulator, FarFutureClampedEventsSurviveBucketCascade) {
   EXPECT_EQ(fillers, 64);
   EXPECT_EQ(fired_t1, 300);
   EXPECT_EQ(fired_t2, 300);
+}
+
+// A seeded event program for the kernel order test. Each firing logs
+// (time, id) and schedules 0-2 successors. Every choice is drawn from the
+// program's own stream in firing order, so two kernels that fire the
+// same events in the same order write the same log, and any difference
+// in order changes every later draw. Ids are handed out in scheduling
+// order, which is the kernel's seq order.
+class OrderProgram {
+ public:
+  static constexpr std::uint64_t kEvents = 60000;  ///< schedules in total
+  static constexpr std::uint64_t kInitial = 400;
+  static constexpr std::uint64_t kDeep = 300;  ///< the depth under test
+
+  explicit OrderProgram(std::uint64_t seed) : rng_(seed) {}
+
+  [[nodiscard]] std::uint64_t take_id() { return scheduled_++; }
+
+  /// Start time of one of the first kInitial events, on a 1 ms grid so
+  /// that many of them tie.
+  [[nodiscard]] std::int64_t initial_ns() {
+    return std::int64_t(rng_.uniform_int(50)) * 1'000'000;
+  }
+
+  /// Log the firing of `id` at `now_ns` and return the delays (ns) of the
+  /// successors to schedule, in order.
+  std::vector<std::int64_t> fire(std::int64_t now_ns, std::uint64_t id) {
+    log_.emplace_back(now_ns, id);
+    ++fired_;
+    const std::uint64_t pending = scheduled_ - fired_;
+    if (pending >= kDeep) ++deep_firings_;
+    if (scheduled_ >= kEvents) return {};
+    // 0-2 successors, steered to keep 320-480 events pending.
+    std::uint64_t n = rng_.uniform_int(3);
+    if (pending < 320) n = 2;
+    if (pending > 480) n = 0;
+    std::vector<std::int64_t> delays;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      // A second successor often copies the first: an equal-time tie
+      // that only seq can order.
+      delays.push_back(i == 1 && rng_.chance(0.25) ? delays[0] : delay());
+    }
+    return delays;
+  }
+
+  [[nodiscard]] const std::vector<std::pair<std::int64_t, std::uint64_t>>&
+  log() const {
+    return log_;
+  }
+  [[nodiscard]] std::uint64_t deep_firings() const { return deep_firings_; }
+
+ private:
+  /// Zero (a tie with the firing itself), sub-µs, whole milliseconds, or
+  /// an hour plus whole seconds.
+  std::int64_t delay() {
+    switch (rng_.uniform_int(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return 1 + std::int64_t(rng_.uniform_int(999));
+      case 2:
+        return (1 + std::int64_t(rng_.uniform_int(8))) * 1'000'000;
+      default:
+        return (3600 + std::int64_t(rng_.uniform_int(4))) * 1'000'000'000;
+    }
+  }
+
+  Rng rng_;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t deep_firings_ = 0;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> log_;
+};
+
+/// The program on the kernel: successors are pushed while the queue
+/// drains.
+struct KernelDriver {
+  Simulator sim;
+  OrderProgram program;
+
+  explicit KernelDriver(std::uint64_t seed) : program(seed) {}
+
+  void schedule_at(std::int64_t when_ns) {
+    const std::uint64_t id = program.take_id();
+    sim.schedule_at(TimePoint::from_ns(when_ns), [this, id] {
+      for (const std::int64_t d : program.fire(sim.now().ns(), id))
+        schedule_at(sim.now().ns() + d);
+    });
+  }
+};
+
+TEST(Simulator, InterleavedSchedulingMatchesReferenceOrder) {
+  // Differential test of the pop order while pushes and pops interleave:
+  // the same program on the kernel and on a reference that keeps its
+  // pending events in a std::set ordered by (when, seq).
+  for (const std::uint64_t seed : {3u, 11u}) {
+    KernelDriver kernel{seed};
+    for (std::uint64_t i = 0; i < OrderProgram::kInitial; ++i)
+      kernel.schedule_at(kernel.program.initial_ns());
+    kernel.sim.run();
+
+    OrderProgram reference{seed};
+    std::set<std::pair<std::int64_t, std::uint64_t>> pending;
+    for (std::uint64_t i = 0; i < OrderProgram::kInitial; ++i) {
+      const std::int64_t when = reference.initial_ns();
+      pending.emplace(when, reference.take_id());
+    }
+    while (!pending.empty()) {
+      const auto [when, id] = *pending.begin();
+      pending.erase(pending.begin());
+      for (const std::int64_t d : reference.fire(when, id))
+        pending.emplace(when + d, reference.take_id());
+    }
+
+    const auto& got = kernel.program.log();
+    const auto& want = reference.log();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", firing " << i;
+    }
+    EXPECT_GE(want.size(), 50000u);
+    EXPECT_GE(reference.deep_firings(), 50000u) << "seed " << seed;
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < want.size(); ++i)
+      if (want[i].first == want[i - 1].first) ++ties;
+    EXPECT_GE(ties, 10000u) << "seed " << seed;
+  }
 }
 
 TEST(Simulator, RunUntilDiscardsExactlyAtHorizonEvents) {
