@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -436,11 +437,17 @@ struct FleetEngine {
   void on_remote_drop(std::uint32_t slot);
 };
 
+// Every event below fits InplaceAction's inline buffer and is trivially
+// copyable, so the kernel moves it as a copy of that buffer and drops it
+// without calling through its operations table. A capture that broke
+// either property would bring back the indirect calls, so both are
+// asserted.
 struct FleetArrivalEvent {
   FleetEngine* engine;
   void operator()() const { engine->on_arrival(); }
 };
 static_assert(sizeof(FleetArrivalEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetArrivalEvent>);
 
 struct FleetSubmitEvent {
   FleetEngine* engine;
@@ -451,6 +458,7 @@ struct FleetSubmitEvent {
   void operator()() const { engine->on_submit(slot, server, up, hedge); }
 };
 static_assert(sizeof(FleetSubmitEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetSubmitEvent>);
 
 struct FleetRecordEvent {
   FleetEngine* engine;
@@ -466,6 +474,7 @@ struct FleetRecordEvent {
   }
 };
 static_assert(sizeof(FleetRecordEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetRecordEvent>);
 
 /// Slot-carrying timer events. Each captures the slab epoch it was
 /// armed under; the handler no-ops on mismatch, so a stale firing from
@@ -478,6 +487,7 @@ struct FleetTimeoutEvent {
   void operator()() const { engine->on_timeout(slot, epoch); }
 };
 static_assert(sizeof(FleetTimeoutEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetTimeoutEvent>);
 
 struct FleetHedgeEvent {
   FleetEngine* engine;
@@ -486,6 +496,7 @@ struct FleetHedgeEvent {
   void operator()() const { engine->on_hedge(slot, epoch); }
 };
 static_assert(sizeof(FleetHedgeEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetHedgeEvent>);
 
 struct FleetRetryEvent {
   FleetEngine* engine;
@@ -494,6 +505,7 @@ struct FleetRetryEvent {
   void operator()() const { engine->on_retry(slot, epoch); }
 };
 static_assert(sizeof(FleetRetryEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<FleetRetryEvent>);
 
 /// Executes on the REMOTE pod's timeline, delivered through the mailbox.
 struct RemoteSubmitEvent {
@@ -507,6 +519,7 @@ struct RemoteSubmitEvent {
   }
 };
 static_assert(sizeof(RemoteSubmitEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<RemoteSubmitEvent>);
 
 /// Executes back on the ORIGIN pod's timeline: the only place the origin
 /// shard's slab and report are touched for a remote request.
@@ -524,6 +537,7 @@ struct RemoteRecordEvent {
   }
 };
 static_assert(sizeof(RemoteRecordEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<RemoteRecordEvent>);
 
 struct RemoteDropEvent {
   FleetEngine* engine;  ///< origin shard's engine
@@ -531,6 +545,7 @@ struct RemoteDropEvent {
   void operator()() const { engine->on_remote_drop(slot); }
 };
 static_assert(sizeof(RemoteDropEvent) <= netsim::InplaceAction::kInlineBytes);
+static_assert(std::is_trivially_copyable_v<RemoteDropEvent>);
 
 void FleetEngine::on_arrival() {
   if (++spawned < config.requests) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -22,7 +23,12 @@ namespace sixg::netsim {
 /// queue's flat arena. Larger captures fall back to a single heap cell.
 ///
 /// Dispatch is one indirect call through a per-type operations table
-/// (no virtual destructors, no RTTI).
+/// (no virtual destructors, no RTTI). Moving and destroying call
+/// through the table only for captures that need it: a trivially
+/// copyable capture, or the heap fallback's pointer, moves as a copy of
+/// the inline buffer, and a trivially destructible one is dropped
+/// without a call. Every event the fleet engine schedules takes that
+/// path (edgeai/fleet.cpp asserts it).
 class InplaceAction {
  public:
   /// Captures up to this size (and max_align_t alignment) are stored
@@ -68,10 +74,8 @@ class InplaceAction {
 
   /// Destroy the stored callable (if any) and become empty.
   void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
+    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(storage_);
+    ops_ = nullptr;
   }
 
   /// True when a callable of type D would avoid the heap fallback.
@@ -85,35 +89,46 @@ class InplaceAction {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    /// Move-construct into dst from src, then destroy src.
+    /// Move-construct into dst from src, then destroy src. Null when a
+    /// copy of the inline buffer relocates the stored bytes.
     void (*relocate)(void* dst, void* src) noexcept;
+    /// Null when the stored bytes need no destructor call.
     void (*destroy)(void* storage) noexcept;
   };
 
   template <typename D>
+  static void relocate_inline(void* dst, void* src) noexcept {
+    ::new (dst) D(std::move(*static_cast<D*>(src)));
+    static_cast<D*>(src)->~D();
+  }
+
+  template <typename D>
+  static void destroy_inline(void* s) noexcept {
+    static_cast<D*>(s)->~D();
+  }
+
+  template <typename D>
   static constexpr Ops kInlineOps{
       [](void* s) { (*static_cast<D*>(s))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D(std::move(*static_cast<D*>(src)));
-        static_cast<D*>(src)->~D();
-      },
-      [](void* s) noexcept { static_cast<D*>(s)->~D(); },
+      std::is_trivially_copyable_v<D> ? nullptr : &relocate_inline<D>,
+      std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>,
   };
 
   template <typename D>
   static constexpr Ops kHeapOps{
       [](void* s) { (**static_cast<D**>(s))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D*(*static_cast<D**>(src));
-      },
+      nullptr,  // the buffer holds only the cell's pointer
       [](void* s) noexcept { delete *static_cast<D**>(s); },
   };
 
   void take(InplaceAction& other) noexcept {
-    if (other.ops_ != nullptr) {
-      other.ops_->relocate(storage_, other.storage_);
-      ops_ = other.ops_;
-      other.ops_ = nullptr;
+    ops_ = other.ops_;
+    other.ops_ = nullptr;
+    if (ops_ == nullptr) return;
+    if (ops_->relocate == nullptr) {
+      std::memcpy(storage_, other.storage_, kInlineBytes);
+    } else {
+      ops_->relocate(storage_, other.storage_);
     }
   }
 

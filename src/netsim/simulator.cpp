@@ -46,20 +46,11 @@ void meter_flush(const KernelMeter& m, std::uint64_t seq, std::uint64_t fired,
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-void Simulator::schedule_at(TimePoint at, Action action) {
-  SIXG_ASSERT(at >= now_, "cannot schedule into the past");
-  queue_.push(at, next_seq_++, std::move(action));
-}
-
-void Simulator::schedule_after(Duration delay, Action action) {
-  SIXG_ASSERT(!delay.is_negative(), "delay must be non-negative");
-  schedule_at(now_ + delay, std::move(action));
-}
-
 // ------------------------------------------------------------- timers
 
 Simulator::TimerHandle Simulator::arm_timer(Duration first_delay,
-                                            Duration period, Action action) {
+                                            Duration period,
+                                            Action&& action) {
   SIXG_ASSERT(!first_delay.is_negative(), "delay must be non-negative");
   const std::uint32_t idx = wheel_.allocate();
   TimerWheel::Timer& t = wheel_.timer(idx);
@@ -77,13 +68,13 @@ Simulator::TimerHandle Simulator::arm_timer(Duration first_delay,
 
 Simulator::TimerHandle Simulator::schedule_every(Duration first_delay,
                                                  Duration period,
-                                                 Action action) {
+                                                 Action&& action) {
   SIXG_ASSERT(period > Duration{}, "period must be positive");
   return arm_timer(first_delay, period, std::move(action));
 }
 
 Simulator::TimerHandle Simulator::schedule_once(Duration delay,
-                                                Action action) {
+                                                Action&& action) {
   return arm_timer(delay, Duration{}, std::move(action));
 }
 

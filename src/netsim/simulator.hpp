@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "netsim/event_queue.hpp"
@@ -44,10 +46,18 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return rng_; }
 
   /// Schedule `action` at absolute time `at` (must not precede now()).
-  void schedule_at(TimePoint at, Action action);
+  /// A callable converts to the Action argument in place, so the
+  /// capture is relocated once, into the queue's slab.
+  void schedule_at(TimePoint at, Action&& action) {
+    SIXG_ASSERT(at >= now_, "cannot schedule into the past");
+    queue_.push(at, next_seq_++, std::move(action));
+  }
 
   /// Schedule `action` after `delay` (must be non-negative).
-  void schedule_after(Duration delay, Action action);
+  void schedule_after(Duration delay, Action&& action) {
+    SIXG_ASSERT(!delay.is_negative(), "delay must be non-negative");
+    schedule_at(now_ + delay, std::move(action));
+  }
 
   /// Cancellation token for wheel-backed timers (see below).
   class TimerHandle;
@@ -57,12 +67,12 @@ class Simulator {
   /// handle is cancelled — phase-offset pacing loops (measurement
   /// cadences, frame clocks) without a wrapper event.
   TimerHandle schedule_every(Duration first_delay, Duration period,
-                             Action action);
+                             Action&& action);
 
   /// Cancellable one-shot on the timer wheel: like schedule_after, but
   /// the returned handle can disarm it in O(1) — no stale no-op event
   /// left behind (the batch-window pattern).
-  TimerHandle schedule_once(Duration delay, Action action);
+  TimerHandle schedule_once(Duration delay, Action&& action);
 
   /// Run until the event queue drains or `stop()` is called.
   void run();
@@ -92,7 +102,7 @@ class Simulator {
   friend class TimerHandle;
 
   TimerHandle arm_timer(Duration first_delay, Duration period,
-                        Action action);
+                        Action&& action);
   /// Push timer `idx`'s next firing into the event queue.
   void stage_timer(std::uint32_t idx);
   /// Staged-firing entry point: runs the action and re-arms or releases.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,9 +12,12 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "netsim/event_queue.hpp"
 #include "netsim/parallel.hpp"
 #include "netsim/simulator.hpp"
 
@@ -514,6 +518,130 @@ TEST(Simulator, PeriodicAndOneShotAtEqualTimeKeepFifoOrder) {
   handle.cancel();
   EXPECT_EQ(order, (std::vector<std::string>{"periodic@10", "oneshot",
                                              "periodic@20"}));
+}
+
+// ------------------------------------------------------------ EventQueue
+
+TEST(EventQueue, PopOrderIsWhenThenSeqAcrossSignSeqBoundAndReusedSlots) {
+  // A heap key is `when` with its sign bit flipped over `seq << 24 |
+  // slot`, so integer order must be (when, seq) order: negative times
+  // before positive ones, seq deciding equal times right up to 2^40 - 1,
+  // and the slot (push order, then free-list reuse) never deciding.
+  // Each pop is checked against a std::set reference, and the fired
+  // action must be the one pushed with that key.
+  EventQueue q;
+  std::set<std::tuple<std::int64_t, std::uint64_t, int>> expect;
+  int fired = -1;
+  int next_id = 0;
+  const auto push = [&](std::int64_t when, std::uint64_t seq) {
+    const int id = next_id++;
+    q.push(TimePoint::from_ns(when), seq, [&fired, id] { fired = id; });
+    expect.emplace(when, seq, id);
+  };
+  const auto pop_one = [&] {
+    ASSERT_FALSE(q.empty());
+    const auto [when, seq, id] = *expect.begin();
+    expect.erase(expect.begin());
+    EXPECT_EQ(q.top_when().ns(), when);
+    ScheduledEvent ev = q.pop();
+    EXPECT_EQ(ev.when.ns(), when);
+    ev.action();
+    EXPECT_EQ(fired, id) << "when " << when << " seq " << seq;
+  };
+  const auto drain = [&] {
+    while (!expect.empty()) pop_one();
+    EXPECT_TRUE(q.empty());
+  };
+
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t kTop = EventQueue::kMaxSeq - 1;
+  std::uint64_t seq = 0;
+  for (const std::int64_t when :
+       {kMax, std::int64_t{1}, std::int64_t{0}, std::int64_t{-1}, kMin,
+        -(std::int64_t{1} << 40), std::int64_t{1} << 40, kMin + 1, kMax - 1})
+    push(when, seq++);
+  drain();
+
+  // Equal times, seq pushed high to low: the slots rise as seq falls.
+  for (const std::uint64_t s :
+       {kTop, kTop - 1, std::uint64_t{1} << 39, kTop - 2, std::uint64_t{0}})
+    push(-7, s);
+  push(-8, kTop);
+  drain();
+
+  // Churn near the seq bound: seqs are a shuffled block just below
+  // 2^40, times fall on seven values either side of zero, and pops keep
+  // 64-128 events pending (the workloads' depths), so every slot is
+  // reused many times and sifts cross both full and partial families.
+  Rng rng{17};
+  std::vector<std::uint64_t> seqs(4000);
+  std::iota(seqs.begin(), seqs.end(), kTop - 3999);
+  for (std::size_t i = seqs.size() - 1; i > 0; --i)
+    std::swap(seqs[i], seqs[rng.uniform_int(i + 1)]);
+  for (const std::uint64_t s : seqs) {
+    push((std::int64_t(rng.uniform_int(7)) - 3) * 1'000'000, s);
+    while (expect.size() > 64 + rng.uniform_int(65)) pop_one();
+  }
+  drain();
+  EXPECT_EQ(q.pushes(), std::uint64_t(next_id));
+}
+
+// The key packs seq into 40 bits above a 24-bit slot, and push() asserts
+// both widths. Only the seq bound is tested: reaching the slot bound
+// would take 2^24 pending actions, about 1.2 GB of slab and keys.
+TEST(EventQueueDeathTest, SeqAtTwoToTheFortyAbortsNamingTheBound) {
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        q.push(TimePoint{}, EventQueue::kMaxSeq, [] {});
+      },
+      "seq must stay below 2\\^40");
+}
+
+TEST(Simulator, TrivialAndSharedCapturesEachFireOnceAcrossSlabGrowth) {
+  // 10k events pending at once, every third holding a shared_ptr (moved
+  // and dropped through InplaceAction's operations table) between
+  // trivially copyable ones (moved as a copy of the inline buffer). The
+  // slab reallocates a dozen times or more as they are scheduled,
+  // relocating both kinds side by side; each must fire exactly once, and
+  // every copy of the shared_ptr must be released.
+  struct Plain {
+    std::vector<int>* hits;
+    int i;
+    void operator()() const { ++(*hits)[std::size_t(i)]; }
+  };
+  struct Shared {
+    std::shared_ptr<int> token;
+    std::vector<int>* hits;
+    int i;
+    void operator()() const {
+      ++(*hits)[std::size_t(i)];
+      ++*token;
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<Plain>);
+  static_assert(!std::is_trivially_copyable_v<Shared>);
+  static_assert(InplaceAction::fits_inline<Shared>());
+
+  constexpr int kEvents = 10000;
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::vector<int> hits(kEvents, 0);
+  for (int i = 0; i < kEvents; ++i) {
+    const Duration delay = Duration::micros((i * 7919) % kEvents);
+    if (i % 3 == 0) {
+      sim.schedule_after(delay, Shared{token, &hits, i});
+    } else {
+      sim.schedule_after(delay, Plain{&hits, i});
+    }
+  }
+  EXPECT_EQ(token.use_count(), 1 + (kEvents + 2) / 3);
+  sim.run();
+  EXPECT_EQ(sim.processed_events(), std::uint64_t(kEvents));
+  EXPECT_EQ(*token, (kEvents + 2) / 3);
+  for (int i = 0; i < kEvents; ++i) EXPECT_EQ(hits[std::size_t(i)], 1) << i;
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --------------------------------------------------------- InplaceAction
